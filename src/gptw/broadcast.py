@@ -35,7 +35,6 @@ from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .quantum import Channel, DensityMatrix, partial_trace, trace_distance
 
 COMMUTE_TOL = 1e-9
-MARGINAL_TOL = 1e-9
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:

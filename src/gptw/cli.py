@@ -38,14 +38,17 @@ DEFAULT_TOLS = {
 
 def _resolve_tol(tol_arg: float | None, check: str) -> float:
     if tol_arg is not None:
-        return tol_arg
-    env = os.environ.get("GPTW_DEFAULT_TOL")
-    if env is not None:
+        tol = tol_arg
+    elif (env := os.environ.get("GPTW_DEFAULT_TOL")) is not None:
         try:
-            return float(env)
+            tol = float(env)
         except ValueError:
             raise GptwError(f"GPTW_DEFAULT_TOL={env!r} is not a number") from None
-    return DEFAULT_TOLS[check]
+    else:
+        return DEFAULT_TOLS[check]
+    if not 0.0 <= tol < math.inf:  # NaN fails too; the report would print it as bare NaN
+        raise GptwError(f"tolerance must be finite and non-negative, got {tol}")
+    return tol
 
 
 def _seed(value: int | None) -> int:

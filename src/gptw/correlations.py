@@ -19,8 +19,8 @@ measurements.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 import numpy as np
@@ -55,8 +55,9 @@ class CorrelationBox:
             raise ValidationError(
                 f"table shape {tab.shape} != settings+outcomes {self.settings + self.outcomes}"
             )
-        if tab.min() < -EPS_NORM or tab.max() > 1.0 + EPS_NORM:
-            raise ValidationError("box entries outside [0, 1]")
+        # written so that NaN fails it: min and max propagate NaN
+        if not (tab.min() >= -EPS_NORM and tab.max() <= 1.0 + EPS_NORM):
+            raise ValidationError("box entries must be finite and in [0, 1]")
         sums = tab.reshape(self.settings + (-1,)).sum(axis=-1)
         if np.max(np.abs(sums - 1.0)) > EPS_NORM:
             raise ValidationError("some setting slice does not sum to 1")
@@ -203,7 +204,11 @@ def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, Chsh
 
 @dataclass(frozen=True)
 class SignallingViolation:
-    """A subset whose outcome marginal shifts with the complement's settings."""
+    """A subset whose outcome marginal shifts with the complement's settings.
+
+    `deviation` is the largest change of one marginal entry between the two
+    complement settings `complement_settings_a` and `complement_settings_b`.
+    """
 
     subset: tuple[int, ...]
     subset_settings: tuple[int, ...]
@@ -222,12 +227,24 @@ class NoSignallingReport:
         return self.satisfied
 
 
+def _unravel(index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
+    """Row-major multi-index of a flat index (np.unravel_index in plain ints)."""
+    out = []
+    for size in reversed(shape):
+        index, rem = divmod(index, size)
+        out.append(rem)
+    return tuple(reversed(out))
+
+
 def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingReport:
     """Check every proper party subset's marginal against complement settings.
 
     For each nonempty proper subset J and each setting tuple of J, the
     marginal over J's outcomes must not depend on the complement's settings
     (within tol).  Singletons and pairs exhaust the proper subsets for n<=3.
+    The deviation is the largest spread (max - min) of one marginal entry
+    over all complement settings; a violation names the two complement
+    settings that attain it.
     """
     n = box.n_parties
     violations: list[SignallingViolation] = []
@@ -237,29 +254,29 @@ def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingR
         subsets += [(0, 1), (0, 2), (1, 2)]
     for subset in subsets:
         others = [k for k in range(n) if k not in subset]
-        sub_settings = [box.settings[k] for k in subset]
-        other_settings = [box.settings[k] for k in others]
-        for xs in product(*[range(s) for s in sub_settings]):
-            marginals = {}
-            for ys in product(*[range(s) for s in other_settings]):
-                full = [0] * n
-                for k, x in zip(subset, xs):
-                    full[k] = x
-                for k, y in zip(others, ys):
-                    full[k] = y
-                block = box.table[tuple(full)]
-                block = np.transpose(block, axes=list(subset) + others)
-                marg = block.reshape(tuple(box.outcomes[k] for k in subset) + (-1,)).sum(axis=-1)
-                marginals[ys] = marg
-            keys = list(marginals)
-            base = marginals[keys[0]]
-            for other_key in keys[1:]:
-                dev = float(np.max(np.abs(marginals[other_key] - base)))
-                worst = max(worst, dev)
-                if dev > tol:
-                    violations.append(
-                        SignallingViolation(tuple(subset), xs, keys[0], other_key, dev)
-                    )
+        sub_settings = tuple(box.settings[k] for k in subset)
+        other_settings = tuple(box.settings[k] for k in others)
+        # marginal over J's outcomes at every full setting tuple, as
+        # [J settings, complement settings, J outcomes]
+        marg = box.table.sum(axis=tuple(n + k for k in others))
+        marg = marg.transpose(list(subset) + others + list(range(n, n + len(subset))))
+        marg = marg.reshape(math.prod(sub_settings), math.prod(other_settings), -1)
+        spread = marg.max(axis=1) - marg.min(axis=1)
+        devs = spread.max(axis=1)
+        worst = max(worst, float(devs.max()))
+        for i in np.flatnonzero(devs > tol).tolist():
+            # the complement settings at the two extremes of the widest entry
+            column = marg[i, :, spread[i].argmax()].tolist()
+            a, b = sorted((column.index(min(column)), column.index(max(column))))
+            violations.append(
+                SignallingViolation(
+                    subset,
+                    _unravel(i, sub_settings),
+                    _unravel(a, other_settings),
+                    _unravel(b, other_settings),
+                    float(devs[i]),
+                )
+            )
     return NoSignallingReport(not violations, worst, tuple(violations))
 
 

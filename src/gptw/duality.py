@@ -120,8 +120,8 @@ def ensemble_from_states(weights, states) -> LeiferEnsemble:
     w = np.asarray(weights, dtype=float)
     if w.ndim != 1 or w.size != len(states):
         raise ValidationError("one weight per branch state required")
-    if w.min() < -1e-9:
-        raise ValidationError("ensemble weights must be non-negative")
+    if not w.min() >= -1e-9:
+        raise ValidationError("ensemble weights must be finite and non-negative")
     if abs(w.sum() - 1.0) > 1e-9:
         raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
     zero = tuple(bool(x <= EPS_BRANCH) for x in w)

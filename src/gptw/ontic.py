@@ -24,7 +24,6 @@ from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
-from scipy.optimize import linprog
 
 from .correlations import ChshValue, CorrelationBox, is_bell_nonlocal
 from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, ValidationError
@@ -40,8 +39,8 @@ Strategy = tuple[tuple[int, ...], tuple[int, ...]]  # (a(x) per x, b(y) per y)
 class OnticModel:
     """Finite ontic-state model: distributions mu, responses xi, transition matrices.
 
-    Shapes are validated at construction; the five value conditions are the
-    business of :func:`validate_model`.
+    Shapes and finiteness are validated at construction; the five value
+    conditions are the business of :func:`validate_model`.
     """
 
     def __init__(
@@ -67,6 +66,10 @@ class OnticModel:
         for t, v in self.trans.items():
             if v.shape != (n, n):
                 raise ValidationError(f"trans[{t!r}] must be {n}x{n}")
+        for name, arrays in (("mu", self.mu), ("xi", self.xi), ("trans", self.trans)):
+            for key, v in arrays.items():
+                if not np.isfinite(v).all():
+                    raise ValidationError(f"{name}[{key!r}] has a non-finite entry")
 
     @property
     def n_states(self) -> int:
@@ -203,6 +206,18 @@ def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> floa
                     diff = abs(got - Fraction(float(box.table[x, y, a, b])))
                     worst = max(worst, diff)
     return float(worst)
+
+
+def linprog(*args, **kwargs):
+    """`scipy.optimize.linprog`, imported on the first solve.
+
+    scipy.optimize takes most of `import gptw`, and only the local-model LP
+    needs it.  `find_local_model` looks this name up at call time, so it can
+    be replaced on the module (a test fake, a tracing wrapper).
+    """
+    from scipy.optimize import linprog as solve
+
+    return solve(*args, **kwargs)
 
 
 def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCertificate | None:

@@ -48,8 +48,9 @@ class DensityMatrix:
     def __init__(self, entries, dims: Sequence[int] | None = None) -> None:
         mat = _as_complex_matrix(entries)
         d = mat.shape[0]
-        if np.max(np.abs(mat - mat.conj().T)) > ATOL:
-            raise ValidationError("density matrix is not Hermitian")
+        # negated so that NaN and inf fail it: they make the difference non-finite
+        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
+            raise ValidationError("density matrix is not finite and Hermitian")
         if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
             raise ValidationError(f"density matrix has trace {np.trace(mat)}, not 1")
         if np.linalg.eigvalsh(mat).min() < -ATOL:
@@ -84,8 +85,8 @@ class Povm:
         for e in mats:
             if e.shape != (d, d):
                 raise DimensionMismatchError("POVM elements have mixed dimensions")
-            if np.max(np.abs(e - e.conj().T)) > ATOL:
-                raise ValidationError("POVM element is not Hermitian")
+            if not np.max(np.abs(e - e.conj().T)) <= ATOL:
+                raise ValidationError("POVM element is not finite and Hermitian")
             if np.linalg.eigvalsh(e).min() < -ATOL:
                 raise ValidationError("POVM element is not positive semidefinite")
             total += e
@@ -119,8 +120,8 @@ class Channel:
             if k.shape != (d_out, d_in):
                 raise DimensionMismatchError("Kraus operators have mixed shapes")
             acc += k.conj().T @ k
-        if np.max(np.abs(acc - np.eye(d_in))) > ATOL:
-            raise ValidationError("Kraus operators are not trace preserving")
+        if not np.max(np.abs(acc - np.eye(d_in))) <= ATOL:
+            raise ValidationError("Kraus operators are not finite and trace preserving")
         for k in ops:
             k.flags.writeable = False
         self.kraus = tuple(ops)

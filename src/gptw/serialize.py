@@ -52,17 +52,44 @@ def _read_json(path: str | Path) -> Any:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
-def _require(data: Any, key: str, context: str) -> Any:
+_JSON_TYPES = {list: "an array", dict: "an object"}
+
+
+def _require(data: Any, key: str, context: str, kind: type | None = None) -> Any:
+    """data[key], which must exist and, when `kind` is given, be a list or dict."""
     if not isinstance(data, dict) or key not in data:
         raise ParseError(f"{context}: missing key {key!r}")
-    return data[key]
+    value = data[key]
+    if kind is not None and not isinstance(value, kind):
+        raise ParseError(f"{context}: {key!r} must be {_JSON_TYPES[kind]}")
+    return value
+
+
+def _int(data: Any, context: str) -> int:
+    """A JSON integer; a float with an integral value such as 2.0 passes too."""
+    if isinstance(data, float) and data.is_integer():
+        return int(data)
+    if isinstance(data, bool) or not isinstance(data, int):
+        raise ParseError(f"{context}: expected an integer, got {data!r}")
+    return data
+
+
+def _int_list(data: Any, context: str) -> list[int]:
+    if not isinstance(data, list):
+        raise ParseError(f"{context}: expected an array of integers, got {data!r}")
+    return [_int(x, context) for x in data]
 
 
 def _float_array(data: Any, context: str) -> np.ndarray:
     try:
-        return np.asarray(data, dtype=float)
+        arr = np.asarray(data, dtype=float)
     except (TypeError, ValueError):
         raise ParseError(f"{context}: expected an array of numbers") from None
+    # Python's json reads NaN and Infinity; stop them here, where the file is
+    # known, before numpy arithmetic on them warns on stderr
+    if not np.isfinite(arr).all():
+        raise ParseError(f"{context}: expected finite numbers, got NaN or infinity")
+    return arr
 
 
 # -- complex matrices --------------------------------------------------------
@@ -98,11 +125,11 @@ def theory_to_json(theory: OperationalTheory) -> dict:
 
 def theory_from_json(data: Any, context: str = "theory") -> OperationalTheory:
     meas = [
-        Measurement(str(_require(m, "id", context)), int(_require(m, "arity", context)))
-        for m in _require(data, "measurements", context)
+        Measurement(str(_require(m, "id", context)), _int(_require(m, "arity", context), f"{context}: arity"))
+        for m in _require(data, "measurements", context, list)
     ]
     table = {}
-    for row in _require(data, "table", context):
+    for row in _require(data, "table", context, list):
         key = (
             str(_require(row, "prep", context)),
             str(_require(row, "trans", context)),
@@ -110,8 +137,8 @@ def theory_from_json(data: Any, context: str = "theory") -> OperationalTheory:
         )
         table[key] = _float_array(_require(row, "probs", context), context)
     return OperationalTheory(
-        [str(p) for p in _require(data, "preparations", context)],
-        [str(t) for t in _require(data, "transformations", context)],
+        [str(p) for p in _require(data, "preparations", context, list)],
+        [str(t) for t in _require(data, "transformations", context, list)],
         meas,
         table,
         identity=str(data.get("identity", "I")),
@@ -143,13 +170,15 @@ def box_to_json(box: CorrelationBox) -> dict:
 
 
 def box_from_json(data: Any, context: str = "box") -> CorrelationBox:
-    parties = int(_require(data, "parties", context))
-    settings = [int(s) for s in _require(data, "settings", context)]
-    outcomes = [int(o) for o in _require(data, "outcomes", context)]
+    parties = _int(_require(data, "parties", context), f"{context}: parties")
+    settings = _int_list(_require(data, "settings", context), f"{context}: settings")
+    outcomes = _int_list(_require(data, "outcomes", context), f"{context}: outcomes")
     if len(settings) != parties or len(outcomes) != parties:
         raise ParseError(f"{context}: settings/outcomes must list {parties} entries")
+    if min(settings + outcomes, default=0) < 1:
+        raise ParseError(f"{context}: every party needs at least one setting and one outcome")
     table = np.zeros(tuple(settings) + tuple(outcomes))
-    raw = _require(data, "table", context)
+    raw = _require(data, "table", context, dict)
     for xs in np.ndindex(*settings):
         key = ",".join(str(x) for x in xs)
         if key not in raw:
@@ -178,9 +207,9 @@ def state_to_json(state: DensityMatrix) -> dict:
 
 def state_from_json(data: Any, context: str = "state") -> DensityMatrix:
     if isinstance(data, dict) and "dims" in data:
-        dims = [int(d) for d in data["dims"]]
+        dims = _int_list(data["dims"], f"{context}: dims")
     elif isinstance(data, dict) and "dim" in data:
-        dims = [int(data["dim"])]
+        dims = [_int(data["dim"], f"{context}: dim")]
     else:
         raise ParseError(f"{context}: missing 'dims' (or 'dim')")
     return DensityMatrix(matrix_from_json(_require(data, "matrix", context), context), dims=dims)
@@ -199,7 +228,7 @@ def povm_to_json(povm: Povm) -> dict:
 
 
 def povm_from_json(data: Any, context: str = "povm") -> Povm:
-    return Povm([matrix_from_json(e, context) for e in _require(data, "elements", context)])
+    return Povm([matrix_from_json(e, context) for e in _require(data, "elements", context, list)])
 
 
 def load_povm(path: str | Path) -> Povm:
@@ -216,13 +245,13 @@ def channel_to_json(chan: Channel) -> dict:
 
 def channel_from_json(data: Any, context: str = "channel") -> Channel:
     kraus = []
-    for k in _require(data, "kraus", context):
+    for k in _require(data, "kraus", context, list):
         arr = _float_array(k, context)
         if arr.ndim != 3 or arr.shape[-1] != 2:
             raise ParseError(f"{context}: Kraus operator is not an array of [re, im] pairs")
         kraus.append(arr[..., 0] + 1j * arr[..., 1])
     dims = data.get("output_dims")
-    return Channel(kraus, output_dims=[int(d) for d in dims] if dims else None)
+    return Channel(kraus, output_dims=_int_list(dims, f"{context}: output_dims") if dims else None)
 
 
 def load_channel(path: str | Path) -> Channel:
@@ -247,10 +276,10 @@ def model_to_json(model: OnticModel) -> dict:
 
 def model_from_json(data: Any, context: str = "model") -> OnticModel:
     return OnticModel(
-        [str(s) for s in _require(data, "ontic_states", context)],
-        {str(p): _float_array(v, context) for p, v in _require(data, "preparations", context).items()},
-        {str(m): _float_array(v, context) for m, v in _require(data, "measurements", context).items()},
-        {str(t): _float_array(v, context) for t, v in _require(data, "transformations", context).items()},
+        [str(s) for s in _require(data, "ontic_states", context, list)],
+        {str(p): _float_array(v, context) for p, v in _require(data, "preparations", context, dict).items()},
+        {str(m): _float_array(v, context) for m, v in _require(data, "measurements", context, dict).items()},
+        {str(t): _float_array(v, context) for t, v in _require(data, "transformations", context, dict).items()},
     )
 
 

@@ -98,8 +98,8 @@ class OperationalTheory:
             raise ValidationError(
                 f"row {key}: expected {self._arities[meas]} outcomes, got shape {row.shape}"
             )
-        if row.min() < -EPS_NORM or row.max() > 1.0 + EPS_NORM:
-            raise ValidationError(f"row {key}: probabilities outside [0, 1]")
+        if not (row.min() >= -EPS_NORM and row.max() <= 1.0 + EPS_NORM):
+            raise ValidationError(f"row {key}: probabilities must be finite and in [0, 1]")
         if abs(row.sum() - 1.0) > EPS_NORM:
             raise ValidationError(f"row {key}: outcomes sum to {row.sum()}, not 1")
         row = np.clip(row, 0.0, 1.0)
@@ -149,8 +149,8 @@ class EnsemblePreparation:
         b = tuple(branches)
         if w.ndim != 1 or len(b) != w.size:
             raise ValidationError("one weight per branch required")
-        if w.min() < -EPS_NORM:
-            raise ValidationError("ensemble weights must be non-negative")
+        if not w.min() >= -EPS_NORM:
+            raise ValidationError("ensemble weights must be finite and non-negative")
         if abs(w.sum() - 1.0) > EPS_NORM:
             raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
         if len(set(b)) != len(b):
@@ -176,8 +176,8 @@ class JointDistribution:
         p = np.asarray(probabilities, dtype=float)
         if p.shape != tuple(n for _, n in ax):
             raise ValidationError(f"probabilities shape {p.shape} != axis arities {ax}")
-        if p.min() < -EPS_NORM or p.max() > 1.0 + EPS_NORM:
-            raise ValidationError("joint distribution entries outside [0, 1]")
+        if not (p.min() >= -EPS_NORM and p.max() <= 1.0 + EPS_NORM):
+            raise ValidationError("joint distribution entries must be finite and in [0, 1]")
         if abs(p.sum() - 1.0) > EPS_NORM:
             raise ValidationError(f"joint distribution sums to {p.sum()}, not 1")
         p = np.clip(p, 0.0, 1.0)

@@ -235,6 +235,73 @@ def test_parse_error_exits_two(files, capsys, tmp_path):
     assert "line 1" in err
 
 
+def assert_input_error(capsys, argv) -> str:
+    """The CLI exits 2 with one `error:` line on stderr and prints no report."""
+    code = main([str(a) for a in argv])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "Traceback" not in captured.err
+    (line,) = captured.err.splitlines()
+    assert line.startswith("error: ")
+    return line
+
+
+@pytest.mark.parametrize("command", ["nosignal", "chsh"])
+def test_nan_box_exits_two(capsys, tmp_path, command):
+    data = ser.box_to_json(CorrelationBox((2, 2), (2, 2), pr_table()))
+    data["table"]["0,0"][0] = float("nan")
+    bad = tmp_path / "nan_box.json"
+    bad.write_text(json.dumps(data))  # json writes the bare token NaN
+    assert "finite" in assert_input_error(capsys, [command, "--box", bad])
+
+
+def _set(path, value):
+    def mutate(data):
+        *outer, last = path
+        for key in outer:
+            data = data[key]
+        data[last] = value
+
+    return mutate
+
+
+MALFORMED = [
+    pytest.param("pr", _set(["settings"], ["two", 2]), id="settings-string"),
+    pytest.param("pr", _set(["settings"], [None, 2]), id="settings-null"),
+    pytest.param("pr", _set(["settings"], [2.5, 2]), id="settings-fraction"),
+    pytest.param("pr", _set(["settings"], 2), id="settings-scalar"),
+    pytest.param("pr", _set(["settings"], [0, 2]), id="settings-zero"),
+    pytest.param("pr", _set(["outcomes"], [2, "x"]), id="outcomes-string"),
+    pytest.param("pr", _set(["parties"], "two"), id="parties-string"),
+    pytest.param("pr", _set(["table"], 0.25), id="box-table-number"),
+    pytest.param("model", _set(["preparations"], [[1.0, 0.0]]), id="model-preparations-array"),
+    pytest.param("model", _set(["preparations", "p0", 0], float("nan")), id="model-nan"),
+    pytest.param("theory", _set(["measurements", 0, "arity"], "two"), id="theory-arity-string"),
+    pytest.param("theory", _set(["table", 0, "probs", 0], float("nan")), id="theory-nan"),
+    pytest.param("zero", _set(["dims"], ["a"]), id="state-dims-string"),
+    pytest.param("zero", _set(["matrix", 0, 0, 0], float("nan")), id="state-nan"),
+    pytest.param("o", _set(["elements", 0, 0, 0, 0], float("inf")), id="povm-inf"),
+]
+COMMANDS = {
+    "pr": ["chsh", "--box", "{}"],
+    "model": ["validate-model", "--model", "{}"],
+    "theory": ["dim", "--theory", "{}"],
+    "zero": ["broadcast", "--state", "{}", "--state", "{diag}"],
+    "o": ["verify-cj", "--state", "{state}", "--povm", "{}", "--povm", "{m}"],
+}
+
+
+@pytest.mark.parametrize("name, mutate", MALFORMED)
+def test_malformed_input_exits_two(files, capsys, tmp_path, name, mutate):
+    data = json.loads(files[name].read_text())
+    mutate(data)
+    bad = tmp_path / "malformed.json"
+    bad.write_text(json.dumps(data))
+    argv = [a.format(bad, **files) for a in COMMANDS[name]]
+    assert_input_error(capsys, argv)
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code = main(["chsh", "--box", str(tmp_path / "absent.json")])
     assert code == 2
@@ -270,6 +337,13 @@ def test_explicit_tol_beats_env(files, capsys, monkeypatch):
     code, reports = run(capsys, ["chsh", "--box", files["pr"], "--tol", "1e-9"])
     assert code == 0
     assert reports[0]["tol"] == 1e-9
+
+
+@pytest.mark.parametrize("tol", ["nan", "inf", "-1"])
+def test_non_finite_or_negative_tol_exits_two(files, capsys, monkeypatch, tol):
+    assert "tolerance" in assert_input_error(capsys, ["chsh", "--box", files["pr"], "--tol", tol])
+    monkeypatch.setenv("GPTW_DEFAULT_TOL", tol)
+    assert "tolerance" in assert_input_error(capsys, ["nosignal", "--box", files["pr"]])
 
 
 def test_pretty_output(files, capsys):

@@ -1,6 +1,8 @@
 """CHSH, nonlocality, no-signalling, and monogamy checks on boxes."""
 from __future__ import annotations
 
+from itertools import product
+
 import numpy as np
 import pytest
 
@@ -41,6 +43,14 @@ def chsh_oracle(table: np.ndarray, a0, a1, b0, b1) -> float:
 def test_box_rejects_bad_normalization():
     t = np.full((1, 1, 2, 2), 0.3)
     with pytest.raises(ValidationError):
+        CorrelationBox((1, 1), (2, 2), t)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_box_rejects_non_finite_entry(bad):
+    t = np.full((1, 1, 2, 2), 0.25)
+    t[0, 0, 0, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
         CorrelationBox((1, 1), (2, 2), t)
 
 
@@ -199,6 +209,67 @@ def test_explicit_signalling_box_detected():
     assert not report.satisfied
     assert any(v.subset == (0,) for v in report.violations)
     assert report.max_deviation == 1.0
+
+
+def test_no_signalling_compares_every_pair_of_complement_settings():
+    # Alice's marginal at x=0 moves by 0.01 either way from Bob's setting 0:
+    # each setting is within 0.015 of the first, but settings 1 and 2 are 0.02 apart
+    t = np.zeros((2, 3, 2, 2))
+    for y, p0 in enumerate([0.5, 0.51, 0.49]):
+        t[0, y] = np.outer([p0, 1 - p0], [0.5, 0.5])
+        t[1, y] = np.full((2, 2), 0.25)
+    report = check_no_signalling(CorrelationBox((2, 3), (2, 2), t), tol=0.015)
+    assert not report.satisfied
+    assert report.max_deviation == pytest.approx(0.02, abs=1e-12)
+    (v,) = report.violations
+    assert (v.subset, v.subset_settings) == ((0,), (0,))
+    assert (v.complement_settings_a, v.complement_settings_b) == ((1,), (2,))
+    assert v.deviation == pytest.approx(0.02, abs=1e-12)
+
+
+def pairwise_signalling_oracle(box: CorrelationBox) -> dict:
+    """Largest pairwise marginal difference per (subset, subset settings), by explicit loops."""
+    n = box.n_parties
+    subsets = [(i,) for i in range(n)] + ([(0, 1), (0, 2), (1, 2)] if n == 3 else [])
+    out = {}
+    for subset in subsets:
+        others = [k for k in range(n) if k not in subset]
+        for xs in product(*[range(box.settings[k]) for k in subset]):
+            marginals = []
+            for ys in product(*[range(box.settings[k]) for k in others]):
+                full = [0] * n
+                for k, v in zip(subset + tuple(others), xs + ys):
+                    full[k] = v
+                block = box.table[tuple(full)]
+                marginals.append(block.sum(axis=tuple(k for k in range(n) if k in others)))
+            out[subset, xs] = max(
+                float(np.max(np.abs(a - b))) for a in marginals for b in marginals
+            )
+    return out
+
+
+@pytest.mark.parametrize("settings", [(2, 2), (3, 2), (4, 3), (2, 2, 2), (3, 2, 3)])
+def test_no_signalling_matches_pairwise_oracle(settings):
+    rng = np.random.default_rng(len(settings) * 10 + sum(settings))
+    n = len(settings)
+    raw = rng.random(settings + (2,) * n)
+    box = CorrelationBox(settings, (2,) * n, raw / raw.sum(axis=tuple(range(n, 2 * n)), keepdims=True))
+    want = pairwise_signalling_oracle(box)
+    report = check_no_signalling(box, tol=0.05)
+    assert report.max_deviation == pytest.approx(max(want.values()), abs=1e-12)
+    flagged = {(v.subset, v.subset_settings) for v in report.violations}
+    assert flagged == {key for key, dev in want.items() if dev > 0.05}
+    for v in report.violations:
+        assert v.deviation == pytest.approx(want[v.subset, v.subset_settings], abs=1e-12)
+        full_a, full_b = [0] * n, [0] * n
+        others = [k for k in range(n) if k not in v.subset]
+        for k, x in zip(v.subset, v.subset_settings):
+            full_a[k] = full_b[k] = x
+        for k, ya, yb in zip(others, v.complement_settings_a, v.complement_settings_b):
+            full_a[k], full_b[k] = ya, yb
+        axes = tuple(others)
+        diff = box.table[tuple(full_a)].sum(axis=axes) - box.table[tuple(full_b)].sum(axis=axes)
+        assert np.max(np.abs(diff)) == pytest.approx(v.deviation, abs=1e-12)
 
 
 def test_quantum_boxes_no_signalling():

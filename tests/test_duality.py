@@ -13,7 +13,7 @@ from gptw.duality import (
     temporal_to_spatial,
     verify_ocj,
 )
-from gptw.errors import ArityError
+from gptw.errors import ArityError, ValidationError
 from gptw.theory import JointDistribution
 
 
@@ -63,6 +63,13 @@ def test_temporal_to_spatial_recovers_bell_pair():
     spatial = temporal_to_spatial(temporal)
     assert np.allclose(spatial.state.matrix, q.bell_phi_plus().matrix, atol=1e-9)
     assert np.allclose(spatial.distribution.probabilities, np.diag([0.5, 0.5]), atol=1e-9)
+
+
+@pytest.mark.parametrize("weights", [[0.7, 0.7], [-0.5, 1.5], [np.nan, 1.0]])
+def test_ensemble_from_states_validates_weights(weights):
+    states = [q.DensityMatrix.pure(q.KET0), q.DensityMatrix.pure(q.KET1)]
+    with pytest.raises(ValidationError):
+        ensemble_from_states(weights, states)
 
 
 def test_temporal_to_spatial_one_branch_ensemble():

@@ -1,9 +1,16 @@
 """Ontological-model validity, prediction, and the local-model LP."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gptw
+from gptw import ontic
 from gptw import quantum as q
 from gptw.correlations import CorrelationBox, is_bell_nonlocal
 from gptw.errors import SizeLimitError, UnknownIdError
@@ -119,6 +126,36 @@ def test_isotropic_half_feasible(isotropic_half):
     cert = find_local_model(isotropic_half)
     assert cert is not None
     assert cert.residual <= 1e-7
+
+
+@pytest.mark.parametrize("module", ["gptw", "gptw.cli"])
+def test_import_leaves_scipy_optimize_unloaded(module):
+    # the LP solver loads on the first solve; the other checks never pay for it
+    src = str(Path(gptw.__file__).resolve().parents[1])
+    code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"
+
+
+def test_find_local_model_looks_up_linprog_at_call_time(monkeypatch, isotropic_half):
+    calls = []
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return solve(*args, **kwargs)
+
+    solve = ontic.linprog
+    monkeypatch.setattr(ontic, "linprog", recording)
+    cert = find_local_model(isotropic_half)
+    assert calls == ["highs"]
+    assert cert is not None and cert.residual <= 1e-7
 
 
 def test_reconstruction_is_entrywise(isotropic_half):

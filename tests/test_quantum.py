@@ -42,6 +42,19 @@ def test_channel_rejects_non_trace_preserving():
         q.Channel([np.diag([1.0, 0.5])])
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf inside the checks
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_non_finite_entries_rejected(bad):
+    broken = np.diag([1.0, 0.0]).astype(complex)
+    broken[0, 1] = broken[1, 0] = bad
+    with pytest.raises(ValidationError, match="finite"):
+        q.DensityMatrix(broken)
+    with pytest.raises(ValidationError, match="finite"):
+        q.Povm([broken, np.diag([0.0, 1.0])])
+    with pytest.raises(ValidationError, match="finite"):
+        q.Channel([broken])
+
+
 def test_partial_trace_against_kron_oracle():
     rng = np.random.default_rng(3)
     a = q.ginibre_state(2, rng).matrix

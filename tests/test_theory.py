@@ -51,6 +51,8 @@ def test_rejects_unnormalized_row():
 def test_rejects_out_of_range_probability():
     with pytest.raises(ValidationError):
         OperationalTheory(["p"], ["I"], [("m", 2)], {("p", "I", "m"): [1.2, -0.2]})
+    with pytest.raises(ValidationError, match="finite"):
+        OperationalTheory(["p"], ["I"], [("m", 2)], {("p", "I", "m"): [np.nan, 1.0]})
 
 
 def test_rejects_missing_identity_row():
@@ -70,6 +72,8 @@ def test_joint_distribution_validates():
         JointDistribution([("a", 2)], np.array([0.7, 0.7]))
     with pytest.raises(ValidationError):
         JointDistribution([("a", 2)], np.array([0.5, 0.5, 0.0]))
+    with pytest.raises(ValidationError, match="finite"):
+        JointDistribution([("a", 2)], np.array([np.nan, 1.0]))
 
 
 def test_ensemble_preparation_validates():
@@ -77,6 +81,8 @@ def test_ensemble_preparation_validates():
         EnsemblePreparation([0.7, 0.7], ["a", "b"])
     with pytest.raises(ValidationError):
         EnsemblePreparation([0.5, 0.5], ["a", "a"])
+    with pytest.raises(ValidationError, match="finite"):
+        EnsemblePreparation([np.nan, 1.0], ["a", "b"])
 
 
 def test_subtheory_dimension_consistency():
