@@ -31,7 +31,6 @@ from .correlations import (
 from .duality import (
     SpatialScenario,
     TemporalScenario,
-    ensemble_from_states,
     spatial_scenario,
     spatial_to_temporal,
     temporal_scenario,
@@ -79,7 +78,6 @@ from .quantum import (
     Channel,
     ChoiState,
     DensityMatrix,
-    LeiferEnsemble,
     Povm,
     bipartite_box,
     born_table,

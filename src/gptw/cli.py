@@ -71,6 +71,9 @@ def cmd_chsh(args) -> list[Report]:
     if any(s is not None for s in explicit):
         if any(s is None for s in explicit):
             raise GptwError("give all of --a0 --a1 --b0 --b1 or none")
+        for flag, party, s in zip(("--a0", "--a1", "--b0", "--b1"), (0, 0, 1, 1), explicit):
+            if not 0 <= s < box.settings[party]:
+                raise GptwError(f"{flag} {s} is out of range: party {party} has {box.settings[party]} settings")
         witness = corr.chsh(box, args.a0, args.a1, args.b0, args.b1)
         nonlocal_ = abs(witness.value) > 2.0 + tol
     else:
@@ -264,7 +267,6 @@ def cmd_theorem1(args) -> list[Report]:
 def cmd_game(args) -> list[Report]:
     tol = _resolve_tol(args.tol, "game")
     seed = _seed(args.seed)
-    rounds = args.rounds or 10000
     if args.box:
         strategy: game.GameStrategy | corr.CorrelationBox = serialize.load_box(args.box)
         inputs = {"box": file_digest(args.box)}
@@ -277,7 +279,7 @@ def cmd_game(args) -> list[Report]:
         inputs = {"state": file_digest(args.state)}
         for k, p in enumerate(args.povm):
             inputs[f"povm{k}"] = file_digest(p)
-    rep = game.simulate_game(strategy, seed=seed, rounds=rounds, tol=tol)
+    rep = game.simulate_game(strategy, seed=seed, rounds=args.rounds, tol=tol)
     return [
         Report(
             check="game",
@@ -406,7 +408,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state")
     p.add_argument("--povm", action="append")
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--rounds", type=int, default=None)
+    p.add_argument("--rounds", type=int, default=10000)
 
     p = add("uncertainty", cmd_uncertainty, "fine-grained uncertainty bound on a theory table")
     p.add_argument("--theory", required=True)

@@ -31,21 +31,20 @@ from .errors import ArityError, DimensionMismatchError, ValidationError
 from .quantum import (
     Channel,
     DensityMatrix,
-    LeiferEnsemble,
     Povm,
     conditional_channel,
-    kron_all,
     leifer_ensemble,
     partial_trace,
     purification,
     transpose_povm,
     transpose_state,
+    _born,
+    _effects,
     _psd_inv_sqrt,
 )
-from .theory import JointDistribution
+from .theory import EPS_BRANCH, EnsemblePreparation, JointDistribution
 
 CONSTRUCTION_TOL = 1e-8
-EPS_BRANCH = 1e-12
 
 
 @dataclass(frozen=True)
@@ -61,10 +60,15 @@ class SpatialScenario:
 class TemporalScenario:
     """An ensemble preparation, one joint channel, one measurement per output."""
 
-    ensemble: LeiferEnsemble
+    ensemble: EnsemblePreparation  # branches are DensityMatrix states
     channel: Channel
     povms: tuple[Povm, ...]
     distribution: JointDistribution
+
+
+def _joint(matrix: np.ndarray, dims: tuple[int, ...], povms: tuple[Povm, ...]) -> np.ndarray:
+    """p(x_1..x_n) = Tr((M_1 x ... x M_n) rho) for one POVM per factor."""
+    return _born(matrix, dims, [_effects([p]) for p in povms]).reshape([len(p) for p in povms])
 
 
 def spatial_scenario(state: DensityMatrix, povms: tuple[Povm, ...] | list[Povm]) -> SpatialScenario:
@@ -78,17 +82,12 @@ def spatial_scenario(state: DensityMatrix, povms: tuple[Povm, ...] | list[Povm])
     for k, (d, povm) in enumerate(zip(dims, povms)):
         if povm.dim != d:
             raise DimensionMismatchError(f"party {k}: POVM dim {povm.dim} != system dim {d}")
-    arities = tuple(len(p) for p in povms)
-    joint = np.zeros(arities)
-    for idx in np.ndindex(*arities):
-        effect = kron_all([povms[k].elements[x] for k, x in enumerate(idx)])
-        joint[idx] = np.trace(effect @ state.matrix).real
-    axes = [(f"M{k + 1}", a) for k, a in enumerate(arities)]
-    return SpatialScenario(state, povms, JointDistribution(axes, joint))
+    axes = [(f"M{k + 1}", len(p)) for k, p in enumerate(povms)]
+    return SpatialScenario(state, povms, JointDistribution(axes, _joint(state.matrix, dims, povms)))
 
 
 def temporal_scenario(
-    ensemble: LeiferEnsemble, channel: Channel, povms: tuple[Povm, ...] | list[Povm]
+    ensemble: EnsemblePreparation, channel: Channel, povms: tuple[Povm, ...] | list[Povm]
 ) -> TemporalScenario:
     """Assemble a temporal scenario, computing p(i, x_2..x_n) through the channel."""
     povms = tuple(povms)
@@ -99,35 +98,15 @@ def temporal_scenario(
         if povm.dim != d:
             raise DimensionMismatchError(f"output {k}: POVM dim {povm.dim} != factor dim {d}")
     arities = tuple(len(p) for p in povms)
-    joint = np.zeros((len(ensemble.weights),) + arities)
-    for i, (w, rho_i, dead) in enumerate(
-        zip(ensemble.weights, ensemble.states, ensemble.zero_weight)
-    ):
-        if dead or w <= EPS_BRANCH:
+    joint = np.zeros((len(ensemble),) + arities)
+    for i, (w, rho_i) in enumerate(zip(ensemble.weights, ensemble.branches)):
+        if w <= EPS_BRANCH:
             continue
         if rho_i.dim != channel.dim_in:
             raise DimensionMismatchError("branch state does not match channel input")
-        evolved = channel.apply(rho_i.matrix)
-        for idx in np.ndindex(*arities):
-            effect = kron_all([povms[k].elements[x] for k, x in enumerate(idx)])
-            joint[(i,) + idx] = w * np.trace(effect @ evolved).real
-    axes = [("branch", len(ensemble.weights))] + [(f"M{k + 2}", a) for k, a in enumerate(arities)]
+        joint[i] = w * _joint(channel.apply(rho_i.matrix), out_dims, povms)
+    axes = [("branch", len(ensemble))] + [(f"M{k + 2}", a) for k, a in enumerate(arities)]
     return TemporalScenario(ensemble, channel, povms, JointDistribution(axes, joint))
-
-
-def ensemble_from_states(weights, states) -> LeiferEnsemble:
-    """Package an explicit (weights, states) ensemble, flagging dead branches."""
-    w = np.asarray(weights, dtype=float)
-    if w.ndim != 1 or w.size != len(states):
-        raise ValidationError("one weight per branch state required")
-    if not w.min() >= -1e-9:
-        raise ValidationError("ensemble weights must be finite and non-negative")
-    if abs(w.sum() - 1.0) > 1e-9:
-        raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
-    zero = tuple(bool(x <= EPS_BRANCH) for x in w)
-    w = np.clip(w, 0.0, None)
-    w.flags.writeable = False
-    return LeiferEnsemble(w, tuple(states), zero)
 
 
 def _check_match(got: JointDistribution, want: JointDistribution, tol: float, what: str) -> None:
@@ -166,12 +145,8 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     measurement is the transpose of the POVM that induces the ensemble.
     """
     weights = temporal.ensemble.weights
-    states = temporal.ensemble.states
-    live = [
-        (w, s)
-        for w, s, dead in zip(weights, states, temporal.ensemble.zero_weight)
-        if not dead and w > EPS_BRANCH
-    ]
+    states = temporal.ensemble.branches
+    live = [(w, s) for w, s in zip(weights, states) if w > EPS_BRANCH]
     if not live:
         raise ValidationError("ensemble has no live branches")
     d = live[0][1].dim
@@ -179,8 +154,8 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
 
     inv_root, support = _psd_inv_sqrt(rho_bar.matrix)
     effects = []
-    for w, s, dead in zip(weights, states, temporal.ensemble.zero_weight):
-        if dead or w <= EPS_BRANCH:
+    for w, s in zip(weights, states):
+        if w <= EPS_BRANCH:
             effects.append(np.zeros((d, d), dtype=complex))
         else:
             e = w * (inv_root @ s.matrix @ inv_root)

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .correlations import CorrelationBox
-from .duality import ensemble_from_states, temporal_to_spatial, temporal_scenario
+from .duality import temporal_to_spatial, temporal_scenario
 from .errors import ArityError, PreconditionError, ValidationError
 from .quantum import (
     Channel,
@@ -30,7 +30,13 @@ from .quantum import (
     Povm,
     bipartite_box,
 )
-from .theory import OperationalTheory, affine_dimension, are_orthogonal, outcome_distribution
+from .theory import (
+    EnsemblePreparation,
+    OperationalTheory,
+    affine_dimension,
+    are_orthogonal,
+    outcome_distribution,
+)
 
 TSIRELSON_WIN = float(np.cos(np.pi / 8) ** 2)  # = (1 + 1/sqrt(2)) / 2
 FINEGRAINED_BOUND = float(1.0 + 1.0 / np.sqrt(2.0))
@@ -225,7 +231,7 @@ def a3_strategy(m1: Povm, m2: Povm) -> tuple[GameStrategy, UncertaintyTriple]:
     alice_povms = []
     joints = []
     for first, second in ((0, 1), (2, 3)):
-        ens = ensemble_from_states([0.5, 0.5], [quadruple[first], quadruple[second]])
+        ens = EnsemblePreparation([0.5, 0.5], [quadruple[first], quadruple[second]])
         scenario = temporal_scenario(ens, Channel.identity(2), [m1])
         spatial = temporal_to_spatial(scenario)
         alice_povms.append(spatial.povms[0])

@@ -24,11 +24,10 @@ import numpy as np
 
 from .correlations import CorrelationBox
 from .errors import DimensionMismatchError, ValidationError
-from .theory import Measurement, OperationalTheory
+from .theory import EPS_BRANCH, EnsemblePreparation, Measurement, OperationalTheory
 
-ATOL = 1e-10  # hermiticity / positivity / trace tolerance for quantum objects
+ATOL = 1e-10  # hermiticity / positivity / trace / eigenvalue-cutoff tolerance for quantum objects
 CHOI_ATOL = 1e-9
-EPS_ZERO = 1e-12  # below this, an ensemble branch counts as zero-weight
 
 
 def _as_complex_matrix(entries: np.ndarray | Sequence[Sequence[complex]]) -> np.ndarray:
@@ -204,11 +203,11 @@ def mat_sqrt(mat: np.ndarray) -> np.ndarray:
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _psd_inv_sqrt(mat: np.ndarray, cutoff: float = ATOL) -> tuple[np.ndarray, np.ndarray]:
+def _psd_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse square root on the support; returns (rho^{-1/2}, support projector)."""
     vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
     vals = np.clip(vals, 0.0, None)
-    on = vals > cutoff
+    on = vals > ATOL
     inv = np.where(on, 1.0 / np.sqrt(np.where(on, vals, 1.0)), 0.0)
     support = (vecs * on.astype(float)) @ vecs.conj().T
     return (vecs * inv) @ vecs.conj().T, support
@@ -220,16 +219,30 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
 
 
-def kron_all(mats: Sequence[np.ndarray]) -> np.ndarray:
-    out = np.asarray(mats[0], dtype=complex)
-    for m in mats[1:]:
-        out = np.kron(out, m)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # Born-rule bridges
 # ---------------------------------------------------------------------------
+
+
+def _effects(povms: Sequence[Povm]) -> np.ndarray:
+    """Effects of POVMs with one outcome arity, stacked as (settings, outcomes, d, d)."""
+    return np.array([p.elements for p in povms])
+
+
+def _born(matrix: np.ndarray, dims: Sequence[int], stacks: Sequence[np.ndarray]) -> np.ndarray:
+    """Re Tr((E^1_{x_1 a_1} x ... x E^n_{x_n a_n}) rho) for every setting and outcome.
+
+    `stacks[k]` holds party k's effects, shape (settings_k, outcomes_k, d_k,
+    d_k); the result has shape (settings_1..settings_n, outcomes_1..outcomes_n).
+    """
+    n = len(dims)
+    tensor = np.asarray(matrix).reshape(tuple(dims) * 2)  # (rows_1..rows_n, cols_1..cols_n)
+    for k, stack in enumerate(stacks):
+        # Tr(E rho) = sum_ij E[i, j] rho[j, i].  Earlier parties are contracted
+        # away, so party k's row and column axes are 0 and n - k; its (x, a)
+        # axes are appended at the end
+        tensor = np.tensordot(tensor, stack, axes=([0, n - k], [3, 2]))
+    return tensor.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).real
 
 
 def born_table(
@@ -263,13 +276,14 @@ def born_table(
             )
         chans[name] = chan
 
+    # every POVM's effects side by side as one setting, split back per POVM
+    stack = np.array([[e for povm in povms.values() for e in povm.elements]])
+    ends = np.cumsum([len(povm) for povm in povms.values()])[:-1]
     table = {}
     for p_id, rho in states.items():
         for t_id, chan in chans.items():
-            evolved = chan.apply(rho.matrix)
-            for m_id, povm in povms.items():
-                row = np.array([np.trace(e @ evolved).real for e in povm.elements])
-                table[(p_id, t_id, m_id)] = row
+            rows = np.split(_born(chan.apply(rho.matrix), (dim,), [stack])[0], ends)
+            table.update(((p_id, t_id, m_id), row) for m_id, row in zip(povms, rows))
     measurements = [Measurement(m_id, len(povm)) for m_id, povm in povms.items()]
     return OperationalTheory(
         list(states), list(chans), measurements, table, identity=identity
@@ -302,12 +316,7 @@ def multipartite_box(state: DensityMatrix, povms_per_party: Sequence[Sequence[Po
                 raise DimensionMismatchError(f"party {party}: POVM dim {povm.dim} != system dim {d}")
         outcomes.append(arities.pop())
     settings_count = [len(s) for s in povms_per_party]
-    table = np.zeros(tuple(settings_count) + tuple(outcomes))
-    for xs in np.ndindex(*settings_count):
-        chosen = [povms_per_party[k][x] for k, x in enumerate(xs)]
-        for outs in np.ndindex(*outcomes):
-            effect = kron_all([chosen[k].elements[a] for k, a in enumerate(outs)])
-            table[xs + outs] = np.trace(effect @ state.matrix).real
+    table = _born(state.matrix, dims, [_effects(s) for s in povms_per_party])
     return CorrelationBox(settings_count, outcomes, table)
 
 
@@ -340,19 +349,19 @@ def choi_of_channel(chan: Channel) -> ChoiState:
     )
 
 
-def _kraus_from_in_out(j_mat: np.ndarray, d_in: int, d_out: int, cutoff: float = ATOL) -> list[np.ndarray]:
+def _kraus_from_in_out(j_mat: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]:
     """Kraus operators from a PSD operator indexed (input^T, output)."""
     vals, vecs = np.linalg.eigh(j_mat)
     kraus = []
     for lam, v in zip(vals, vecs.T):
-        if lam <= cutoff:
+        if lam <= ATOL:
             continue
         block = (np.sqrt(lam) * v).reshape(d_in, d_out)
         kraus.append(block.T)  # so that eps(Y) = sum K Y K^dagger
     return kraus
 
 
-def kraus_from_choi(choi: ChoiState, cutoff: float = ATOL) -> Channel:
+def kraus_from_choi(choi: ChoiState) -> Channel:
     """Recover Kraus operators from a Choi state (inverse of choi_of_channel)."""
     d_in, d_out = choi.input_dim, choi.output_dim
     mat = choi.state.matrix.reshape(d_out, d_in, d_out, d_in)
@@ -382,7 +391,7 @@ def marginal_channel(chan: Channel, keep: int) -> Channel:
     return Channel(kraus, output_dims=(kept_dim,))
 
 
-def conditional_channel(state: DensityMatrix, cutoff: float = ATOL) -> Channel:
+def conditional_channel(state: DensityMatrix) -> Channel:
     """Channel recovered from a bipartite state, normalized against its first marginal.
 
     For rho_AB with marginal rho_A, the operator
@@ -399,47 +408,31 @@ def conditional_channel(state: DensityMatrix, cutoff: float = ATOL) -> Channel:
     d_a = dims[0]
     d_b = state.dim // d_a
     rho_a = partial_trace(state.matrix, (d_a, d_b), keep=(0,))
-    inv_sqrt, support = _psd_inv_sqrt(rho_a, cutoff)
+    inv_sqrt, support = _psd_inv_sqrt(rho_a)
     dress = np.kron(inv_sqrt, np.eye(d_b))
     j_mat = dress @ state.matrix @ dress
     comp = np.eye(d_a) - support
-    if np.max(np.abs(comp)) > cutoff:
+    if np.max(np.abs(comp)) > ATOL:
         j_mat = j_mat + np.kron(comp, np.eye(d_b) / d_b)
     j_mat = 0.5 * (j_mat + j_mat.conj().T)
     return Channel(_kraus_from_in_out(j_mat, d_a, d_b), output_dims=dims[1:])
 
 
-@dataclass(frozen=True)
-class LeiferEnsemble:
-    """POVM-induced decomposition of a state: weights, branch states, zero flags.
+def leifer_ensemble(rho: DensityMatrix, povm: Povm) -> EnsemblePreparation:
+    """Decompose rho along a POVM: p(i) = Tr(rho M_i), rho_i = sqrt(rho) M_i sqrt(rho) / p(i).
 
-    Branches with weight <= EPS_ZERO get a maximally mixed placeholder state
-    and are flagged; their statistics never contribute.
+    A branch with weight <= EPS_BRANCH gets a maximally mixed placeholder
+    state; its statistics never contribute.
     """
-
-    weights: np.ndarray
-    states: tuple[DensityMatrix, ...]
-    zero_weight: tuple[bool, ...]
-
-
-def leifer_ensemble(rho: DensityMatrix, povm: Povm, eps_zero: float = EPS_ZERO) -> LeiferEnsemble:
-    """Decompose rho along a POVM: p(i) = Tr(rho M_i), rho_i = sqrt(rho) M_i sqrt(rho) / p(i)."""
     if rho.dim != povm.dim:
         raise DimensionMismatchError("state and POVM dimensions differ")
     root = mat_sqrt(rho.matrix)
     weights = np.array([np.trace(rho.matrix @ e).real for e in povm.elements])
-    states = []
-    zero = []
-    for w, e in zip(weights, povm.elements):
-        if w <= eps_zero:
-            states.append(DensityMatrix.maximally_mixed(rho.dim))
-            zero.append(True)
-        else:
-            states.append(DensityMatrix(root @ e @ root / w))
-            zero.append(False)
-    weights = np.clip(weights, 0.0, None)
-    weights.flags.writeable = False
-    return LeiferEnsemble(weights, tuple(states), tuple(zero))
+    states = [
+        DensityMatrix.maximally_mixed(rho.dim) if w <= EPS_BRANCH else DensityMatrix(root @ e @ root / w)
+        for w, e in zip(weights, povm.elements)
+    ]
+    return EnsemblePreparation(weights, states)
 
 
 def transpose_povm(povm: Povm) -> Povm:

@@ -15,15 +15,15 @@ Conventions:
 """
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
 from .errors import ArityError, UnknownIdError, ValidationError
 
 EPS_NORM = 1e-9
+EPS_BRANCH = 1e-12  # an ensemble branch of at most this weight never contributes
 RANK_RTOL = 1e-7  # relative singular-value threshold for affine ranks
 
 
@@ -43,11 +43,8 @@ class OperationalTheory:
     """Probability table p(M^x | P, T) over finite id sets.
 
     The table maps (prep, trans, meas) to a length-`arity` probability row.
-    Instances are immutable except for measurement extension performed by
-    :func:`absorb_transformation`, which appends new measurements under an
-    internal lock (safe for concurrent readers, exclusive writer).  Point
-    lookups are safe during extension; take a snapshot (list(rows())) before
-    iterating concurrently with a writer.
+    Instances are immutable: :func:`absorb_transformation` returns an
+    extended copy.
     """
 
     def __init__(
@@ -82,8 +79,6 @@ class OperationalTheory:
                     raise ValidationError(
                         f"identity row missing for preparation {p!r}, measurement {m.id!r}"
                     )
-        self._absorbed: dict[tuple[str, str], str] = {}
-        self._lock = threading.Lock()
 
     def _validated_row(self, key: tuple[str, str, str], probs: Sequence[float]) -> np.ndarray:
         prep, trans, meas = key
@@ -139,22 +134,27 @@ class OperationalTheory:
 
 @dataclass(frozen=True)
 class EnsemblePreparation:
-    """Draw a branch index i with probability weights[i], then prepare branches[i]."""
+    """Draw a branch index i with probability weights[i], then prepare branches[i].
+
+    Branches are preparation ids of a theory table, or the branch states
+    themselves (`quantum.DensityMatrix`) in the quantum and duality layers.
+    A branch of weight <= EPS_BRANCH never contributes.
+    """
 
     weights: np.ndarray
-    branches: tuple[str, ...]
+    branches: tuple[Any, ...]
 
-    def __init__(self, weights: Sequence[float], branches: Sequence[str]) -> None:
+    def __init__(self, weights: Sequence[float], branches: Sequence[Any]) -> None:
         w = np.asarray(weights, dtype=float)
         b = tuple(branches)
-        if w.ndim != 1 or len(b) != w.size:
+        if w.ndim != 1 or not b or len(b) != w.size:
             raise ValidationError("one weight per branch required")
         if not w.min() >= -EPS_NORM:
             raise ValidationError("ensemble weights must be finite and non-negative")
         if abs(w.sum() - 1.0) > EPS_NORM:
             raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
         if len(set(b)) != len(b):
-            raise ValidationError("ensemble branches must be distinct preparations")
+            raise ValidationError("ensemble branches must be distinct")
         w = np.clip(w, 0.0, None)
         w.flags.writeable = False
         object.__setattr__(self, "weights", w)
@@ -224,41 +224,37 @@ def outcome_distribution(
         raise UnknownIdError(f"no table row for ({prep!r}, {trans!r}, {meas!r})") from None
 
 
-def absorb_transformation(theory: OperationalTheory, trans: str, meas: str) -> str:
-    """Fold a transformation into a measurement: returns N with p(N^x|P) = p(M^x|P,T).
+def absorb_transformation(
+    theory: OperationalTheory, trans: str, meas: str
+) -> tuple[OperationalTheory, str]:
+    """Fold a transformation into a measurement N with p(N^x|P) = p(M^x|P,T).
 
-    The identity transformation returns `meas` unchanged.  Otherwise the
-    theory is extended in place with a new measurement whose identity rows
-    copy the (P, T, M) rows verbatim; repeated calls with the same (T, M)
-    return the same id.
+    Returns (extended theory, N) and leaves `theory` untouched.  The identity
+    transformation returns (theory, meas) unchanged.  Otherwise the copy has
+    one new measurement whose identity rows copy the (P, T, M) rows verbatim.
     """
     if trans not in theory.transformations:
         raise UnknownIdError(f"unknown transformation {trans!r}")
     arity = theory.arity(meas)
     if trans == theory.identity:
-        return meas
-    with theory._lock:
-        cached = theory._absorbed.get((trans, meas))
-        if cached is not None:
-            return cached
-        rows = {}
-        for p in theory.preparations:
-            try:
-                rows[p] = theory._table[(p, trans, meas)]
-            except KeyError:
-                raise UnknownIdError(
-                    f"cannot absorb: no row for ({p!r}, {trans!r}, {meas!r})"
-                ) from None
-        new_id = f"{meas}@{trans}"
-        while new_id in theory._arities:
-            new_id += "'"
-        new_meas = Measurement(new_id, arity)
-        theory._measurements = theory._measurements + (new_meas,)
-        theory._arities[new_id] = arity
-        for p, row in rows.items():
-            theory._table[(p, theory.identity, new_id)] = row
-        theory._absorbed[(trans, meas)] = new_id
-        return new_id
+        return theory, meas
+    new_id = f"{meas}@{trans}"
+    while new_id in theory._arities:
+        new_id += "'"
+    table = dict(theory.rows())
+    for p in theory.preparations:
+        try:
+            table[(p, theory.identity, new_id)] = theory._table[(p, trans, meas)]
+        except KeyError:
+            raise UnknownIdError(f"cannot absorb: no row for ({p!r}, {trans!r}, {meas!r})") from None
+    extended = OperationalTheory(
+        theory.preparations,
+        theory.transformations,
+        theory.measurements + (Measurement(new_id, arity),),
+        table,
+        identity=theory.identity,
+    )
+    return extended, new_id
 
 
 def ensemble_joint(

@@ -91,6 +91,13 @@ def test_chsh_explicit_settings(files, capsys):
     assert reports[0]["value"] == 4.0
 
 
+@pytest.mark.parametrize("flag, value", [("--a0", "5"), ("--a0", "-1"), ("--b1", "2")])
+def test_chsh_explicit_settings_out_of_range_exit_two(files, capsys, flag, value):
+    settings = {"--a0": "0", "--a1": "1", "--b0": "0", "--b1": "1", flag: value}
+    argv = ["chsh", "--box", files["pr"]] + [a for item in settings.items() for a in item]
+    assert "out of range" in assert_input_error(capsys, argv)
+
+
 def test_nosignal(files, capsys):
     code, reports = run(capsys, ["nosignal", "--box", files["pr"]])
     assert code == 0
@@ -187,6 +194,16 @@ def test_game_with_box(files, capsys):
     code, reports = run(capsys, ["game", "--box", files["pr"], "--seed", "1", "--rounds", "100"])
     assert code == 1  # PR box exceeds the quantum cap
     assert reports[0]["exact_rate"] == 1.0
+
+
+@pytest.mark.parametrize("rounds", ["0", "-5"])
+def test_game_non_positive_rounds_exit_two(files, capsys, rounds):
+    assert "rounds" in assert_input_error(capsys, ["game", "--box", files["pr"], "--rounds", rounds])
+
+
+def test_game_default_rounds(files, capsys):
+    code, reports = run(capsys, ["game", "--box", files["pr"], "--seed", "3"])
+    assert reports[0]["rounds"] == 10000
 
 
 def test_game_seed_reproducible(files, capsys):

@@ -135,7 +135,7 @@ def test_prepare_measure_matches_spatial_for_duality_image(singlet_optimal_box):
     branch_ids = []
     for x, dual in enumerate(duals):
         ids = []
-        for i, s in enumerate(dual.ensemble.states):
+        for i, s in enumerate(dual.ensemble.branches):
             name = f"e{x}b{i}"
             branch_states[name] = s
             ids.append(name)

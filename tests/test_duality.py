@@ -6,7 +6,6 @@ import pytest
 
 from gptw import quantum as q
 from gptw.duality import (
-    ensemble_from_states,
     spatial_scenario,
     spatial_to_temporal,
     temporal_scenario,
@@ -14,15 +13,15 @@ from gptw.duality import (
     verify_ocj,
 )
 from gptw.errors import ArityError, ValidationError
-from gptw.theory import JointDistribution
+from gptw.theory import EnsemblePreparation, JointDistribution
 
 
 def test_bell_pair_z_z_forward():
     spatial = spatial_scenario(q.bell_phi_plus(), [q.z_basis(), q.z_basis()])
     temporal = spatial_to_temporal(spatial)
     assert np.allclose(temporal.ensemble.weights, [0.5, 0.5], atol=1e-12)
-    assert np.allclose(temporal.ensemble.states[0].matrix, np.diag([1.0, 0.0]), atol=1e-9)
-    assert np.allclose(temporal.ensemble.states[1].matrix, np.diag([0.0, 1.0]), atol=1e-9)
+    assert np.allclose(temporal.ensemble.branches[0].matrix, np.diag([1.0, 0.0]), atol=1e-9)
+    assert np.allclose(temporal.ensemble.branches[1].matrix, np.diag([0.0, 1.0]), atol=1e-9)
     assert np.allclose(temporal.distribution.probabilities, np.diag([0.5, 0.5]), atol=1e-9)
     # recovered channel acts as the identity on the marginal's support
     rng = np.random.default_rng(1)
@@ -56,7 +55,7 @@ def test_ghz_forward_three_party():
 
 
 def test_temporal_to_spatial_recovers_bell_pair():
-    ens = ensemble_from_states(
+    ens = EnsemblePreparation(
         [0.5, 0.5], [q.DensityMatrix.pure(q.KET0), q.DensityMatrix.pure(q.KET1)]
     )
     temporal = temporal_scenario(ens, q.Channel.identity(2), [q.z_basis()])
@@ -65,16 +64,26 @@ def test_temporal_to_spatial_recovers_bell_pair():
     assert np.allclose(spatial.distribution.probabilities, np.diag([0.5, 0.5]), atol=1e-9)
 
 
-@pytest.mark.parametrize("weights", [[0.7, 0.7], [-0.5, 1.5], [np.nan, 1.0]])
-def test_ensemble_from_states_validates_weights(weights):
+@pytest.mark.parametrize(
+    "weights", [[0.7, 0.7], [-0.5, 1.5], [np.nan, 1.0], [1.0], [0.5, 0.5 + 2e-9], [[0.5, 0.5]]]
+)
+def test_state_ensemble_validates_weights(weights):
     states = [q.DensityMatrix.pure(q.KET0), q.DensityMatrix.pure(q.KET1)]
     with pytest.raises(ValidationError):
-        ensemble_from_states(weights, states)
+        EnsemblePreparation(weights, states)
+
+
+def test_state_ensemble_accepts_weights_within_eps_norm():
+    states = [q.DensityMatrix.pure(q.KET0), q.DensityMatrix.pure(q.KET1)]
+    ens = EnsemblePreparation([-5e-10, 1.0 + 5e-10], states)
+    assert ens.weights[0] == 0.0 and ens.branches == tuple(states)
+    with pytest.raises(ValidationError, match="distinct"):
+        EnsemblePreparation([0.5, 0.5], [states[0], states[0]])
 
 
 def test_temporal_to_spatial_one_branch_ensemble():
     rng = np.random.default_rng(9)
-    ens = ensemble_from_states([1.0, 0.0], [q.ginibre_state(2, rng), q.DensityMatrix.maximally_mixed(2)])
+    ens = EnsemblePreparation([1.0, 0.0], [q.ginibre_state(2, rng), q.DensityMatrix.maximally_mixed(2)])
     chan = q.random_channel(2, 2, 2, rng)
     o = q.random_povm(2, 2, rng)
     temporal = temporal_scenario(ens, chan, [o])
@@ -86,7 +95,7 @@ def test_temporal_to_spatial_one_branch_ensemble():
 def test_temporal_to_spatial_pure_average_state():
     # rank-deficient ensemble average: the recovered POVM completes off the support
     rng = np.random.default_rng(10)
-    ens = ensemble_from_states([1.0], [q.DensityMatrix.pure(q.KET_PLUS)])
+    ens = EnsemblePreparation([1.0], [q.DensityMatrix.pure(q.KET_PLUS)])
     chan = q.random_channel(2, 2, 2, rng)
     temporal = temporal_scenario(ens, chan, [q.random_povm(2, 2, rng)])
     spatial = temporal_to_spatial(temporal)
@@ -94,7 +103,7 @@ def test_temporal_to_spatial_pure_average_state():
 
 
 def test_temporal_to_spatial_x_ensemble_perfect_correlation():
-    ens = ensemble_from_states(
+    ens = EnsemblePreparation(
         [0.5, 0.5], [q.DensityMatrix.pure(q.KET_PLUS), q.DensityMatrix.pure(q.KET_MINUS)]
     )
     temporal = temporal_scenario(ens, q.Channel.identity(2), [q.x_basis()])

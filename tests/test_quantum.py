@@ -6,7 +6,7 @@ import pytest
 
 from gptw import quantum as q
 from gptw.errors import DimensionMismatchError, ValidationError
-from gptw.theory import outcome_distribution
+from gptw.theory import EPS_BRANCH, outcome_distribution
 
 
 # -- object invariants -----------------------------------------------------------
@@ -150,15 +150,16 @@ def test_kraus_from_choi_roundtrip():
 def test_leifer_maximally_mixed_z():
     ens = q.leifer_ensemble(q.DensityMatrix.maximally_mixed(2), q.z_basis())
     assert np.allclose(ens.weights, [0.5, 0.5], atol=1e-12)
-    assert np.allclose(ens.states[0].matrix, np.diag([1.0, 0.0]), atol=1e-12)
-    assert np.allclose(ens.states[1].matrix, np.diag([0.0, 1.0]), atol=1e-12)
+    assert np.allclose(ens.branches[0].matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    assert np.allclose(ens.branches[1].matrix, np.diag([0.0, 1.0]), atol=1e-12)
 
 
 def test_leifer_pure_eigenstate_flags_dead_branch():
     ens = q.leifer_ensemble(q.DensityMatrix.pure(q.KET0), q.z_basis())
     assert np.allclose(ens.weights, [1.0, 0.0], atol=1e-12)
-    assert ens.zero_weight == (False, True)
-    assert np.allclose(ens.states[0].matrix, np.diag([1.0, 0.0]), atol=1e-12)
+    assert ens.weights[1] <= EPS_BRANCH  # dead: a maximally mixed placeholder
+    assert np.allclose(ens.branches[1].matrix, np.eye(2) / 2, atol=1e-12)
+    assert np.allclose(ens.branches[0].matrix, np.diag([1.0, 0.0]), atol=1e-12)
 
 
 def test_leifer_x_basis_on_mixed():
@@ -167,8 +168,8 @@ def test_leifer_x_basis_on_mixed():
     plus = np.outer(q.KET_PLUS, q.KET_PLUS.conj())
     minus = np.outer(q.KET_MINUS, q.KET_MINUS.conj())
     assert np.allclose(ens.weights, [0.5, 0.5], atol=1e-12)
-    assert np.allclose(ens.states[0].matrix, plus, atol=1e-12)
-    assert np.allclose(ens.states[1].matrix, minus, atol=1e-12)
+    assert np.allclose(ens.branches[0].matrix, plus, atol=1e-12)
+    assert np.allclose(ens.branches[1].matrix, minus, atol=1e-12)
 
 
 def test_leifer_mixture_reconstructs_state():
@@ -178,7 +179,7 @@ def test_leifer_mixture_reconstructs_state():
         povm = q.random_povm(3, 4, rng)
         ens = q.leifer_ensemble(rho, povm)
         assert abs(ens.weights.sum() - 1.0) < 1e-9
-        mix = sum(w * s.matrix for w, s in zip(ens.weights, ens.states))
+        mix = sum(w * s.matrix for w, s in zip(ens.weights, ens.branches))
         assert np.max(np.abs(mix - rho.matrix)) < 1e-9
 
 
@@ -237,8 +238,8 @@ def prepare_evolve_joint(rho_ab: q.DensityMatrix, m: q.Povm, o: q.Povm) -> np.nd
     ens = q.leifer_ensemble(q.transpose_state(rho_a), q.transpose_povm(m))
     chan = q.conditional_channel(rho_ab)
     joint = np.zeros((len(m), len(o)))
-    for i, (w, rho_i, dead) in enumerate(zip(ens.weights, ens.states, ens.zero_weight)):
-        if dead:
+    for i, (w, rho_i) in enumerate(zip(ens.weights, ens.branches)):
+        if w <= EPS_BRANCH:
             continue
         evolved = chan.apply(rho_i.matrix)
         for j, effect in enumerate(o.elements):

@@ -1,8 +1,6 @@
 """Theory-table data model and its operations."""
 from __future__ import annotations
 
-import threading
-
 import numpy as np
 import pytest
 
@@ -83,6 +81,8 @@ def test_ensemble_preparation_validates():
         EnsemblePreparation([0.5, 0.5], ["a", "a"])
     with pytest.raises(ValidationError, match="finite"):
         EnsemblePreparation([np.nan, 1.0], ["a", "b"])
+    with pytest.raises(ValidationError, match="one weight per branch"):
+        EnsemblePreparation([], [])
 
 
 def test_subtheory_dimension_consistency():
@@ -113,8 +113,8 @@ def test_identity_shorthand_matches_explicit_identity_rows():
     theory = small_theory()
     for p in theory.preparations:
         direct = outcome_distribution(theory, p, "I", "read")
-        absorbed = absorb_transformation(theory, "I", "read")
-        assert absorbed == "read"
+        same, absorbed = absorb_transformation(theory, "I", "read")
+        assert same is theory and absorbed == "read"
         assert np.array_equal(direct, outcome_distribution(theory, p, "I", absorbed))
 
 
@@ -138,34 +138,33 @@ def x_gate_theory() -> OperationalTheory:
 
 
 def test_absorb_swaps_z_outcomes():
-    theory = x_gate_theory()
-    new_id = absorb_transformation(theory, "X", "Z")
+    theory, new_id = absorb_transformation(x_gate_theory(), "X", "Z")
     # oracle: Tr(Z_x X|s><s|X) swaps the eigenstate outcome
     assert np.allclose(outcome_distribution(theory, "zero", "I", new_id), [0.0, 1.0], atol=1e-12)
     assert np.allclose(outcome_distribution(theory, "one", "I", new_id), [1.0, 0.0], atol=1e-12)
 
 
-def test_absorb_idempotent_and_threadsafe():
+def test_absorb_idempotent_and_immutable():
     theory = x_gate_theory()
-    ids = []
-
-    def work():
-        ids.append(absorb_transformation(theory, "X", "Z"))
-
-    threads = [threading.Thread(target=work) for _ in range(8)]
-    for t in threads:
-        t.start()
-    for t in threads:
-        t.join()
-    assert len(set(ids)) == 1
+    rows = {key: row.copy() for key, row in theory.rows()}
+    first, id1 = absorb_transformation(theory, "X", "Z")
+    second, id2 = absorb_transformation(theory, "X", "Z")
+    assert id1 == id2 and first is not theory
+    assert first.measurements == second.measurements
+    assert {k: v.tolist() for k, v in first.rows()} == {k: v.tolist() for k, v in second.rows()}
+    # the input is untouched: same measurements, same rows, no new id
+    assert [m.id for m in theory.measurements] == ["Z"]
+    assert {k: v.tolist() for k, v in theory.rows()} == {k: v.tolist() for k, v in rows.items()}
+    with pytest.raises(UnknownIdError):
+        theory.arity(id1)
 
 
 def test_absorb_rows_are_exact_copies():
     theory = x_gate_theory()
-    new_id = absorb_transformation(theory, "X", "Z")
+    extended, new_id = absorb_transformation(theory, "X", "Z")
     for p in theory.preparations:
         original = outcome_distribution(theory, p, "X", "Z")
-        absorbed = outcome_distribution(theory, p, "I", new_id)
+        absorbed = outcome_distribution(extended, p, "I", new_id)
         assert np.array_equal(original, absorbed)
 
 
@@ -173,9 +172,9 @@ def test_absorb_avoids_id_collisions():
     states = {"zero": q.DensityMatrix.pure(q.KET0), "one": q.DensityMatrix.pure(q.KET1)}
     povms = {"Z": q.z_basis(), "Z@X": q.x_basis()}  # user already owns the natural name
     theory = q.born_table(states, povms, {"X": q.Channel.unitary(q.PAULI_X)})
-    new_id = absorb_transformation(theory, "X", "Z")
+    extended, new_id = absorb_transformation(theory, "X", "Z")
     assert new_id not in ("Z", "Z@X")
-    assert theory.arity(new_id) == 2
+    assert extended.arity(new_id) == 2
 
 
 # -- ensemble_joint -------------------------------------------------------------
