@@ -26,8 +26,7 @@ from .correlations import (
     ChshValue,
     CorrelationBox,
     MonogamyReport,
-    check_ns_monogamy,
-    check_strong_monogamy,
+    _monogamy_scan,
     chsh,
     is_bell_nonlocal,
 )
@@ -196,12 +195,5 @@ def theorem1_construct(box2: CorrelationBox, tol: float = 1e-6) -> Theorem1Resul
     value_ab = chsh(box3, parties=(0, 1)).value
     value_ac = chsh(box3, parties=(0, 2)).value
     squared = value_ab**2 + value_ac**2
-    return Theorem1Result(
-        box3,
-        witness,
-        value_ab,
-        value_ac,
-        squared,
-        check_strong_monogamy(box3, tol),
-        check_ns_monogamy(box3, tol),
-    )
+    ns, strong = _monogamy_scan(box3, tol)
+    return Theorem1Result(box3, witness, value_ab, value_ac, squared, strong, ns)

@@ -15,12 +15,21 @@ the local-model LP cross-check relies on.  Monogamy additionally quantifies
 over which party plays the shared middle role, with the middle party's
 ordered setting pair common to both terms, exactly as the defining
 expressions B_AB + B_BC (<= 4) and B_AB^2 + B_BC^2 (<= 8) share the B
-measurements.
+measurements, and over the spectator's setting in each term, since a
+signalling box's pair marginal depends on it.
+
+Both searches read one correlator tensor per party pair, E[x, y, x_spectator]
+with the spectator's outcome summed out, and take B for every ordered
+setting pair at once by indexing it.  The monogamy worst case then separates:
+at a fixed middle setting pair the two terms share no other choice, and both
+objectives increase in each |B|, so each wing's largest |B| over its pairs
+and spectator settings gives the exact maximum.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cache
 from typing import Sequence
 
 import numpy as np
@@ -80,25 +89,28 @@ class CorrelationBox:
         should sweep them.
         """
         parties = tuple(parties)
-        others = [k for k in range(self.n_parties) if k not in parties]
+        n_others = self.n_parties - len(parties)
         if spectator_settings is None:
-            spectator_settings = [0] * len(others)
-        if len(spectator_settings) != len(others):
+            spectator_settings = [0] * n_others
+        if len(spectator_settings) != n_others:
             raise ArityError("one spectator setting per marginalized party required")
-        new_settings = [self.settings[k] for k in parties]
-        new_outcomes = [self.outcomes[k] for k in parties]
-        out = np.zeros(tuple(new_settings) + tuple(new_outcomes))
-        for xs in np.ndindex(*new_settings):
-            full = [0] * self.n_parties
-            for k, x in zip(parties, xs):
-                full[k] = x
-            for k, x in zip(others, spectator_settings):
-                full[k] = x
-            block = self.table[tuple(full)]
-            # sum out the dropped parties' outcome axes, keep `parties` order
-            block = np.transpose(block, axes=list(parties) + others)
-            out[xs] = block.reshape(tuple(new_outcomes) + (-1,)).sum(axis=-1)
-        return CorrelationBox(new_settings, new_outcomes, out)
+        table = _marginal(self.table, parties)[(slice(None),) * len(parties) + tuple(spectator_settings)]
+        return CorrelationBox(
+            [self.settings[k] for k in parties], [self.outcomes[k] for k in parties], table
+        )
+
+
+def _marginal(table: np.ndarray, parties: Sequence[int]) -> np.ndarray:
+    """p(a_J | x_J, x_rest) of the party subset J = `parties`, in `parties` order.
+
+    The other parties' outcomes are summed out and their settings kept, so
+    the axes are [J settings, the others' settings, J outcomes].
+    """
+    n = table.ndim // 2
+    others = [k for k in range(n) if k not in parties]
+    kept = sorted(parties)  # outcome axes left by the sum, in party order
+    marg = table.sum(axis=tuple(n + k for k in others))
+    return marg.transpose(list(parties) + others + [n + kept.index(k) for k in parties])
 
 
 @dataclass(frozen=True)
@@ -176,29 +188,48 @@ def chsh_prepare_measure(
     return ChshValue(value, (0, 1), (0, 1))
 
 
-def _setting_pairs(n: int) -> list[tuple[int, int]]:
-    return [(i, j) for i in range(n) for j in range(n) if i != j]
+@cache
+def _setting_pairs(n: int) -> np.ndarray:
+    """Ordered pairs (i, j), i != j, of n settings as rows, i-major (read-only, shared)."""
+    pairs = np.argwhere(~np.eye(n, dtype=bool))
+    pairs.flags.writeable = False
+    return pairs
+
+
+def _chsh_table(box: CorrelationBox, first: int, second: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """B of the party pair (first, second) at every choice, with the pairs indexed.
+
+    Returns (B, first_pairs, second_pairs): B[p, q, z] is the CHSH value at
+    `first_pairs[p]`, `second_pairs[q]` and the spectator's setting z (no z
+    axis for a bipartite box), the spectator's outcome summed out.  The
+    correlators are spelled out as in `correlator`, so every value equals
+    the one `chsh` computes.
+    """
+    p = _marginal(box.table, (first, second))
+    e = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
+    if min(e.shape[:2]) < 2:
+        raise ArityError("CHSH needs at least two settings per party")
+    a, b = _setting_pairs(e.shape[0]), _setting_pairs(e.shape[1])
+    a0, a1, b0, b1 = a[:, :1], a[:, 1:], b[:, 0], b[:, 1]
+    return e[a0, b0] + e[a0, b1] + e[a1, b0] - e[a1, b1], a, b
 
 
 def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, ChshValue]:
     """Search the box's own settings for a CHSH witness with |B| > 2 + tol.
 
-    Returns the maximizing (in absolute value) ChshValue; ordered setting
-    pairs cover all sign placements and |.| covers outcome relabelings, so
-    for two-setting two-outcome boxes this decides membership of the local
-    polytope boundary exactly.
+    Returns the maximizing (in absolute value) ChshValue, the first in
+    (a0, a1, b0, b1) order on ties; ordered setting pairs cover all sign
+    placements and |.| covers outcome relabelings, so for two-setting
+    two-outcome boxes this decides membership of the local polytope
+    boundary exactly.
     """
     if box.n_parties != 2:
         raise ArityError("nonlocality search expects a bipartite box")
     if box.outcomes != (2, 2):
         raise ArityError("nonlocality search needs two-outcome parties")
-    best: ChshValue | None = None
-    for a0, a1 in _setting_pairs(box.settings[0]):
-        for b0, b1 in _setting_pairs(box.settings[1]):
-            cand = chsh(box, a0, a1, b0, b1)
-            if best is None or abs(cand.value) > abs(best.value):
-                best = cand
-    assert best is not None
+    values, a_pairs, b_pairs = _chsh_table(box, 0, 1)
+    p, q = divmod(int(np.abs(values).argmax()), values.shape[1])
+    best = ChshValue(float(values[p, q]), tuple(a_pairs[p].tolist()), tuple(b_pairs[q].tolist()))
     return abs(best.value) > 2.0 + tol, best
 
 
@@ -253,13 +284,11 @@ def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingR
     if n == 3:
         subsets += [(0, 1), (0, 2), (1, 2)]
     for subset in subsets:
-        others = [k for k in range(n) if k not in subset]
         sub_settings = tuple(box.settings[k] for k in subset)
-        other_settings = tuple(box.settings[k] for k in others)
+        other_settings = tuple(box.settings[k] for k in range(n) if k not in subset)
         # marginal over J's outcomes at every full setting tuple, as
         # [J settings, complement settings, J outcomes]
-        marg = box.table.sum(axis=tuple(n + k for k in others))
-        marg = marg.transpose(list(subset) + others + list(range(n, n + len(subset))))
+        marg = _marginal(box.table, subset)
         marg = marg.reshape(math.prod(sub_settings), math.prod(other_settings), -1)
         spread = marg.max(axis=1) - marg.min(axis=1)
         devs = spread.max(axis=1)
@@ -297,76 +326,54 @@ class MonogamyReport:
         return self.satisfied
 
 
-def _monogamy_scan(box3: CorrelationBox) -> list[tuple]:
-    """Yield (|B_mid,w1|, |B_mid,w2|, labels) over every allowed choice.
+def _monogamy_scan(box3: CorrelationBox, tol: float) -> tuple[MonogamyReport, MonogamyReport]:
+    """The NS and the strong monogamy report of a tripartite box, from one scan.
 
-    The middle party's ordered setting pair is shared between the two CHSH
-    terms; wing pairs, spectator settings, and outcome relabelings (via the
-    absolute values) are free.
+    The choices are the middle party, its ordered setting pair (shared by
+    the two CHSH terms), each wing's ordered pair and spectator setting
+    (the other wing's setting, which a signalling box's pair marginal
+    depends on), and outcome relabelings (via |B|).  At a fixed middle pair
+    the two terms share nothing else, and |B1| + |B2| and B1^2 + B2^2 both
+    increase in each term, so each wing's largest |B| over its pairs and
+    spectator settings gives the exact worst case.  Ties keep the first
+    choice in (middle, middle pair, wing pair, spectator setting) order.
     """
     if box3.n_parties != 3:
         raise ArityError("monogamy checks need a tripartite box")
     if box3.outcomes != (2, 2, 2):
         raise ArityError("monogamy checks need two-outcome parties")
-    results = []
+    best: list[tuple | None] = [None, None]  # (worst value, labels...) per objective
     for middle in range(3):
-        w1, w2 = [k for k in range(3) if k != middle]
-        for mid_pair in _setting_pairs(box3.settings[middle]):
-            for w1_pair in _setting_pairs(box3.settings[w1]):
-                for spect1 in range(box3.settings[w2]):
-                    v1 = abs(
-                        chsh(
-                            box3,
-                            *mid_pair,
-                            *w1_pair,
-                            parties=(middle, w1),
-                            spectator_settings=(spect1,),
-                        ).value
-                    )
-                    for w2_pair in _setting_pairs(box3.settings[w2]):
-                        for spect2 in range(box3.settings[w1]):
-                            v2 = abs(
-                                chsh(
-                                    box3,
-                                    *mid_pair,
-                                    *w2_pair,
-                                    parties=(middle, w2),
-                                    spectator_settings=(spect2,),
-                                ).value
-                            )
-                            results.append(
-                                (v1, v2, middle, (w1, w2), mid_pair, (w1_pair, w2_pair))
-                            )
-    return results
+        wings = tuple(k for k in range(3) if k != middle)
+        terms, wing_pairs = [], []
+        for wing in wings:
+            values, mid_pairs, pairs = _chsh_table(box3, middle, wing)
+            # |B| as [middle pair, (wing pair, spectator setting)]
+            flat = np.abs(values).reshape(len(mid_pairs), -1)
+            at = flat.argmax(axis=1)
+            terms.append(flat[np.arange(len(at)), at])
+            wing_pairs.append(pairs[at // values.shape[2]])
+        for k, objective in enumerate((terms[0] + terms[1], terms[0] ** 2 + terms[1] ** 2)):
+            i = int(objective.argmax())
+            if best[k] is None or objective[i] > best[k][0]:
+                best[k] = (
+                    float(objective[i]),
+                    middle,
+                    wings,
+                    tuple(mid_pairs[i].tolist()),
+                    (tuple(wing_pairs[0][i].tolist()), tuple(wing_pairs[1][i].tolist())),
+                    (float(terms[0][i]), float(terms[1][i])),
+                )
+    bounds = (NS_MONOGAMY_BOUND, STRONG_MONOGAMY_BOUND)
+    ns, strong = (MonogamyReport(v <= b + tol, v, b, *labels) for (v, *labels), b in zip(best, bounds))
+    return ns, strong
 
 
 def check_ns_monogamy(box3: CorrelationBox, tol: float = 1e-6) -> MonogamyReport:
     """No-signalling monogamy: |B_AB| + |B_BC| <= 4 for every choice."""
-    best = max(_monogamy_scan(box3), key=lambda r: r[0] + r[1])
-    worst = best[0] + best[1]
-    return MonogamyReport(
-        worst <= NS_MONOGAMY_BOUND + tol,
-        worst,
-        NS_MONOGAMY_BOUND,
-        best[2],
-        best[3],
-        best[4],
-        best[5],
-        (best[0], best[1]),
-    )
+    return _monogamy_scan(box3, tol)[0]
 
 
 def check_strong_monogamy(box3: CorrelationBox, tol: float = 1e-6) -> MonogamyReport:
     """Strong monogamy: B_AB^2 + B_BC^2 <= 8 for every choice."""
-    best = max(_monogamy_scan(box3), key=lambda r: r[0] ** 2 + r[1] ** 2)
-    worst = best[0] ** 2 + best[1] ** 2
-    return MonogamyReport(
-        worst <= STRONG_MONOGAMY_BOUND + tol,
-        worst,
-        STRONG_MONOGAMY_BOUND,
-        best[2],
-        best[3],
-        best[4],
-        best[5],
-        (best[0], best[1]),
-    )
+    return _monogamy_scan(box3, tol)[1]

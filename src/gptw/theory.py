@@ -132,7 +132,7 @@ class OperationalTheory:
         return self._table.items()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EnsemblePreparation:
     """Draw a branch index i with probability weights[i], then prepare branches[i].
 
@@ -164,7 +164,7 @@ class EnsemblePreparation:
         return len(self.branches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JointDistribution:
     """Dense joint distribution over a product of labeled finite outcome axes."""
 

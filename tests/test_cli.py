@@ -319,6 +319,22 @@ def test_malformed_input_exits_two(files, capsys, tmp_path, name, mutate):
     assert_input_error(capsys, argv)
 
 
+@pytest.mark.parametrize(
+    "settings, command",
+    [
+        pytest.param((1, 1), ["chsh"], id="chsh-1x1"),
+        pytest.param((1, 1), ["theorem1"], id="theorem1-1x1"),
+        pytest.param((1, 2, 2), ["monogamy", "ns"], id="monogamy-ns-1x2x2"),
+        pytest.param((1, 2, 2), ["monogamy", "strong"], id="monogamy-strong-1x2x2"),
+    ],
+)
+def test_one_setting_box_exits_two(capsys, tmp_path, settings, command):
+    n = len(settings)
+    path = tmp_path / "one_setting.json"
+    ser.save_box(CorrelationBox(settings, (2,) * n, np.full(settings + (2,) * n, 0.5**n)), path)
+    assert "two settings" in assert_input_error(capsys, [*command, "--box", path])
+
+
 def test_missing_file_exits_two(capsys, tmp_path):
     code = main(["chsh", "--box", str(tmp_path / "absent.json")])
     assert code == 2

@@ -37,6 +37,20 @@ def chsh_oracle(table: np.ndarray, a0, a1, b0, b1) -> float:
     )
 
 
+def random_signalling_box(settings, rng) -> CorrelationBox:
+    """Uniform random entries normalized per setting tuple: signalling in general."""
+    n = len(settings)
+    raw = rng.random(tuple(settings) + (2,) * n)
+    return CorrelationBox(settings, (2,) * n, raw / raw.sum(axis=tuple(range(n, 2 * n)), keepdims=True))
+
+
+def random_quantum_box(settings, rng) -> CorrelationBox:
+    """Projective qubit measurements on a random mixed state of len(settings) qubits."""
+    n = len(settings)
+    state = q.ginibre_state(2**n, rng, dims=(2,) * n)
+    return q.multipartite_box(state, [[q.random_projective_qubit(rng) for _ in range(m)] for m in settings])
+
+
 # -- box validation ----------------------------------------------------------------
 
 
@@ -64,6 +78,29 @@ def test_marginal_against_manual_sum(shared_bit_box):
     marg = shared_bit_box.marginal((0, 1), (0,))
     manual = shared_bit_box.table[:, :, 0].sum(axis=-1)
     assert np.allclose(marg.table, manual, atol=1e-12)
+
+
+def marginal_loop(box: CorrelationBox, parties, spectator_settings) -> np.ndarray:
+    """Marginal table filled one setting tuple at a time (the reference for `marginal`)."""
+    others = [k for k in range(box.n_parties) if k not in parties]
+    out = np.zeros(tuple(box.settings[k] for k in parties) + tuple(box.outcomes[k] for k in parties))
+    for xs in np.ndindex(*out.shape[: len(parties)]):
+        full = [0] * box.n_parties
+        for k, x in zip(list(parties) + others, xs + tuple(spectator_settings)):
+            full[k] = x
+        block = np.transpose(box.table[tuple(full)], axes=list(parties) + others)
+        out[xs] = block.reshape(out.shape[len(parties):] + (-1,)).sum(axis=-1)
+    return out
+
+
+@pytest.mark.parametrize("parties", [(0,), (2,), (0, 1), (1, 0), (2, 0), (1, 2)])
+def test_marginal_matches_loop(parties):
+    rng = np.random.default_rng(17)
+    box = random_signalling_box((2, 3, 2), rng)
+    for spectators in product(*[range(box.settings[k]) for k in range(3) if k not in parties]):
+        marg = box.marginal(parties, spectators)
+        assert marg.settings == tuple(box.settings[k] for k in parties)
+        assert np.array_equal(marg.table, marginal_loop(box, parties, spectators))
 
 
 # -- chsh ---------------------------------------------------------------------------
@@ -190,6 +227,35 @@ def test_anti_pr_box_caught_by_relabeling():
     box = CorrelationBox((2, 2), (2, 2), t)
     nonlocal_, witness = is_bell_nonlocal(box)
     assert nonlocal_ and abs(witness.value) == 4.0
+
+
+def setting_pairs(n: int) -> list[tuple[int, int]]:
+    return [(i, j) for i in range(n) for j in range(n) if i != j]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_bell_search_matches_per_pair_loop(m):
+    rng = np.random.default_rng(100 + m)
+    boxes = [random_signalling_box((m, m), rng), random_signalling_box((m, m + 1), rng)]
+    boxes.append(random_quantum_box((m, m), rng))
+    for box in boxes:
+        best = None
+        for a0, a1 in setting_pairs(box.settings[0]):
+            for b0, b1 in setting_pairs(box.settings[1]):
+                cand = chsh(box, a0, a1, b0, b1)
+                if best is None or abs(cand.value) > abs(best.value):
+                    best = cand
+        verdict, witness = is_bell_nonlocal(box)
+        assert witness == best  # same arithmetic: equal, with the first maximum on ties
+        assert verdict == (abs(best.value) > 2.0 + 1e-9)
+
+
+@pytest.mark.parametrize("settings", [(1, 2), (2, 1), (1, 2, 2), (2, 2, 1)])
+def test_one_setting_party_has_no_chsh(settings):
+    box = random_signalling_box(settings, np.random.default_rng(3))
+    search = is_bell_nonlocal if len(settings) == 2 else check_strong_monogamy
+    with pytest.raises(ArityError, match="two settings"):
+        search(box)
 
 
 # -- no-signalling ---------------------------------------------------------------------
@@ -328,3 +394,72 @@ def test_ghz_standard_settings_obey_strong_monogamy():
         q.ghz_state(), [[q.z_basis(), q.x_basis()] for _ in range(3)]
     )
     assert check_strong_monogamy(box, tol=1e-6).satisfied
+
+
+def monogamy_scan_oracle(box3: CorrelationBox) -> list[tuple]:
+    """(|B_mid,w1|, |B_mid,w2|, labels) at every choice of the monogamy scan, by explicit loops.
+
+    The middle party's ordered setting pair is shared between the two CHSH
+    terms; wing pairs, spectator settings, and outcome relabelings (via the
+    absolute values) are free.
+    """
+    results = []
+    for middle in range(3):
+        w1, w2 = [k for k in range(3) if k != middle]
+        for mid_pair in setting_pairs(box3.settings[middle]):
+            for w1_pair in setting_pairs(box3.settings[w1]):
+                for spect1 in range(box3.settings[w2]):
+                    v1 = abs(
+                        chsh(box3, *mid_pair, *w1_pair, parties=(middle, w1), spectator_settings=(spect1,)).value
+                    )
+                    for w2_pair in setting_pairs(box3.settings[w2]):
+                        for spect2 in range(box3.settings[w1]):
+                            v2 = abs(
+                                chsh(
+                                    box3, *mid_pair, *w2_pair, parties=(middle, w2), spectator_settings=(spect2,)
+                                ).value
+                            )
+                            results.append((v1, v2, middle, (w1, w2), mid_pair, (w1_pair, w2_pair)))
+    return results
+
+
+def assert_labels_reproduce_terms(box3: CorrelationBox, report) -> None:
+    """Each term is the largest |B| of its labelled settings over the spectator's settings."""
+    for wing, pair, term in zip(report.wings, report.wing_settings, report.terms):
+        spectator = 3 - report.middle - wing
+        values = [
+            abs(chsh(box3, *report.middle_settings, *pair, parties=(report.middle, wing), spectator_settings=(z,)).value)
+            for z in range(box3.settings[spectator])
+        ]
+        assert max(values) == pytest.approx(term, abs=1e-12)
+
+
+OBJECTIVES = [
+    (check_ns_monogamy, lambda v1, v2: v1 + v2),
+    (check_strong_monogamy, lambda v1, v2: v1**2 + v2**2),
+]
+
+
+@pytest.mark.parametrize("kind", ["quantum", "signalling"])
+@pytest.mark.parametrize("m", [2, 3])
+def test_monogamy_scan_matches_brute_force(kind, m):
+    rng = np.random.default_rng(10 * m + (kind == "signalling"))
+    make = random_quantum_box if kind == "quantum" else random_signalling_box
+    box = make((m, m, m), rng)
+    scan = monogamy_scan_oracle(box)
+    for check, objective in OBJECTIVES:
+        report = check(box)
+        want = max(objective(r[0], r[1]) for r in scan)
+        assert report.worst_value == pytest.approx(want, abs=1e-12)
+        assert objective(*report.terms) == pytest.approx(report.worst_value, abs=1e-12)
+        assert report.satisfied == (report.worst_value <= report.bound + 1e-6)
+        assert_labels_reproduce_terms(box, report)
+
+
+def test_m4_quantum_box_within_both_bounds():
+    box = random_quantum_box((4, 4, 4), np.random.default_rng(44))
+    for check, objective in OBJECTIVES:
+        report = check(box)
+        assert report.satisfied and report.worst_value <= report.bound
+        assert objective(*report.terms) == pytest.approx(report.worst_value, abs=1e-12)
+        assert_labels_reproduce_terms(box, report)

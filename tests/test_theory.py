@@ -85,6 +85,17 @@ def test_ensemble_preparation_validates():
         EnsemblePreparation([], [])
 
 
+def test_array_records_compare_by_identity():
+    # array fields make a field-wise == ambiguous; equality is identity and hashing works
+    for make in (
+        lambda: EnsemblePreparation([0.5, 0.5], ["a", "b"]),
+        lambda: JointDistribution([("a", 2)], np.array([0.5, 0.5])),
+    ):
+        first, second = make(), make()
+        assert first == first and first != second
+        assert len({hash(first), hash(second), hash(first)}) == 2
+
+
 def test_subtheory_dimension_consistency():
     with pytest.raises(ValidationError):
         SubtheoryDimension(4, claimed_dimension=2)
