@@ -71,9 +71,6 @@ def cmd_chsh(args) -> list[Report]:
     if any(s is not None for s in explicit):
         if any(s is None for s in explicit):
             raise GptwError("give all of --a0 --a1 --b0 --b1 or none")
-        for flag, party, s in zip(("--a0", "--a1", "--b0", "--b1"), (0, 0, 1, 1), explicit):
-            if not 0 <= s < box.settings[party]:
-                raise GptwError(f"{flag} {s} is out of range: party {party} has {box.settings[party]} settings")
         witness = corr.chsh(box, args.a0, args.a1, args.b0, args.b1)
         nonlocal_ = abs(witness.value) > 2.0 + tol
     else:

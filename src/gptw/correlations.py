@@ -79,7 +79,14 @@ class CorrelationBox:
         xs = tuple(settings)
         if len(xs) != self.n_parties:
             raise ArityError(f"expected {self.n_parties} settings, got {len(xs)}")
+        self._check_settings(range(self.n_parties), xs)
         return self.table[xs]
+
+    def _check_settings(self, parties: Sequence[int], settings: Sequence[int]) -> None:
+        """Refuse a setting outside [0, settings[k]): NumPy would wrap a negative one."""
+        for k, s in zip(parties, settings):
+            if not 0 <= s < self.settings[k]:
+                raise ArityError(f"setting {s} of party {k} is out of range: it has {self.settings[k]} settings")
 
     def marginal(self, parties: Sequence[int], spectator_settings: Sequence[int] | None = None) -> "CorrelationBox":
         """Marginal box of a party subset, others' outcomes summed at fixed settings.
@@ -94,6 +101,7 @@ class CorrelationBox:
             spectator_settings = [0] * n_others
         if len(spectator_settings) != n_others:
             raise ArityError("one spectator setting per marginalized party required")
+        self._check_settings([k for k in range(self.n_parties) if k not in parties], spectator_settings)
         table = _marginal(self.table, parties)[(slice(None),) * len(parties) + tuple(spectator_settings)]
         return CorrelationBox(
             [self.settings[k] for k in parties], [self.outcomes[k] for k in parties], table

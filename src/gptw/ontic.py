@@ -7,11 +7,13 @@ positivity/normalization conditions; `validate_model` reports one violation
 record per broken condition rather than raising, so defective models can be
 constructed and examined.
 
-`find_local_model` decides, by linear programming over the simplex of
-deterministic local strategies, whether a bipartite box is factorizable
-p(ab|xy) = sum_l w_l xi(a|x,l) xi(b|y,l).  A returned certificate is
-re-checked in exact rational arithmetic (for <= 256 strategies) to guard
-against solver false positives.  Factorizability is exactly what a
+`find_local_model` decides, by linear programming, whether a bipartite box
+is factorizable p(ab|xy) = sum_l w_l xi(a|x,l) xi(b|y,l).  The LP enumerates
+Alice's deterministic strategies only, with Bob's response to each one a
+free conditional distribution (Fine's theorem: the same local polytope as
+the mixtures of deterministic strategy pairs), and the returned certificate
+over strategy pairs is re-checked in exact arithmetic to guard against
+solver false positives.  Factorizability is exactly what a
 preparation-noncontextual representation forces on the box, so this is the
 decidable endpoint of the noncontextuality-implies-locality chain;
 `noncontextual_chsh_bound` packages the implication.
@@ -19,8 +21,6 @@ decidable endpoint of the noncontextuality-implies-locality chain;
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from itertools import product
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -30,8 +30,7 @@ from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, Val
 from .theory import EPS_NORM
 
 LP_TOL = 1e-7
-MAX_STRATEGIES = 2**20
-EXACT_RECHECK_LIMIT = 256
+MAX_STRATEGIES = 2**20  # deterministic strategy pairs, n_a**n_x * n_b**n_y
 
 Strategy = tuple[tuple[int, ...], tuple[int, ...]]  # (a(x) per x, b(y) per y)
 
@@ -166,18 +165,6 @@ class LocalModelCertificate:
         }
 
 
-def _strategies(box: CorrelationBox) -> list[Strategy]:
-    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
-    count = n_a**n_x * n_b**n_y
-    if count > MAX_STRATEGIES:
-        raise SizeLimitError(f"{count} deterministic strategies exceed the {MAX_STRATEGIES} cap")
-    return [
-        (a_map, b_map)
-        for a_map in product(range(n_a), repeat=n_x)
-        for b_map in product(range(n_b), repeat=n_y)
-    ]
-
-
 def strategy_table(box: CorrelationBox, strategy: Strategy) -> np.ndarray:
     """The deterministic box (same shape as box.table) of one strategy."""
     a_map, b_map = strategy
@@ -188,24 +175,33 @@ def strategy_table(box: CorrelationBox, strategy: Strategy) -> np.ndarray:
     return table
 
 
+def _alice_maps(n_x: int, n_a: int) -> np.ndarray:
+    """maps[alpha, x] = a: every map from n_x settings to n_a outcomes, in `itertools.product` order."""
+    return np.arange(n_a**n_x)[:, None] // n_a ** np.arange(n_x - 1, -1, -1) % n_a
+
+
 def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> float:
-    """Max reconstruction error in exact rational arithmetic."""
-    recon: dict[tuple[int, int, int, int], Fraction] = {}
-    for (a_map, b_map), w in weights.items():
-        fw = Fraction(w)
-        for x in range(box.settings[0]):
-            for y in range(box.settings[1]):
-                key = (x, y, a_map[x], b_map[y])
-                recon[key] = recon.get(key, Fraction(0)) + fw
-    worst = Fraction(0)
-    for x in range(box.settings[0]):
-        for y in range(box.settings[1]):
-            for a in range(box.outcomes[0]):
-                for b in range(box.outcomes[1]):
-                    got = recon.get((x, y, a, b), Fraction(0))
-                    diff = abs(got - Fraction(float(box.table[x, y, a, b])))
-                    worst = max(worst, diff)
-    return float(worst)
+    """Max reconstruction error, exact: every float is an integer over 2**shift.
+
+    The final int / int division rounds correctly, so the result is the
+    float nearest to the exact rational error.
+    """
+    target = box.table.reshape(-1).tolist()
+    ratios = [w.as_integer_ratio() for w in weights.values()] + [p.as_integer_ratio() for p in target]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    nums = [n << (shift + 1 - d.bit_length()) for n, d in ratios]
+    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
+    a_maps = np.array([a for a, _ in weights], dtype=np.intp)
+    b_maps = np.array([b for _, b in weights], dtype=np.intp)
+    # flat table index of (x, y, a_map[x], b_map[y]), per strategy and (x, y)
+    xy = np.arange(n_x)[:, None] * n_y + np.arange(n_y)
+    cells = ((xy * n_a + a_maps[:, :, None]) * n_b + b_maps[:, None, :]).reshape(len(weights), -1)
+    recon = [0] * len(target)
+    for num, row in zip(nums, cells.tolist()):
+        for cell in row:
+            recon[cell] += num
+    worst = max(abs(r - t) for r, t in zip(recon, nums[len(weights):]))
+    return worst / (1 << shift)
 
 
 def linprog(*args, **kwargs):
@@ -220,47 +216,107 @@ def linprog(*args, **kwargs):
     return solve(*args, **kwargs)
 
 
-def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCertificate | None:
-    """LP feasibility over the deterministic-strategy simplex.
+def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> dict:
+    """`linprog` arguments of the sup-norm fit over Alice's strategies alpha.
 
-    Minimizes the sup-norm reconstruction error t subject to convex weights;
-    a certificate is returned iff the optimum (re-checked exactly in rational
-    arithmetic when the strategy count allows) is within `tol`.
+    Variables z[alpha, y, b] (flat, alpha-major) and t.  The fit rows
+    |sum_{alpha(x)=a} z[alpha, y, b] - p(ab|xy)| <= t follow the flat table,
+    upper block then lower block.  The link rows sum_b z[alpha, y, b] =
+    sum_b z[alpha, 0, b] (y >= 1, alpha-major) give each alpha one mass, and
+    the last equality row sums the masses to 1.
+    """
+    from scipy.sparse import csc_array
+
+    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
+    n_alpha = len(a_maps)
+    n_z = n_alpha * n_y * n_b
+    target = box.table.reshape(-1)
+    n_fit = target.size
+
+    # column z[alpha, y, b]: +1 in fit row (x, y, alpha(x), b) of the upper block and
+    # -1 in the lower block, for each x; column t: -1 in every row
+    rows = (
+        (np.arange(n_x) * n_y + np.arange(n_y)[:, None, None]) * n_a + a_maps[:, None, None, :]
+    ) * n_b + np.arange(n_b)[:, None]
+    rows = rows.reshape(n_z, n_x)
+    nnz_z = 2 * n_x * n_z
+    indices = np.concatenate([np.concatenate([rows, rows + n_fit], axis=1).ravel(), np.arange(2 * n_fit)])
+    data = np.full(nnz_z + 2 * n_fit, -1.0)
+    data[:nnz_z].reshape(n_z, 2, n_x)[:, 0] = 1.0
+    indptr = np.append(np.arange(0, nnz_z + 1, 2 * n_x), nnz_z + 2 * n_fit)
+    a_ub = csc_array((data, indices, indptr), shape=(2 * n_fit, n_z + 1))
+
+    # per alpha: column (0, b) is -1 in alpha's link rows and +1 in the mass row,
+    # column (y >= 1, b) is +1 in link row (alpha, y); column t is empty
+    link = np.arange(n_alpha * (n_y - 1)).reshape(n_alpha, n_y - 1)
+    mass_row = link.size
+    first = np.concatenate([link, np.full((n_alpha, 1), mass_row)], axis=1)
+    indices = np.concatenate([np.tile(first, n_b), link.repeat(n_b, axis=1)], axis=1).ravel()
+    per_alpha = np.ones((2 * n_y - 1) * n_b)
+    per_alpha[: n_y * n_b].reshape(n_b, n_y)[:, :-1] = -1.0
+    counts = np.where(np.arange(n_y * n_b) < n_b, n_y, 1)
+    indptr = np.concatenate([[0], np.cumsum(np.tile(counts, n_alpha)), [indices.size]])
+    a_eq = csc_array((np.tile(per_alpha, n_alpha), indices, indptr), shape=(mass_row + 1, n_z + 1))
+    b_eq = np.zeros(mass_row + 1)
+    b_eq[-1] = 1.0
+
+    c = np.zeros(n_z + 1)
+    c[-1] = 1.0
+    return dict(c=c, A_ub=a_ub, b_ub=np.concatenate([target, -target]), A_eq=a_eq, b_eq=b_eq,
+                bounds=(0, None), method="highs")
+
+
+def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Deterministic b maps under each alpha from Bob's conditionals z[alpha, y, :].
+
+    A monotone coupling: on [0, mass of alpha], b_map(y) = b on the interval
+    where the cumulative sum of the rescaled z[alpha, y, :] passes b.  The
+    union of all y's cut points splits it into at most n_y (n_b - 1) + 1
+    pieces.  Returns (lengths[alpha, piece], b_maps[alpha, piece, y]).
+    """
+    n_alpha, n_y, n_b = z.shape
+    mass = z.sum(axis=2, keepdims=True)
+    w = mass[:, :1]  # alpha's mass, from the y = 0 row as in the mass constraint
+    cuts = np.minimum(np.cumsum(z[:, :, :-1], axis=2) * (w / np.where(mass > 0, mass, 1.0)), w)
+    ends = np.concatenate([np.sort(cuts.reshape(n_alpha, -1), axis=1), w[:, 0]], axis=1)
+    starts = np.concatenate([np.zeros((n_alpha, 1)), ends[:, :-1]], axis=1)
+    b_maps = (cuts[:, None] <= starts[:, :, None, None]).sum(axis=3)
+    return ends - starts, b_maps
+
+
+def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCertificate | None:
+    """Closest local box in sup-norm, by an LP over Alice's deterministic strategies.
+
+    A local model needs the hidden variable to fix Alice's outputs only:
+    under each strategy alpha, Bob answers with any conditional distribution
+    z[alpha, y, :] (Fine's theorem).  The LP minimises t subject to
+    |sum_{alpha(x)=a} z[alpha, y, b] - p(ab|xy)| <= t, z >= 0, every y row
+    of alpha carrying the same mass and the masses summing to 1; its
+    optimum equals that over mixtures of deterministic strategy pairs.
+    Each alpha's conditionals are split into deterministic b maps by a
+    monotone coupling (`_split`); weights are clipped at 0, renormalised and
+    those <= 1e-12 dropped.  A certificate is returned iff its residual,
+    re-checked exactly, is within `tol`.
     """
     if box.n_parties != 2:
         raise ArityError("find_local_model expects a bipartite box")
-    strategies = _strategies(box)
-    n_strat = len(strategies)
-    columns = np.stack([strategy_table(box, s).reshape(-1) for s in strategies], axis=1)
-    target = box.table.reshape(-1)
-    n_rows = target.size
-
-    # variables: [w_1..w_V, t]; minimize t with |columns @ w - target| <= t
-    c = np.zeros(n_strat + 1)
-    c[-1] = 1.0
-    ones_t = np.ones((n_rows, 1))
-    a_ub = np.block([[columns, -ones_t], [-columns, -ones_t]])
-    b_ub = np.concatenate([target, -target])
-    a_eq = np.concatenate([np.ones(n_strat), [0.0]]).reshape(1, -1)
-    res = linprog(
-        c,
-        A_ub=a_ub,
-        b_ub=b_ub,
-        A_eq=a_eq,
-        b_eq=[1.0],
-        bounds=[(0, None)] * n_strat + [(0, None)],
-        method="highs",
-    )
+    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
+    count = n_a**n_x * n_b**n_y
+    if count > MAX_STRATEGIES:
+        raise SizeLimitError(f"{count} deterministic strategies exceed the {MAX_STRATEGIES} cap")
+    a_maps = _alice_maps(n_x, n_a)
+    res = linprog(**_local_lp(box, a_maps))
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
-    raw = np.clip(res.x[:n_strat], 0.0, None)
-    raw /= raw.sum()
-    weights = {s: float(w) for s, w in zip(strategies, raw) if w > 1e-12}
-
-    if n_strat <= EXACT_RECHECK_LIMIT:
-        residual = _exact_residual(box, weights)
-    else:
-        residual = float(res.x[-1])
+    z = np.clip(res.x[:-1], 0.0, None).reshape(len(a_maps), n_y, n_b)
+    lengths, b_maps = _split(z)
+    raw = lengths.ravel() / lengths.sum()
+    keep = np.flatnonzero(raw > 1e-12)
+    pieces = zip(
+        a_maps[keep // lengths.shape[1]].tolist(), b_maps.reshape(-1, n_y)[keep].tolist(), raw[keep].tolist()
+    )
+    weights = {(tuple(a), tuple(b)): w for a, b, w in pieces}
+    residual = _exact_residual(box, weights)
     if residual > tol:
         return None
     return LocalModelCertificate(weights, residual)

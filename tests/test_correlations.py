@@ -103,6 +103,26 @@ def test_marginal_matches_loop(parties):
         assert np.array_equal(marg.table, marginal_loop(box, parties, spectators))
 
 
+@pytest.mark.parametrize("spectator", [-1, 2])
+def test_marginal_rejects_spectator_setting_out_of_range(spectator):
+    box = random_signalling_box((2, 3, 2), np.random.default_rng(18))
+    with pytest.raises(ArityError, match="out of range"):
+        box.marginal((0, 1), (spectator,))
+
+
+@pytest.mark.parametrize("b1", [-1, 3])
+def test_chsh_rejects_setting_out_of_range(b1):
+    box = random_signalling_box((2, 3, 2), np.random.default_rng(19))
+    with pytest.raises(ArityError, match="out of range"):
+        chsh(box, 0, 1, 0, b1)
+
+
+@pytest.mark.parametrize("settings", [(0, 2), (0, -1), (-3, 0)])
+def test_prob_rejects_setting_out_of_range(pr_box, settings):
+    with pytest.raises(ArityError, match="out of range"):
+        pr_box.prob(settings)
+
+
 # -- chsh ---------------------------------------------------------------------------
 
 

@@ -4,6 +4,8 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from fractions import Fraction
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -130,9 +132,9 @@ def test_isotropic_half_feasible(isotropic_half):
 
 @pytest.mark.parametrize("module", ["gptw", "gptw.cli"])
 def test_import_leaves_scipy_optimize_unloaded(module):
-    # the LP solver loads on the first solve; the other checks never pay for it
+    # the LP solver and its sparse matrices load on the first solve; the other checks never pay for them
     src = str(Path(gptw.__file__).resolve().parents[1])
-    code = f"import sys, {module}; print('scipy.optimize' in sys.modules)"
+    code = f"import sys, {module}; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run(
         [sys.executable, "-c", code],
         env=dict(os.environ, PYTHONPATH=src),
@@ -181,6 +183,118 @@ def test_strategy_cap():
     box = CorrelationBox((4, 4), (8, 8), table)
     with pytest.raises(SizeLimitError):
         find_local_model(box)
+
+
+# -- the one-column-per-strategy LP as the reference ---------------------------------
+
+
+def fraction_residual(box: CorrelationBox, weights: dict) -> float:
+    """Max reconstruction error in rational arithmetic (the reference for `_exact_residual`)."""
+    recon: dict[tuple[int, int, int, int], Fraction] = {}
+    for (a_map, b_map), w in weights.items():
+        for x in range(box.settings[0]):
+            for y in range(box.settings[1]):
+                key = (x, y, a_map[x], b_map[y])
+                recon[key] = recon.get(key, Fraction(0)) + Fraction(w)
+    worst = Fraction(0)
+    for key in np.ndindex(*box.table.shape):
+        worst = max(worst, abs(recon.get(key, Fraction(0)) - Fraction(float(box.table[key]))))
+    return float(worst)
+
+
+def reference_local_model(box: CorrelationBox, tol: float = ontic.LP_TOL):
+    """(optimum, certificate or None) of the sup-norm fit with one dense column per strategy pair."""
+    from scipy.optimize import linprog
+
+    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
+    strategies = [(a, b) for a in product(range(n_a), repeat=n_x) for b in product(range(n_b), repeat=n_y)]
+    columns = np.stack([strategy_table(box, s).reshape(-1) for s in strategies], axis=1)
+    target = box.table.reshape(-1)
+    n = len(strategies)
+    c = np.zeros(n + 1)
+    c[-1] = 1.0
+    ones_t = np.ones((target.size, 1))
+    res = linprog(
+        c,
+        A_ub=np.block([[columns, -ones_t], [-columns, -ones_t]]),
+        b_ub=np.concatenate([target, -target]),
+        A_eq=np.concatenate([np.ones(n), [0.0]]).reshape(1, -1),
+        b_eq=[1.0],
+        method="highs",
+    )
+    assert res.status == 0
+    raw = np.clip(res.x[:n], 0.0, None)
+    raw /= raw.sum()
+    weights = {s: float(w) for s, w in zip(strategies, raw) if w > 1e-12}
+    residual = fraction_residual(box, weights)
+    return res.fun, (weights if residual <= tol else None)
+
+
+def seeded_boxes(settings, outcomes, rng):
+    """(kind, box): a mixture of 4 deterministic strategies, a random signalling box and a
+    noisy correlated box, b = a + x y (mod k) on k = min(n_a, n_b) outcomes under white noise."""
+    (n_x, n_y), (n_a, n_b) = settings, outcomes
+    shape = settings + outcomes
+    local = np.zeros(shape)
+    for w in rng.dirichlet(np.ones(4)):
+        a_map, b_map = rng.integers(0, n_a, n_x), rng.integers(0, n_b, n_y)
+        local[np.arange(n_x)[:, None], np.arange(n_y), a_map[:, None], b_map] += w
+    yield "local", CorrelationBox(settings, outcomes, local)
+    raw = rng.random(shape)
+    yield "signalling", CorrelationBox(settings, outcomes, raw / raw.sum(axis=(2, 3), keepdims=True))
+    k = min(n_a, n_b)
+    corr = np.zeros(shape)
+    for x, y, a in np.ndindex(n_x, n_y, k):
+        corr[x, y, a, (a + x * y) % k] = 1 / k
+    v = rng.uniform(0.3, 1.0)
+    yield "noisy", CorrelationBox(settings, outcomes, v * corr + (1 - v) / (n_a * n_b))
+
+
+LP_SHAPES = [((2, 2), (2, 2)), ((2, 3), (2, 2)), ((3, 2), (2, 3)), ((3, 3), (3, 3)), ((4, 4), (2, 2)), ((6, 6), (2, 2))]
+
+
+@pytest.mark.parametrize("settings, outcomes", LP_SHAPES)
+def test_lp_matches_reference_lp(monkeypatch, settings, outcomes):
+    optima = []
+
+    def recording(*args, **kwargs):
+        res = solve(*args, **kwargs)
+        optima.append(res.fun)
+        return res
+
+    solve = ontic.linprog
+    monkeypatch.setattr(ontic, "linprog", recording)
+    rng = np.random.default_rng(sum(settings) * 10 + sum(outcomes))
+    for _ in range(2):
+        for kind, box in seeded_boxes(settings, outcomes, rng):
+            cert = find_local_model(box)
+            want, reference = reference_local_model(box)
+            assert abs(optima[-1] - want) <= 1e-9, kind
+            assert (cert is None) == (reference is None), kind
+            if kind != "noisy":
+                assert (cert is None) == (kind == "signalling"), kind
+            if cert is not None:
+                weights = np.array(list(cert.weights.values()))
+                assert weights.min() > 1e-12 and abs(weights.sum() - 1.0) <= 1e-12
+                recon = sum(w * strategy_table(box, s) for s, w in cert.weights.items())
+                assert np.max(np.abs(recon - box.table)) <= 1e-12
+                assert cert.residual == fraction_residual(box, cert.weights)
+
+
+def test_exact_residual_equals_fraction_residual():
+    rng = np.random.default_rng(31)
+    for settings, outcomes in LP_SHAPES:
+        (n_x, n_y), (n_a, n_b) = settings, outcomes
+        for _ in range(8):
+            table = rng.random(settings + outcomes) ** 3
+            box = CorrelationBox(settings, outcomes, table / table.sum(axis=(2, 3), keepdims=True))
+            n = int(rng.integers(1, 12))
+            weights = rng.dirichlet(np.full(n, 0.5)) * rng.choice([1.0, 1 - 1e-9, 1e-6], size=n)
+            cert = {
+                (tuple(rng.integers(0, n_a, n_x).tolist()), tuple(rng.integers(0, n_b, n_y).tolist())): float(w)
+                for w in weights
+            }
+            assert ontic._exact_residual(box, cert) == fraction_residual(box, cert)
 
 
 # -- noncontextual_chsh_bound ----------------------------------------------------------
