@@ -64,11 +64,13 @@ from .game import (
     TSIRELSON_WIN,
 )
 from .ontic import (
+    ChshRefutation,
     ConditionViolation,
     LocalModelCertificate,
     NoncontextualVerdict,
     OnticModel,
     certificate_to_ontic_model,
+    chsh_gate,
     find_local_model,
     noncontextual_chsh_bound,
     predict,

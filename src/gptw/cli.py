@@ -143,7 +143,14 @@ def cmd_monogamy(args) -> list[Report]:
 def cmd_local_model(args) -> list[Report]:
     tol = _resolve_tol(args.tol, "local-model")
     box = serialize.load_box(args.box)
-    cert = ontic.find_local_model(box, tol)
+    refutation = ontic.chsh_gate(box, tol)  # a refuted box needs no LP, so scipy is never imported
+    if refutation is None:
+        cert = ontic.find_local_model(box, tol)
+        extra = {"method": "lp"}
+    else:
+        cert, witness = None, refutation.witness
+        extra = {"method": "chsh", "a_settings": list(witness.a_settings),
+                 "b_settings": list(witness.b_settings), "margin": refutation.margin}
     return [
         Report(
             check="local-model",
@@ -152,7 +159,7 @@ def cmd_local_model(args) -> list[Report]:
             bound=tol,
             passed=cert is not None,
             tol=tol,
-            extra={"certificate": cert.as_json_dict() if cert else None},
+            extra={**extra, "certificate": cert.as_json_dict() if cert else None},
         )
     ]
 

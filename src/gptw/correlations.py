@@ -96,6 +96,8 @@ class CorrelationBox:
         should sweep them.
         """
         parties = tuple(parties)
+        if len(set(parties)) != len(parties) or not all(0 <= k < self.n_parties for k in parties):
+            raise ArityError(f"parties {parties} must be distinct indices in [0, {self.n_parties})")
         n_others = self.n_parties - len(parties)
         if spectator_settings is None:
             spectator_settings = [0] * n_others

@@ -13,7 +13,16 @@ Alice's deterministic strategies only, with Bob's response to each one a
 free conditional distribution (Fine's theorem: the same local polytope as
 the mixtures of deterministic strategy pairs), and the returned certificate
 over strategy pairs is re-checked in exact arithmetic to guard against
-solver false positives.  Factorizability is exactly what a
+solver false positives.
+
+Before any LP is built, two-outcome boxes pass a CHSH gate (`chsh_gate`):
+the best CHSH witness is re-evaluated exactly, and if |B| > 2 + 16 tol the
+box has no local model within `tol` and no LP is solved.  This is sound
+because every local box q has |B(q)| <= 2 and B has sixteen +-1
+coefficients, so |B(p) - B(q)| <= 16 max|p - q|.  A box the gate does not
+settle goes to the unchanged LP.  Every table entry and `tol` is a float,
+i.e. an integer over a power of two, so both exact checks run in integers
+over one common denominator (`_dyadic`).  Factorizability is exactly what a
 preparation-noncontextual representation forces on the box, so this is the
 decidable endpoint of the noncontextuality-implies-locality chain;
 `noncontextual_chsh_bound` packages the implication.
@@ -30,7 +39,7 @@ from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, Val
 from .theory import EPS_NORM
 
 LP_TOL = 1e-7
-MAX_STRATEGIES = 2**20  # deterministic strategy pairs, n_a**n_x * n_b**n_y
+MAX_LP_NONZEROS = 2**19  # of the fit rows: n_a**n_x * n_y * n_b columns with 2 n_x each
 
 Strategy = tuple[tuple[int, ...], tuple[int, ...]]  # (a(x) per x, b(y) per y)
 
@@ -180,16 +189,22 @@ def _alice_maps(n_x: int, n_a: int) -> np.ndarray:
     return np.arange(n_a**n_x)[:, None] // n_a ** np.arange(n_x - 1, -1, -1) % n_a
 
 
-def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> float:
-    """Max reconstruction error, exact: every float is an integer over 2**shift.
+def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
+    """Exact integers over one denominator: values[i] == nums[i] / 2**shift.
 
-    The final int / int division rounds correctly, so the result is the
-    float nearest to the exact rational error.
+    A finite float is n / d with d a power of two, so the largest d serves
+    every value.  Sums and differences of the numerators are exact, and an
+    int / int division at the end rounds correctly to the nearest float.
     """
-    target = box.table.reshape(-1).tolist()
-    ratios = [w.as_integer_ratio() for w in weights.values()] + [p.as_integer_ratio() for p in target]
+    ratios = [v.as_integer_ratio() for v in values]
     shift = max(d.bit_length() for _, d in ratios) - 1
-    nums = [n << (shift + 1 - d.bit_length()) for n, d in ratios]
+    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
+
+
+def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> float:
+    """Max reconstruction error, exact, as the float nearest to the rational error."""
+    target = box.table.reshape(-1).tolist()
+    nums, shift = _dyadic(list(weights.values()) + target)
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     a_maps = np.array([a for a, _ in weights], dtype=np.intp)
     b_maps = np.array([b for _, b in weights], dtype=np.intp)
@@ -202,6 +217,39 @@ def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> floa
             recon[cell] += num
     worst = max(abs(r - t) for r, t in zip(recon, nums[len(weights):]))
     return worst / (1 << shift)
+
+
+@dataclass(frozen=True)
+class ChshRefutation:
+    """A CHSH witness whose exact |B| exceeds 2 + 16 tol: no local box lies within tol."""
+
+    witness: ChshValue
+    margin: float  # exact |B| - 2 - 16 tol, rounded to the nearest float (> 0)
+
+
+def chsh_gate(box: CorrelationBox, tol: float) -> ChshRefutation | None:
+    """The float-best CHSH witness, if its exact |B| exceeds 2 + 16 tol; else None.
+
+    Applies to bipartite two-outcome boxes with at least two settings per
+    party and a finite `tol`; any other box gets None and goes to the LP.
+    |B| is summed exactly from the witness's 16 table entries, each with
+    coefficient +-1, and compared with the threshold in the same integers
+    (`_dyadic`).  A refuted box has no local box within `tol`: see the
+    module docstring.
+    """
+    if box.n_parties != 2 or box.outcomes != (2, 2) or min(box.settings) < 2 or not np.isfinite(tol):
+        return None
+    _, witness = is_bell_nonlocal(box)
+    (a0, a1), (b0, b1) = witness.a_settings, witness.b_settings
+    # rows E(a0,b0), E(a0,b1), E(a1,b0), E(a1,b1); entries p(00), p(01), p(10), p(11)
+    cells = box.table[[a0, a0, a1, a1], [b0, b1, b0, b1]].reshape(-1).tolist()
+    nums, shift = _dyadic(cells + [tol])
+    signs = (1, -1, -1, 1) * 3 + (-1, 1, 1, -1)
+    value = abs(sum(s * n for s, n in zip(signs, nums)))
+    margin = value - (2 << shift) - 16 * nums[-1]
+    if margin <= 0:
+        return None
+    return ChshRefutation(witness, margin / (1 << shift))
 
 
 def linprog(*args, **kwargs):
@@ -297,13 +345,21 @@ def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCert
     monotone coupling (`_split`); weights are clipped at 0, renormalised and
     those <= 1e-12 dropped.  A certificate is returned iff its residual,
     re-checked exactly, is within `tol`.
+
+    No LP is built or solved, and scipy is not imported, when `chsh_gate`
+    refutes the box: its exact CHSH value |B| > 2 + 16 tol, while every
+    local box q has |B(q)| <= 2 and |B(p) - B(q)| <= 16 max|p - q|, so no
+    local box lies within `tol`.  The gate runs before the size cap, which
+    bounds the fit rows' nonzeros at `MAX_LP_NONZEROS`.
     """
     if box.n_parties != 2:
         raise ArityError("find_local_model expects a bipartite box")
+    if chsh_gate(box, tol) is not None:
+        return None
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
-    count = n_a**n_x * n_b**n_y
-    if count > MAX_STRATEGIES:
-        raise SizeLimitError(f"{count} deterministic strategies exceed the {MAX_STRATEGIES} cap")
+    nnz = n_a**n_x * n_y * n_b * 2 * n_x
+    if nnz > MAX_LP_NONZEROS:
+        raise SizeLimitError(f"the LP's {nnz} nonzeros exceed the {MAX_LP_NONZEROS} cap")
     a_maps = _alice_maps(n_x, n_a)
     res = linprog(**_local_lp(box, a_maps))
     if res.status != 0:

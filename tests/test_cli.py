@@ -10,7 +10,7 @@ from gptw import quantum as q
 from gptw import serialize as ser
 from gptw.cli import main
 
-from conftest import pr_table, shared_bit_table, singlet_optimal_settings
+from conftest import isotropic_table, pr_table, shared_bit_table, singlet_optimal_settings
 from test_game import full_qubit_theory
 from test_ontic import classical_bit_model
 from gptw.correlations import CorrelationBox
@@ -124,6 +124,22 @@ def test_local_model_feasible_and_not(files, capsys):
 
     code, reports = run(capsys, ["local-model", "--box", files["singlet_box"]])
     assert code == 1
+
+
+def test_local_model_reports_its_method(files, capsys, tmp_path):
+    code, reports = run(capsys, ["local-model", "--box", files["singlet_box"]])
+    (rep,) = reports
+    assert code == 1 and rep["pass"] is False
+    assert rep["method"] == "chsh" and rep["value"] is None and rep["certificate"] is None
+    assert rep["a_settings"] == [0, 1] and rep["b_settings"] == [0, 1]
+    assert abs(rep["margin"] - (2 * np.sqrt(2) - 2 - 16e-7)) < 1e-12
+
+    path = tmp_path / "isotropic_half.json"
+    ser.save_box(CorrelationBox((2, 2), (2, 2), isotropic_table(0.5)), path)
+    code, reports = run(capsys, ["local-model", "--box", path])
+    (rep,) = reports
+    assert code == 0 and rep["method"] == "lp" and rep["value"] <= 1e-7
+    assert "margin" not in rep
 
 
 def test_verify_cj(files, capsys):

@@ -117,6 +117,22 @@ def test_chsh_rejects_setting_out_of_range(b1):
         chsh(box, 0, 1, 0, b1)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda box: box.marginal((1, 1), ()),
+        lambda box: box.marginal((0, 5), ()),
+        lambda box: box.marginal((-1,), (0,)),
+        lambda box: chsh(box, 0, 1, 0, 1, parties=(1, 1)),
+    ],
+    ids=["repeated", "out-of-range", "negative", "chsh-repeated"],
+)
+def test_marginal_rejects_bad_parties(call):
+    box = random_signalling_box((2, 3), np.random.default_rng(20))
+    with pytest.raises(ArityError, match="parties"):
+        call(box)
+
+
 @pytest.mark.parametrize("settings", [(0, 2), (0, -1), (-3, 0)])
 def test_prob_rejects_setting_out_of_range(pr_box, settings):
     with pytest.raises(ArityError, match="out of range"):

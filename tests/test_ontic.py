@@ -1,6 +1,7 @@
 """Ontological-model validity, prediction, and the local-model LP."""
 from __future__ import annotations
 
+import math
 import os
 import subprocess
 import sys
@@ -26,6 +27,8 @@ from gptw.ontic import (
     strategy_table,
 )
 from gptw.theory import outcome_distribution
+
+from conftest import isotropic_table, singlet_optimal_settings
 
 
 def classical_bit_model() -> OnticModel:
@@ -146,6 +149,28 @@ def test_import_leaves_scipy_optimize_unloaded(module):
     assert out.stdout.strip() == "False"
 
 
+def test_chsh_refuted_local_model_leaves_scipy_unloaded():
+    # the CHSH gate settles the singlet sample, so a `gptw local-model` process never imports scipy
+    src = str(Path(gptw.__file__).resolve().parents[1])
+    sample = str(Path(__file__).resolve().parents[1] / "samples" / "singlet_opt_box.json")
+    code = (
+        "import sys; from gptw.cli import main; "
+        f"code = main(['local-model', '--box', {sample!r}]); "
+        "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code],
+        env=dict(os.environ, PYTHONPATH=src),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    report, verdict = out.stdout.strip().splitlines()
+    assert '"method": "chsh"' in report
+    assert verdict == "1 False"
+
+
 def test_find_local_model_looks_up_linprog_at_call_time(monkeypatch, isotropic_half):
     calls = []
 
@@ -178,11 +203,195 @@ def test_certificate_reinterpreted_as_ontic_model(isotropic_half):
 
 
 def test_strategy_cap():
-    # 8 outcomes, 4 settings per side: 8^4 * 8^4 = 2^24 strategies > 2^20
+    # 8 outcomes, 4 settings per side: 8^4 * 4 * 8 columns with 2 * 4 fit-row nonzeros each = 2^20 > 2^19
     table = np.full((4, 4, 8, 8), 1.0 / 64)
     box = CorrelationBox((4, 4), (8, 8), table)
     with pytest.raises(SizeLimitError):
         find_local_model(box)
+
+
+class Solved(Exception):
+    """Raised by a fake `linprog`: the call got past every size check."""
+
+
+def refuse_to_solve(*args, **kwargs):
+    raise Solved
+
+
+@pytest.mark.parametrize("m, admitted", [(10, True), (11, False)])
+def test_cap_counts_lp_nonzeros(monkeypatch, m, admitted):
+    # binary, m settings per side: 2^m * m * 2 columns with 2m nonzeros; 409,600 at m=10, 991,232 at m=11
+    table = np.zeros((m, m, 2, 2))
+    table[..., 0, 0] = 1.0
+    monkeypatch.setattr(ontic, "linprog", refuse_to_solve)
+    with pytest.raises(Solved if admitted else SizeLimitError):
+        find_local_model(CorrelationBox((m, m), (2, 2), table))
+
+
+def count_solves(monkeypatch) -> list:
+    """Record each `ontic.linprog` call; the solve still runs."""
+    calls = []
+    solve = ontic.linprog
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs["method"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ontic, "linprog", recording)
+    return calls
+
+
+# -- the CHSH gate ------------------------------------------------------------------------
+
+
+def test_chsh_gate_runs_before_the_cap(monkeypatch):
+    calls = count_solves(monkeypatch)
+    alice, bob = singlet_optimal_settings()
+    tsirelson = q.bipartite_box(q.singlet(), alice * 6, bob * 6)
+    assert find_local_model(tsirelson) is None
+    assert calls == []
+    local, _, _ = seeded_boxes((12, 12), (2, 2), np.random.default_rng(12))
+    assert local[0] == "local"
+    with pytest.raises(SizeLimitError):
+        find_local_model(local[1])
+
+
+def i3322_box() -> CorrelationBox:
+    """A box that violates I3322 but no CHSH inequality (3 settings, 2 outcomes per party).
+
+    Half is the qubit I3322 optimum: the maximally entangled state, both
+    parties measuring in one plane at angles 0, -pi/3, pi/3, so E(x, y) is
+    the cosine of the angle difference and I3322 = 1/4.  The other half is
+    four deterministic strategies on the I3322 facet, which pull every CHSH
+    value down to at most 7/4 while I3322 stays at 1/8 > 0.
+    """
+    e = np.array([[1.0, 0.5, 0.5], [0.5, 1.0, -0.5], [0.5, -0.5, 1.0]])
+    quantum = (1 + e[:, :, None, None] * np.array([[1, -1], [-1, 1]])) / 4
+    base = CorrelationBox((3, 3), (2, 2), quantum)
+    facet = [((0, 1, 0), (0, 0, 0)), ((1, 0, 0), (0, 0, 1)), ((1, 1, 0), (0, 1, 1)), ((1, 1, 1), (1, 0, 1))]
+    return CorrelationBox((3, 3), (2, 2), quantum / 2 + sum(strategy_table(base, s) for s in facet) / 8)
+
+
+def i3322(table: np.ndarray) -> float:
+    """Collins-Gisin I3322 on outcome 0 (J. Phys. A 37, 1775, 2004): <= 0 on every local box."""
+    p_a, p_b, p_ab = table[:, 0, 0, :].sum(axis=-1), table[0, :, :, 0].sum(axis=-1), table[:, :, 0, 0]
+    joint = np.array([[1, 1, 1], [1, 1, -1], [1, -1, 0]])
+    return float((joint * p_ab).sum() - 2 * p_a[0] - p_a[1] - p_b[0])
+
+
+def test_chsh_local_i3322_violator_keeps_the_lp(monkeypatch):
+    box = i3322_box()
+    _, witness = is_bell_nonlocal(box)
+    assert abs(witness.value) == 1.75 and i3322(box.table) == 0.125
+    for facet in ((0, 1, 0), (0, 0, 0)), ((1, 1, 1), (1, 0, 1)):
+        assert i3322(strategy_table(box, facet)) == 0.0
+    calls = count_solves(monkeypatch)
+    assert ontic.chsh_gate(box, ontic.LP_TOL) is None
+    assert find_local_model(box) is None
+    assert calls == ["highs"]
+
+
+@pytest.mark.parametrize("excess, gated", [(4, False), (32, True)])
+def test_chsh_gate_threshold_on_isotropic_boxes(monkeypatch, excess, gated):
+    # |B| = 2 + excess * tol, and the closest local box is (|B| - 2) / 16 = excess * tol / 16 away
+    # (HiGHS reports that optimum only to its 1e-7 feasibility tolerance, so the residual is checked)
+    tol = ontic.LP_TOL
+    box = CorrelationBox((2, 2), (2, 2), isotropic_table((2 + excess * tol) / 4))
+    distance = (abs(is_bell_nonlocal(box)[1].value) - 2) / 16
+    calls = count_solves(monkeypatch)
+    cert = find_local_model(box, tol)
+    assert (cert is None, len(calls)) == ((True, 0) if gated else (False, 1))
+    if cert is not None:
+        assert distance - 1e-15 <= cert.residual <= tol
+    monkeypatch.setattr(ontic, "chsh_gate", lambda box, tol: None)
+    assert (find_local_model(box, tol) is None) == gated
+
+
+def fraction_chsh_margin(box: CorrelationBox, tol: float) -> Fraction:
+    """|B| - 2 - 16 tol of the box's float-best witness, in rational arithmetic."""
+    _, witness = is_bell_nonlocal(box)
+    (a0, a1), (b0, b1) = witness.a_settings, witness.b_settings
+
+    def e(x, y):
+        return sum((-1) ** (a + b) * Fraction(float(box.table[x, y, a, b])) for a in range(2) for b in range(2))
+
+    value = e(a0, b0) + e(a0, b1) + e(a1, b0) - e(a1, b1)
+    return abs(value) - 2 - 16 * Fraction(tol)
+
+
+def test_chsh_gate_margin_is_exact():
+    rng = np.random.default_rng(61)
+    for settings, tol in product([(2, 2), (3, 2), (4, 4)], [0.0, 1e-7, 1e-3, 0.05]):
+        for _, box in seeded_boxes(settings, (2, 2), rng):
+            refutation = ontic.chsh_gate(box, tol)
+            margin = fraction_chsh_margin(box, tol)
+            assert (refutation is not None) == (margin > 0)
+            if refutation is not None:
+                assert refutation.margin == float(margin)
+                assert refutation.witness == is_bell_nonlocal(box)[1]
+
+
+def test_chsh_gate_leaves_other_boxes_to_the_lp(pr_box, deterministic_box):
+    # a tie, |B| = 2 + 16 tol exactly, is not a refutation
+    assert ontic.chsh_gate(deterministic_box, 0.0) is None
+    assert find_local_model(deterministic_box, 0.0).residual == 0.0
+    assert ontic.chsh_gate(pr_box, math.inf) is None
+    assert ontic.chsh_gate(pr_box, -math.inf) is None
+    one_setting = CorrelationBox((1, 2), (2, 2), np.full((1, 2, 2, 2), 0.25))
+    assert ontic.chsh_gate(one_setting, ontic.LP_TOL) is None
+    assert find_local_model(one_setting) is not None
+    rng = np.random.default_rng(62)
+    for _, box in seeded_boxes((2, 2), (3, 3), rng):
+        assert ontic.chsh_gate(box, ontic.LP_TOL) is None
+
+
+SWEEP_SHAPES = {(2, 2): 12, (3, 3): 8, (4, 4): 6, (6, 6): 3, (2, 3): 6, (3, 2): 6}
+
+
+def sweep_boxes(rng):
+    """(kind, box): `seeded_boxes` (local, signalling, noisy PR) and two noisy Tsirelson boxes.
+
+    The Tsirelson boxes are the singlet under the optimal settings on x, y in
+    {0, 1} and random projective ones elsewhere, so max |B| = 2 sqrt 2 v;
+    one has v in [0.75, 1] (|B| > 2.1), the other |B| within 12 tol of the gate's
+    threshold 2 + 16 tol, on either side.
+    """
+    tol = ontic.LP_TOL
+    alice, bob = singlet_optimal_settings()
+    offsets = iter([-12, -4, 4, 12] * 12)
+    for (n_x, n_y), count in SWEEP_SHAPES.items():
+        for _ in range(count):
+            yield from seeded_boxes((n_x, n_y), (2, 2), rng)
+            singlet = q.bipartite_box(
+                q.singlet(),
+                alice + [q.random_projective_qubit(rng) for _ in range(n_x - 2)],
+                bob + [q.random_projective_qubit(rng) for _ in range(n_y - 2)],
+            )
+            near = (2 + (16 + next(offsets)) * tol) / (2 * np.sqrt(2))
+            for kind, v in (("tsirelson", rng.uniform(0.75, 1.0)), ("threshold", near)):
+                table = v * singlet.table + (1 - v) / 4
+                yield kind, CorrelationBox((n_x, n_y), (2, 2), table)
+
+
+def test_chsh_gate_agrees_with_the_lp_only_path(monkeypatch):
+    seen = set()
+    count = 0
+    for kind, box in sweep_boxes(np.random.default_rng(63)):
+        gated = ontic.chsh_gate(box, ontic.LP_TOL) is not None
+        cert = find_local_model(box)
+        with monkeypatch.context() as lp_only:
+            lp_only.setattr(ontic, "chsh_gate", lambda box, tol: None)
+            reference = find_local_model(box)
+        assert (cert is None) == (reference is None), kind
+        if cert is not None:
+            assert cert == reference
+        if kind in ("local", "signalling", "tsirelson"):
+            assert (cert is None) == (kind != "local"), kind
+        seen.add((kind, gated))
+        count += 1
+    assert count >= 200
+    # near the threshold the gate both fires and leaves the box to the LP
+    assert {("threshold", True), ("threshold", False), ("tsirelson", True), ("local", False)} <= seen
 
 
 # -- the one-column-per-strategy LP as the reference ---------------------------------
@@ -254,22 +463,15 @@ LP_SHAPES = [((2, 2), (2, 2)), ((2, 3), (2, 2)), ((3, 2), (2, 3)), ((3, 3), (3, 
 
 
 @pytest.mark.parametrize("settings, outcomes", LP_SHAPES)
-def test_lp_matches_reference_lp(monkeypatch, settings, outcomes):
-    optima = []
-
-    def recording(*args, **kwargs):
-        res = solve(*args, **kwargs)
-        optima.append(res.fun)
-        return res
-
-    solve = ontic.linprog
-    monkeypatch.setattr(ontic, "linprog", recording)
+def test_lp_matches_reference_lp(settings, outcomes):
     rng = np.random.default_rng(sum(settings) * 10 + sum(outcomes))
+    a_maps = ontic._alice_maps(settings[0], outcomes[0])
     for _ in range(2):
         for kind, box in seeded_boxes(settings, outcomes, rng):
             cert = find_local_model(box)
             want, reference = reference_local_model(box)
-            assert abs(optima[-1] - want) <= 1e-9, kind
+            # the one-party LP itself, solved even where the CHSH gate skips it
+            assert abs(ontic.linprog(**ontic._local_lp(box, a_maps)).fun - want) <= 1e-9, kind
             assert (cert is None) == (reference is None), kind
             if kind != "noisy":
                 assert (cert is None) == (kind == "signalling"), kind
