@@ -166,15 +166,15 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     induced = Povm(effects)
     first_meas = transpose_povm(induced)
 
-    psi = purification(transpose_state(rho_bar))  # on dims (d, d)
-    dressed = np.outer(psi, psi.conj())
+    psi = purification(transpose_state(rho_bar)).reshape(d, d)  # on dims (d, d)
     chan = temporal.channel
     if chan.dim_in != d:
         raise DimensionMismatchError(
             f"channel input dim {chan.dim_in} != ensemble system dim {d}"
         )
-    lifted = [np.kron(np.eye(d), k) for k in chan.kraus]
-    joint_mat = sum(k @ dressed @ k.conj().T for k in lifted)
+    # (I x K_k) psi is psi K_k^T read row-major as a (first, output) vector
+    vecs = (psi @ chan.kraus_stack.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
+    joint_mat = vecs.T @ vecs.conj()
     joint_state = DensityMatrix(joint_mat, dims=(d,) + chan.output_dims)
 
     spatial = spatial_scenario(joint_state, (first_meas,) + temporal.povms)

@@ -11,9 +11,14 @@ constructed and examined.
 is factorizable p(ab|xy) = sum_l w_l xi(a|x,l) xi(b|y,l).  The LP enumerates
 Alice's deterministic strategies only, with Bob's response to each one a
 free conditional distribution (Fine's theorem: the same local polytope as
-the mixtures of deterministic strategy pairs), and the returned certificate
-over strategy pairs is re-checked in exact arithmetic to guard against
-solver false positives.
+the mixtures of deterministic strategy pairs).  Each of Alice's strategies
+gets one mass column, and Bob's last outcome is that mass minus his other
+outcomes, so the LP needs no rows linking the masses of Bob's settings: at
+six two-outcome settings per side it has 449 columns and one equality row.
+The returned certificate over strategy pairs is re-checked in exact
+arithmetic to guard against solver false positives; a solution that HiGHS
+places within `tol` but that fails the re-check is solved once more at
+tighter feasibility tolerances before the answer is None.
 
 Before any LP is built, two-outcome boxes pass a CHSH gate (`chsh_gate`):
 the best CHSH witness is re-evaluated exactly, and if |B| > 2 + 16 tol the
@@ -39,7 +44,10 @@ from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, Val
 from .theory import EPS_NORM
 
 LP_TOL = 1e-7
-MAX_LP_NONZEROS = 2**19  # of the fit rows: n_a**n_x * n_y * n_b columns with 2 n_x each
+# Caps 2 n_x * n_a**n_x * n_y * n_b: each of Bob's conditional weights q[alpha, y, b] enters 2 n_x fit
+# rows.  `_local_lp` stores the last outcome's weight as w[alpha] - sum of the others, so its fit rows
+# hold (2 n_b - 1) / n_b times that many nonzeros.  m = 10 binary settings (409,600) is admitted.
+MAX_LP_NONZEROS = 2**19
 
 Strategy = tuple[tuple[int, ...], tuple[int, ...]]  # (a(x) per x, b(y) per y)
 
@@ -267,51 +275,63 @@ def linprog(*args, **kwargs):
 def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> dict:
     """`linprog` arguments of the sup-norm fit over Alice's strategies alpha.
 
-    Variables z[alpha, y, b] (flat, alpha-major) and t.  The fit rows
-    |sum_{alpha(x)=a} z[alpha, y, b] - p(ab|xy)| <= t follow the flat table,
-    upper block then lower block.  The link rows sum_b z[alpha, y, b] =
-    sum_b z[alpha, 0, b] (y >= 1, alpha-major) give each alpha one mass, and
-    the last equality row sums the masses to 1.
+    Variables z[alpha, y, b] for b < n_b - 1 (flat, alpha-major), the masses
+    w[alpha], and t.  Bob's conditional under alpha is q[alpha, y, b] =
+    z[alpha, y, b] with the last outcome's weight q[alpha, y, n_b - 1] =
+    w[alpha] - sum_b z[alpha, y, b], so every y row of alpha carries the mass
+    w[alpha] by construction.  The fit rows |sum_{alpha(x)=a} q[alpha, y, b]
+    - p(ab|xy)| <= t follow the flat table, upper block then lower block; the
+    rows sum_b z[alpha, y, b] <= w[alpha] (alpha-major, then y) keep the last
+    weight nonnegative, and the one equality row sums the masses to 1.
+    HiGHS runs without presolve: on this LP it costs more than it removes.
     """
     from scipy.sparse import csc_array
 
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     n_alpha = len(a_maps)
-    n_z = n_alpha * n_y * n_b
+    n_z = n_alpha * n_y * (n_b - 1)
     target = box.table.reshape(-1)
     n_fit = target.size
 
-    # column z[alpha, y, b]: +1 in fit row (x, y, alpha(x), b) of the upper block and
-    # -1 in the lower block, for each x; column t: -1 in every row
+    # rows[alpha, y, b, x]: the upper fit row of (x, y, alpha(x), b)
     rows = (
         (np.arange(n_x) * n_y + np.arange(n_y)[:, None, None]) * n_a + a_maps[:, None, None, :]
     ) * n_b + np.arange(n_b)[:, None]
-    rows = rows.reshape(n_z, n_x)
-    nnz_z = 2 * n_x * n_z
-    indices = np.concatenate([np.concatenate([rows, rows + n_fit], axis=1).ravel(), np.arange(2 * n_fit)])
-    data = np.full(nnz_z + 2 * n_fit, -1.0)
-    data[:nnz_z].reshape(n_z, 2, n_x)[:, 0] = 1.0
-    indptr = np.append(np.arange(0, nnz_z + 1, 2 * n_x), nnz_z + 2 * n_fit)
-    a_ub = csc_array((data, indices, indptr), shape=(2 * n_fit, n_z + 1))
+    last = rows[:, :, -1]
+    bound = 2 * n_fit + np.arange(n_alpha * n_y).reshape(n_alpha, n_y)
+    # column z[alpha, y, b]: per x, +1 in the fit row of b and -1 in that of the last outcome
+    # (upper block; the lower block negated), and +1 in the bound row of (alpha, y)
+    fit = np.stack([rows[:, :, :-1], np.broadcast_to(last[:, :, None], rows[:, :, :-1].shape)], axis=4)
+    fit = fit.reshape(n_z, 2 * n_x)
+    z_rows = np.concatenate([fit, fit + n_fit, np.repeat(bound.reshape(-1, 1), n_b - 1, axis=0)], axis=1)
+    z_data = np.tile(np.concatenate([np.tile([1.0, -1.0], n_x), np.tile([-1.0, 1.0], n_x), [1.0]]), n_z)
+    # column w[alpha]: +1 in the last outcome's fit row of every (x, y), upper block (the lower
+    # block negated), and -1 in alpha's bound rows; column t: -1 in every fit row
+    w_fit = last.transpose(0, 2, 1).reshape(n_alpha, n_x * n_y)
+    w_rows = np.concatenate([w_fit, w_fit + n_fit, bound], axis=1)
+    w_data = np.tile(np.repeat([1.0, -1.0, -1.0], [n_x * n_y, n_x * n_y, n_y]), n_alpha)
+    indices = np.concatenate([z_rows.ravel(), w_rows.ravel(), np.arange(2 * n_fit)])
+    data = np.concatenate([z_data, w_data, np.full(2 * n_fit, -1.0)])
+    counts = np.repeat([4 * n_x + 1, 2 * n_x * n_y + n_y, 2 * n_fit], [n_z, n_alpha, 1])
+    indptr = np.concatenate([[0], np.cumsum(counts)])
+    n_cols = n_z + n_alpha + 1
+    a_ub = csc_array((data, indices, indptr), shape=(2 * n_fit + n_alpha * n_y, n_cols))
 
-    # per alpha: column (0, b) is -1 in alpha's link rows and +1 in the mass row,
-    # column (y >= 1, b) is +1 in link row (alpha, y); column t is empty
-    link = np.arange(n_alpha * (n_y - 1)).reshape(n_alpha, n_y - 1)
-    mass_row = link.size
-    first = np.concatenate([link, np.full((n_alpha, 1), mass_row)], axis=1)
-    indices = np.concatenate([np.tile(first, n_b), link.repeat(n_b, axis=1)], axis=1).ravel()
-    per_alpha = np.ones((2 * n_y - 1) * n_b)
-    per_alpha[: n_y * n_b].reshape(n_b, n_y)[:, :-1] = -1.0
-    counts = np.where(np.arange(n_y * n_b) < n_b, n_y, 1)
-    indptr = np.concatenate([[0], np.cumsum(np.tile(counts, n_alpha)), [indices.size]])
-    a_eq = csc_array((np.tile(per_alpha, n_alpha), indices, indptr), shape=(mass_row + 1, n_z + 1))
-    b_eq = np.zeros(mass_row + 1)
-    b_eq[-1] = 1.0
-
-    c = np.zeros(n_z + 1)
+    a_eq = np.zeros((1, n_cols))
+    a_eq[0, n_z:-1] = 1.0
+    c = np.zeros(n_cols)
     c[-1] = 1.0
-    return dict(c=c, A_ub=a_ub, b_ub=np.concatenate([target, -target]), A_eq=a_eq, b_eq=b_eq,
-                bounds=(0, None), method="highs")
+    b_ub = np.concatenate([target, -target, np.zeros(n_alpha * n_y)])
+    return dict(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs",
+                options={"presolve": False})
+
+
+def _conditionals(x: np.ndarray, n_alpha: int, n_y: int, n_b: int) -> np.ndarray:
+    """Bob's conditionals q[alpha, y, :] from a `_local_lp` solution, clipped at 0."""
+    z = x[: n_alpha * n_y * (n_b - 1)].reshape(n_alpha, n_y, n_b - 1)
+    w = x[n_alpha * n_y * (n_b - 1) : -1]
+    q = np.concatenate([z, w[:, None, None] - z.sum(axis=2, keepdims=True)], axis=2)
+    return np.clip(q, 0.0, None)
 
 
 def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -324,7 +344,7 @@ def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """
     n_alpha, n_y, n_b = z.shape
     mass = z.sum(axis=2, keepdims=True)
-    w = mass[:, :1]  # alpha's mass, from the y = 0 row as in the mass constraint
+    w = mass[:, :1]  # alpha's mass, from the y = 0 row
     cuts = np.minimum(np.cumsum(z[:, :, :-1], axis=2) * (w / np.where(mass > 0, mass, 1.0)), w)
     ends = np.concatenate([np.sort(cuts.reshape(n_alpha, -1), axis=1), w[:, 0]], axis=1)
     starts = np.concatenate([np.zeros((n_alpha, 1)), ends[:, :-1]], axis=1)
@@ -332,40 +352,23 @@ def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return ends - starts, b_maps
 
 
-def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCertificate | None:
-    """Closest local box in sup-norm, by an LP over Alice's deterministic strategies.
+# HiGHS's default feasibility tolerances (1e-7) equal LP_TOL; a second solve tightens them
+TIGHT_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
-    A local model needs the hidden variable to fix Alice's outputs only:
-    under each strategy alpha, Bob answers with any conditional distribution
-    z[alpha, y, :] (Fine's theorem).  The LP minimises t subject to
-    |sum_{alpha(x)=a} z[alpha, y, b] - p(ab|xy)| <= t, z >= 0, every y row
-    of alpha carrying the same mass and the masses summing to 1; its
-    optimum equals that over mixtures of deterministic strategy pairs.
-    Each alpha's conditionals are split into deterministic b maps by a
-    monotone coupling (`_split`); weights are clipped at 0, renormalised and
-    those <= 1e-12 dropped.  A certificate is returned iff its residual,
-    re-checked exactly, is within `tol`.
 
-    No LP is built or solved, and scipy is not imported, when `chsh_gate`
-    refutes the box: its exact CHSH value |B| > 2 + 16 tol, while every
-    local box q has |B(q)| <= 2 and |B(p) - B(q)| <= 16 max|p - q|, so no
-    local box lies within `tol`.  The gate runs before the size cap, which
-    bounds the fit rows' nonzeros at `MAX_LP_NONZEROS`.
-    """
-    if box.n_parties != 2:
-        raise ArityError("find_local_model expects a bipartite box")
-    if chsh_gate(box, tol) is not None:
-        return None
-    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
-    nnz = n_a**n_x * n_y * n_b * 2 * n_x
-    if nnz > MAX_LP_NONZEROS:
-        raise SizeLimitError(f"the LP's {nnz} nonzeros exceed the {MAX_LP_NONZEROS} cap")
-    a_maps = _alice_maps(n_x, n_a)
-    res = linprog(**_local_lp(box, a_maps))
+def _solve(lp: dict):
+    res = linprog(**lp)
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
-    z = np.clip(res.x[:-1], 0.0, None).reshape(len(a_maps), n_y, n_b)
-    lengths, b_maps = _split(z)
+    return res
+
+
+def _certificate(
+    box: CorrelationBox, a_maps: np.ndarray, x: np.ndarray, tol: float
+) -> LocalModelCertificate | None:
+    """The split of an LP solution into strategy pairs, iff its exact residual is within tol."""
+    (_, n_y), (_, n_b) = box.settings, box.outcomes
+    lengths, b_maps = _split(_conditionals(x, len(a_maps), n_y, n_b))
     raw = lengths.ravel() / lengths.sum()
     keep = np.flatnonzero(raw > 1e-12)
     pieces = zip(
@@ -376,6 +379,48 @@ def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCert
     if residual > tol:
         return None
     return LocalModelCertificate(weights, residual)
+
+
+def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCertificate | None:
+    """Closest local box in sup-norm, by an LP over Alice's deterministic strategies.
+
+    A local model needs the hidden variable to fix Alice's outputs only:
+    under each strategy alpha, Bob answers with any conditional distribution
+    q[alpha, y, :] of mass w[alpha] (Fine's theorem).  The LP minimises t
+    subject to |sum_{alpha(x)=a} q[alpha, y, b] - p(ab|xy)| <= t, q >= 0 and
+    the masses summing to 1; Bob's last outcome is not a variable but the
+    mass minus the others (`_local_lp`).  Its optimum equals that over
+    mixtures of deterministic strategy pairs.  Each alpha's conditionals are
+    split into deterministic b maps by a monotone coupling (`_split`);
+    weights are clipped at 0, renormalised and those <= 1e-12 dropped.  A
+    certificate is returned iff its residual, re-checked exactly, is within
+    `tol`.  When HiGHS reports t <= tol but the re-check refuses the split,
+    the solution may miss the fit rows by HiGHS's feasibility tolerance, so
+    the LP is solved once more with `TIGHT_TOLERANCES` before answering
+    None; a reported t > tol is answered None at once.
+
+    No LP is built or solved, and scipy is not imported, when `chsh_gate`
+    refutes the box: its exact CHSH value |B| > 2 + 16 tol, while every
+    local box q has |B(q)| <= 2 and |B(p) - B(q)| <= 16 max|p - q|, so no
+    local box lies within `tol`.  The gate runs before the size cap, which
+    bounds the LP's size measure at `MAX_LP_NONZEROS`.
+    """
+    if box.n_parties != 2:
+        raise ArityError("find_local_model expects a bipartite box")
+    if chsh_gate(box, tol) is not None:
+        return None
+    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
+    nnz = n_a**n_x * n_y * n_b * 2 * n_x
+    if nnz > MAX_LP_NONZEROS:
+        raise SizeLimitError(f"the LP's {nnz} conditional fit-row entries exceed the {MAX_LP_NONZEROS} cap")
+    a_maps = _alice_maps(n_x, n_a)
+    lp = _local_lp(box, a_maps)
+    res = _solve(lp)
+    cert = _certificate(box, a_maps, res.x, tol)
+    if cert is None and res.fun <= tol:
+        res = _solve({**lp, "options": {**lp["options"], **TIGHT_TOLERANCES}})
+        cert = _certificate(box, a_maps, res.x, tol)
+    return cert
 
 
 def certificate_to_ontic_model(box: CorrelationBox, cert: LocalModelCertificate) -> OnticModel:

@@ -108,22 +108,21 @@ class Channel:
     """
 
     def __init__(self, kraus: Sequence[np.ndarray], output_dims: Sequence[int] | None = None) -> None:
-        ops = [np.array(k, dtype=complex) for k in kraus]
+        ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
             raise ValidationError("channel needs at least one Kraus operator")
         if ops[0].ndim != 2:
             raise ValidationError("Kraus operators must be matrices")
         d_out, d_in = ops[0].shape
-        acc = np.zeros((d_in, d_in), dtype=complex)
-        for k in ops:
-            if k.shape != (d_out, d_in):
-                raise DimensionMismatchError("Kraus operators have mixed shapes")
-            acc += k.conj().T @ k
-        if not np.max(np.abs(acc - np.eye(d_in))) <= ATOL:
+        if any(k.shape != (d_out, d_in) for k in ops):
+            raise DimensionMismatchError("Kraus operators have mixed shapes")
+        stack = np.stack(ops)  # the one copy: kraus_stack[k] is the k-th operator
+        flat = stack.reshape(-1, d_in)
+        if not np.max(np.abs(flat.conj().T @ flat - np.eye(d_in))) <= ATOL:
             raise ValidationError("Kraus operators are not finite and trace preserving")
-        for k in ops:
-            k.flags.writeable = False
-        self.kraus = tuple(ops)
+        stack.flags.writeable = False
+        self.kraus_stack = stack
+        self.kraus = tuple(stack)  # read-only views into the stack
         self.dim_in = d_in
         self.dim_out = d_out
         self.output_dims = tuple(int(x) for x in output_dims) if output_dims is not None else (d_out,)
@@ -147,10 +146,8 @@ class Channel:
             raise DimensionMismatchError(
                 f"channel expects a {self.dim_in}x{self.dim_in} input, got {rho.shape}"
             )
-        out = np.zeros((self.dim_out, self.dim_out), dtype=complex)
-        for k in self.kraus:
-            out += k @ rho @ k.conj().T
-        return out
+        stack = self.kraus_stack
+        return (stack @ rho @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
 
 
 @dataclass(frozen=True)
@@ -339,11 +336,9 @@ def choi_of_channel(chan: Channel) -> ChoiState:
     state is (1/d) sum_{i,i'} |ii><i'i'| in the computational basis.
     """
     d = chan.dim_in
-    omega = np.zeros(d * d, dtype=complex)
-    omega[:: d + 1] = 1.0 / np.sqrt(d)
-    dressed = np.outer(omega, omega.conj())
-    lifted = [np.kron(k, np.eye(d)) for k in chan.kraus]
-    mat = sum(k @ dressed @ k.conj().T for k in lifted)
+    # (K_k x I) applied to the entangled vector is K_k / sqrt(d) read row-major as an (output, input) vector
+    vecs = chan.kraus_stack.reshape(len(chan.kraus), -1) / np.sqrt(d)
+    mat = vecs.T @ vecs.conj()
     return ChoiState(
         DensityMatrix(mat, dims=(chan.dim_out, d)), input_dim=d, output_dim=chan.dim_out
     )

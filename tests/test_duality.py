@@ -175,6 +175,11 @@ def test_round_trip_three_party():
         back = temporal_to_spatial(temporal, tol=1e-8)
         diff = np.max(np.abs(back.distribution.probabilities - spatial.distribution.probabilities))
         assert diff < 2e-8
+        # the joint state against (I x K) |psi><psi| (I x K)^dagger with kron-lifted Kraus operators
+        rho_bar = sum(w * s.matrix for w, s in zip(temporal.ensemble.weights, temporal.ensemble.branches))
+        psi = q.purification(q.transpose_state(q.DensityMatrix(rho_bar)))
+        lifted = [np.kron(np.eye(2), k) @ psi for k in temporal.channel.kraus]
+        assert np.max(np.abs(back.state.matrix - sum(np.outer(v, v.conj()) for v in lifted))) < 1e-14
 
 
 def test_chsh_equality_through_duality():

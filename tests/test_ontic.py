@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from fractions import Fraction
 from itertools import product
 from pathlib import Path
@@ -203,7 +204,7 @@ def test_certificate_reinterpreted_as_ontic_model(isotropic_half):
 
 
 def test_strategy_cap():
-    # 8 outcomes, 4 settings per side: 8^4 * 4 * 8 columns with 2 * 4 fit-row nonzeros each = 2^20 > 2^19
+    # 8 outcomes, 4 settings per side: 8^4 * 4 * 8 conditional weights in 2 * 4 fit rows each = 2^20 > 2^19
     table = np.full((4, 4, 8, 8), 1.0 / 64)
     box = CorrelationBox((4, 4), (8, 8), table)
     with pytest.raises(SizeLimitError):
@@ -220,7 +221,7 @@ def refuse_to_solve(*args, **kwargs):
 
 @pytest.mark.parametrize("m, admitted", [(10, True), (11, False)])
 def test_cap_counts_lp_nonzeros(monkeypatch, m, admitted):
-    # binary, m settings per side: 2^m * m * 2 columns with 2m nonzeros; 409,600 at m=10, 991,232 at m=11
+    # binary, m settings per side: 2^m * m * 2 conditional weights in 2m fit rows; 409,600 at m=10, 991,232 at m=11
     table = np.zeros((m, m, 2, 2))
     table[..., 0, 0] = 1.0
     monkeypatch.setattr(ontic, "linprog", refuse_to_solve)
@@ -392,6 +393,72 @@ def test_chsh_gate_agrees_with_the_lp_only_path(monkeypatch):
     assert count >= 200
     # near the threshold the gate both fires and leaves the box to the LP
     assert {("threshold", True), ("threshold", False), ("tsirelson", True), ("local", False)} <= seen
+
+
+@pytest.mark.parametrize("settings, outcomes", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((6, 6), (2, 2))])
+def test_local_lp_has_one_mass_column_per_alice_strategy(settings, outcomes):
+    # columns z[alpha, y, b < n_b - 1], w[alpha], t; one equality row; rows: two fit blocks, then z <= w
+    (n_x, n_y), (n_a, n_b) = settings, outcomes
+    rng = np.random.default_rng(n_x * 10 + n_a)
+    box = next(seeded_boxes(settings, outcomes, rng))[1]
+    lp = ontic._local_lp(box, ontic._alice_maps(n_x, n_a))
+    n_alpha, n_fit = n_a**n_x, box.table.size
+    n_cols = n_alpha * (1 + n_y * (n_b - 1)) + 1
+    assert n_cols == 449 or settings != (6, 6)
+    assert lp["c"].shape == (n_cols,) and lp["A_eq"].shape == (1, n_cols)
+    assert lp["A_ub"].shape == (2 * n_fit + n_alpha * n_y, n_cols)
+    assert lp["options"] == {"presolve": False}
+    # a random point: masses w and Bob's conditionals q[alpha, y, :] of mass w[alpha]
+    w = rng.dirichlet(np.ones(n_alpha))
+    q = w[:, None, None] * rng.dirichlet(np.ones(n_b), size=(n_alpha, n_y))
+    model = np.zeros(box.table.shape)
+    for alpha, a_map in enumerate(ontic._alice_maps(n_x, n_a)):
+        for x, y in np.ndindex(n_x, n_y):
+            model[x, y, a_map[x]] += q[alpha, y]
+    x = np.concatenate([q[:, :, :-1].ravel(), w, [0.25]])
+    rows = lp["A_ub"] @ x
+    assert np.allclose(rows[:n_fit], model.ravel() - 0.25) and np.allclose(rows[n_fit:2 * n_fit], -model.ravel() - 0.25)
+    assert np.allclose(rows[2 * n_fit:], -q[:, :, -1].ravel())  # sum_b z - w = -(last weight)
+    assert np.allclose(lp["b_ub"], np.concatenate([box.table.ravel(), -box.table.ravel(), np.zeros(n_alpha * n_y)]))
+    assert np.allclose(lp["A_eq"] @ x, 1.0)
+
+
+def test_highs_options_are_recognised():
+    # scipy ignores an option name it does not know, with only an OptimizeWarning
+    from scipy.optimize import OptimizeWarning
+
+    box = CorrelationBox((2, 2), (2, 2), isotropic_table(0.5))
+    lp = ontic._local_lp(box, ontic._alice_maps(2, 2))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimizeWarning)
+        for options in (lp["options"], {**lp["options"], **ontic.TIGHT_TOLERANCES}):
+            assert ontic.linprog(**{**lp, "options": options}).status == 0
+
+
+def test_boxes_within_tol_get_a_certificate(monkeypatch):
+    # at t* near tol, HiGHS's 1e-7 feasibility tolerance can leave a split that misses tol: solved again
+    from scipy.optimize import OptimizeWarning
+
+    tol = ontic.LP_TOL
+    options = []
+    solve = ontic.linprog
+
+    def recording(*args, **kwargs):
+        options.append(kwargs["options"])
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(ontic, "linprog", recording)
+    near = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", OptimizeWarning)
+        for kind, box in sweep_boxes(np.random.default_rng(63)):
+            if kind in ("signalling", "tsirelson"):
+                continue  # each is far from the local polytope
+            if reference_local_model(box)[0] < 0.9 * tol:
+                near += 1
+                assert find_local_model(box, tol) is not None, kind
+    assert near == 71
+    assert any("primal_feasibility_tolerance" in o for o in options)
 
 
 # -- the one-column-per-strategy LP as the reference ---------------------------------

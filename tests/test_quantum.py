@@ -98,6 +98,25 @@ def test_born_table_dimension_mismatch():
         q.born_table({"a": q.DensityMatrix.maximally_mixed(3)}, {"Z": q.z_basis()})
 
 
+def test_channel_keeps_one_read_only_kraus_stack():
+    rng = np.random.default_rng(19)
+    chan = q.random_channel(3, 2, 4, rng)
+    assert chan.kraus_stack.shape == (4, 2, 3) and not chan.kraus_stack.flags.writeable
+    for k, op in enumerate(chan.kraus):
+        assert np.shares_memory(op, chan.kraus_stack) and np.array_equal(op, chan.kraus_stack[k])
+        with pytest.raises(ValueError):
+            op[0, 0] = 0.0
+    for _ in range(5):
+        rho = q.ginibre_state(3, rng).matrix
+        loop = sum(k @ rho @ k.conj().T for k in chan.kraus)
+        assert np.max(np.abs(chan.apply(rho) - loop)) < 1e-14
+
+
+def test_channel_rejects_mixed_kraus_shapes():
+    with pytest.raises(DimensionMismatchError):
+        q.Channel([np.eye(2), np.eye(3)])
+
+
 # -- choi_of_channel ---------------------------------------------------------------
 
 
@@ -128,9 +147,12 @@ def test_choi_x_unitary():
 
 def test_choi_partial_trace_property():
     rng = np.random.default_rng(17)
+    omega = np.eye(3).reshape(-1) / np.sqrt(3)
     for _ in range(10):
         chan = q.random_channel(3, 2, 4, rng)
         choi = q.choi_of_channel(chan)
+        lifted = [np.kron(k, np.eye(3)) @ omega for k in chan.kraus]  # (K x I)|omega>, the reference
+        assert np.max(np.abs(choi.state.matrix - sum(np.outer(v, v.conj()) for v in lifted))) < 1e-14
         reduced = q.partial_trace(choi.state.matrix, (2, 3), keep=(1,))
         assert np.max(np.abs(reduced - np.eye(3) / 3)) < 1e-9
 
