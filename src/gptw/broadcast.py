@@ -18,7 +18,7 @@ conditionally independent given the branch; no physical channel is claimed
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
 import numpy as np
 
@@ -31,7 +31,9 @@ from .correlations import (
     is_bell_nonlocal,
 )
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
-from .quantum import Channel, DensityMatrix, partial_trace, trace_distance
+
+if TYPE_CHECKING:  # only broadcast_commuting needs quantum; it imports it when called
+    from .quantum import Channel, DensityMatrix
 
 COMMUTE_TOL = 1e-9
 
@@ -124,6 +126,8 @@ def broadcast_commuting(
     outputs; each output marginal then reproduces any input diagonal in that
     basis.  Non-commuting input is rejected.
     """
+    from .quantum import Channel, partial_trace, trace_distance
+
     if not states:
         raise PreconditionError("empty state family")
     if not pairwise_commuting(states, tol):

@@ -15,9 +15,7 @@ from typing import Callable
 
 import numpy as np
 
-from . import broadcast as bc
-from . import correlations as corr
-from . import duality, game, ontic, serialize, theory as theory_mod
+from . import serialize
 from .errors import GptwError
 from .reports import Report, file_digest
 
@@ -59,11 +57,13 @@ def _seed(value: int | None) -> int:
 
 
 # ---------------------------------------------------------------------------
-# Handlers (each returns a list of Reports)
+# Handlers (each returns a list of Reports and imports the modules it uses
+# itself, so a process loads only what its subcommand needs)
 # ---------------------------------------------------------------------------
 
 
 def cmd_chsh(args) -> list[Report]:
+    from . import correlations as corr
     tol = _resolve_tol(args.tol, "chsh")
     box = serialize.load_box(args.box)
     inputs = {"box": file_digest(args.box)}
@@ -93,6 +93,7 @@ def cmd_chsh(args) -> list[Report]:
 
 
 def cmd_nosignal(args) -> list[Report]:
+    from . import correlations as corr
     tol = _resolve_tol(args.tol, "nosignal")
     box = serialize.load_box(args.box)
     report = corr.check_no_signalling(box, tol)
@@ -119,6 +120,7 @@ def cmd_nosignal(args) -> list[Report]:
 
 
 def cmd_monogamy(args) -> list[Report]:
+    from . import correlations as corr
     tol = _resolve_tol(args.tol, "monogamy")
     box = serialize.load_box(args.box)
     checker = corr.check_ns_monogamy if args.kind == "ns" else corr.check_strong_monogamy
@@ -141,6 +143,7 @@ def cmd_monogamy(args) -> list[Report]:
 
 
 def cmd_local_model(args) -> list[Report]:
+    from . import ontic
     tol = _resolve_tol(args.tol, "local-model")
     box = serialize.load_box(args.box)
     refutation = ontic.chsh_gate(box, tol)  # a refuted box needs no LP, so scipy is never imported
@@ -165,6 +168,8 @@ def cmd_local_model(args) -> list[Report]:
 
 
 def cmd_verify_cj(args) -> list[Report]:
+    from . import duality
+    from .quantum import leifer_ensemble
     tol = _resolve_tol(args.tol, "verify-cj")
     state = serialize.load_state(args.state)
     povms = [serialize.load_povm(p) for p in args.povm]
@@ -177,8 +182,6 @@ def cmd_verify_cj(args) -> list[Report]:
     if args.channel:
         # converse direction: the inputs describe a temporal scenario whose
         # ensemble is the first POVM's decomposition of the state
-        from .quantum import leifer_ensemble
-
         chan = serialize.load_channel(args.channel)
         inputs["channel"] = file_digest(args.channel)
         if len(povms) - 1 != len(chan.output_dims):
@@ -215,6 +218,7 @@ def cmd_verify_cj(args) -> list[Report]:
 
 
 def cmd_broadcast(args) -> list[Report]:
+    from . import broadcast as bc
     tol = _resolve_tol(args.tol, "broadcast")
     states = [serialize.load_state(p) for p in args.state]
     inputs = {f"state{k}": file_digest(p) for k, p in enumerate(args.state)}
@@ -248,6 +252,7 @@ def cmd_broadcast(args) -> list[Report]:
 
 
 def cmd_theorem1(args) -> list[Report]:
+    from . import broadcast as bc, correlations as corr
     tol = _resolve_tol(args.tol, "theorem1")
     box = serialize.load_box(args.box)
     result = bc.theorem1_construct(box, tol)
@@ -269,6 +274,7 @@ def cmd_theorem1(args) -> list[Report]:
 
 
 def cmd_game(args) -> list[Report]:
+    from . import correlations as corr, game
     tol = _resolve_tol(args.tol, "game")
     seed = _seed(args.seed)
     if args.box:
@@ -304,6 +310,7 @@ def cmd_game(args) -> list[Report]:
 
 
 def cmd_uncertainty(args) -> list[Report]:
+    from . import game
     tol = _resolve_tol(args.tol, "uncertainty")
     theory = serialize.load_theory(args.theory)
     rep = game.check_finegrained(theory, args.m1, args.m2, tol)
@@ -325,6 +332,7 @@ def cmd_uncertainty(args) -> list[Report]:
 
 
 def cmd_validate_model(args) -> list[Report]:
+    from . import ontic
     tol = _resolve_tol(args.tol, "validate-model")
     model = serialize.load_model(args.model)
     violations = ontic.validate_model(model, tol)
@@ -347,6 +355,7 @@ def cmd_validate_model(args) -> list[Report]:
 
 
 def cmd_dim(args) -> list[Report]:
+    from . import theory as theory_mod
     tol = _resolve_tol(args.tol, "dim")
     theory = serialize.load_theory(args.theory)
     dim = theory_mod.affine_dimension(theory)

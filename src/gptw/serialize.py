@@ -24,16 +24,19 @@ Complex matrices M are arrays of rows, each row an array of [re, im] pairs
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
-from typing import Any
+from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .correlations import CorrelationBox
 from .errors import ValidationError
-from .ontic import OnticModel
-from .quantum import Channel, DensityMatrix, Povm
-from .theory import Measurement, OperationalTheory
+
+if TYPE_CHECKING:  # each loader imports the one module it builds from
+    from .correlations import CorrelationBox
+    from .ontic import OnticModel
+    from .quantum import Channel, DensityMatrix, Povm
+    from .theory import OperationalTheory
 
 
 class ParseError(ValidationError):
@@ -124,6 +127,8 @@ def theory_to_json(theory: OperationalTheory) -> dict:
 
 
 def theory_from_json(data: Any, context: str = "theory") -> OperationalTheory:
+    from .theory import Measurement, OperationalTheory
+
     meas = [
         Measurement(str(_require(m, "id", context)), _int(_require(m, "arity", context), f"{context}: arity"))
         for m in _require(data, "measurements", context, list)
@@ -170,24 +175,31 @@ def box_to_json(box: CorrelationBox) -> dict:
 
 
 def box_from_json(data: Any, context: str = "box") -> CorrelationBox:
+    from .correlations import CorrelationBox
+
     parties = _int(_require(data, "parties", context), f"{context}: parties")
     settings = _int_list(_require(data, "settings", context), f"{context}: settings")
     outcomes = _int_list(_require(data, "outcomes", context), f"{context}: outcomes")
     if len(settings) != parties or len(outcomes) != parties:
         raise ParseError(f"{context}: settings/outcomes must list {parties} entries")
+    if parties > 16:  # two table axes per party, and numpy 1.x allows 32 axes
+        raise ParseError(f"{context}: at most 16 parties are supported, got {parties}")
     if min(settings + outcomes, default=0) < 1:
         raise ParseError(f"{context}: every party needs at least one setting and one outcome")
-    table = np.zeros(tuple(settings) + tuple(outcomes))
     raw = _require(data, "table", context, dict)
+    n_rows, n_probs = math.prod(settings), math.prod(outcomes)
+    if len(raw) != n_rows:  # before any allocation: the file's size bounds len(raw), not n_rows
+        raise ParseError(f"{context}: table has {len(raw)} setting rows, expected {n_rows}")
+    rows = []
     for xs in np.ndindex(*settings):
         key = ",".join(str(x) for x in xs)
         if key not in raw:
             raise ParseError(f"{context}: missing setting row {key!r}")
         row = _float_array(raw[key], context)
-        if row.size != int(np.prod(outcomes)):
-            raise ParseError(f"{context}: row {key!r} has {row.size} probs, expected {np.prod(outcomes)}")
-        table[xs] = row.reshape(tuple(outcomes))
-    return CorrelationBox(settings, outcomes, table)
+        if row.size != n_probs:
+            raise ParseError(f"{context}: row {key!r} has {row.size} probs, expected {n_probs}")
+        rows.append(row.reshape(-1))
+    return CorrelationBox(settings, outcomes, np.reshape(rows, tuple(settings) + tuple(outcomes)))
 
 
 def load_box(path: str | Path) -> CorrelationBox:
@@ -206,6 +218,8 @@ def state_to_json(state: DensityMatrix) -> dict:
 
 
 def state_from_json(data: Any, context: str = "state") -> DensityMatrix:
+    from .quantum import DensityMatrix
+
     if isinstance(data, dict) and "dims" in data:
         dims = _int_list(data["dims"], f"{context}: dims")
     elif isinstance(data, dict) and "dim" in data:
@@ -228,6 +242,8 @@ def povm_to_json(povm: Povm) -> dict:
 
 
 def povm_from_json(data: Any, context: str = "povm") -> Povm:
+    from .quantum import Povm
+
     return Povm([matrix_from_json(e, context) for e in _require(data, "elements", context, list)])
 
 
@@ -244,6 +260,8 @@ def channel_to_json(chan: Channel) -> dict:
 
 
 def channel_from_json(data: Any, context: str = "channel") -> Channel:
+    from .quantum import Channel
+
     kraus = []
     for k in _require(data, "kraus", context, list):
         arr = _float_array(k, context)
@@ -275,6 +293,8 @@ def model_to_json(model: OnticModel) -> dict:
 
 
 def model_from_json(data: Any, context: str = "model") -> OnticModel:
+    from .ontic import OnticModel
+
     return OnticModel(
         [str(s) for s in _require(data, "ontic_states", context, list)],
         {str(p): _float_array(v, context) for p, v in _require(data, "preparations", context, dict).items()},

@@ -299,6 +299,16 @@ def _set(path, value):
     return mutate
 
 
+def _one_row_box(n_settings):
+    """A box claiming n_settings settings per party whose table holds a single row."""
+
+    def mutate(data):
+        data["settings"] = [n_settings, n_settings]
+        data["table"] = {"0,0": data["table"]["0,0"]}
+
+    return mutate
+
+
 MALFORMED = [
     pytest.param("pr", _set(["settings"], ["two", 2]), id="settings-string"),
     pytest.param("pr", _set(["settings"], [None, 2]), id="settings-null"),
@@ -308,6 +318,9 @@ MALFORMED = [
     pytest.param("pr", _set(["outcomes"], [2, "x"]), id="outcomes-string"),
     pytest.param("pr", _set(["parties"], "two"), id="parties-string"),
     pytest.param("pr", _set(["table"], 0.25), id="box-table-number"),
+    pytest.param("pr", _one_row_box(10**6), id="box-settings-1e6-one-row"),  # a 29 TiB table
+    pytest.param("pr", _one_row_box(3000), id="box-settings-3000-one-row"),
+    pytest.param("pr", _set(["outcomes"], [10**6, 10**6]), id="box-outcomes-1e6"),
     pytest.param("model", _set(["preparations"], [[1.0, 0.0]]), id="model-preparations-array"),
     pytest.param("model", _set(["preparations", "p0", 0], float("nan")), id="model-nan"),
     pytest.param("theory", _set(["measurements", 0, "arity"], "two"), id="theory-arity-string"),

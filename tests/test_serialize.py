@@ -99,6 +99,15 @@ def test_non_numeric_probs_reported(tmp_path):
         ser.load_box(path)
 
 
+@pytest.mark.parametrize("parties", [17, 40])
+def test_box_with_more_axes_than_numpy_allows_is_refused(parties):
+    # a one-setting, one-outcome table of 40 parties has 80 axes: numpy raised ValueError
+    data = {"parties": parties, "settings": [1] * parties, "outcomes": [1] * parties,
+            "table": {",".join(["0"] * parties): [1.0]}}
+    with pytest.raises(ser.ParseError, match="16 parties"):
+        ser.box_from_json(data)
+
+
 def test_complex_matrix_encoding_is_re_im_pairs():
     mat = np.array([[1 + 2j, 0], [0, -1j]])
     encoded = ser.matrix_to_json(mat)
