@@ -1,8 +1,9 @@
-"""Command-line surface: load inputs, run any check, emit JSON-line reports.
+"""Command-line surface: load inputs, run one check, emit its report as one JSON line.
 
-Exit codes: 0 all checks passed, 1 some check failed, 2 input/usage error.
-Every subcommand takes --tol (falling back to GPTW_DEFAULT_TOL, then to the
-per-check default) and --pretty for a human-readable line instead of JSON.
+Each subcommand's handler is `cmd_<name>(args, tol) -> Report`; `main` resolves
+the tolerance once (--tol, then GPTW_DEFAULT_TOL, then the per-check default),
+times the handler and prints its report.  Exit codes: 0 the check passed, 1 it
+failed, 2 input/usage error.  --pretty prints a human-readable line instead of JSON.
 """
 from __future__ import annotations
 
@@ -56,17 +57,28 @@ def _seed(value: int | None) -> int:
     return seed
 
 
+def _digests(args, *names: str) -> dict[str, str]:
+    """sha256 of the files named by these flags; a repeated flag gives name0, name1, ..."""
+    inputs = {}
+    for name in names:
+        value = getattr(args, name)
+        if isinstance(value, list):
+            inputs.update((f"{name}{k}", file_digest(path)) for k, path in enumerate(value))
+        elif value:  # a flag left out (an optional --channel) names no file
+            inputs[name] = file_digest(value)
+    return inputs
+
+
 # ---------------------------------------------------------------------------
-# Handlers (each returns a list of Reports and imports the modules it uses
-# itself, so a process loads only what its subcommand needs)
+# Handlers: cmd_<name>(args, tol) -> Report, with `tol` resolved by `main`.
+# Each imports the modules it uses itself, so a process loads only what its
+# subcommand needs.
 # ---------------------------------------------------------------------------
 
 
-def cmd_chsh(args) -> list[Report]:
+def cmd_chsh(args, tol: float) -> Report:
     from . import correlations as corr
-    tol = _resolve_tol(args.tol, "chsh")
     box = serialize.load_box(args.box)
-    inputs = {"box": file_digest(args.box)}
     explicit = [args.a0, args.a1, args.b0, args.b1]
     if any(s is not None for s in explicit):
         if any(s is None for s in explicit):
@@ -75,76 +87,42 @@ def cmd_chsh(args) -> list[Report]:
         nonlocal_ = abs(witness.value) > 2.0 + tol
     else:
         nonlocal_, witness = corr.is_bell_nonlocal(box, tol)
-    return [
-        Report(
-            check="chsh",
-            inputs=inputs,
-            value=abs(witness.value),
-            bound=2.0,
-            passed=nonlocal_,
-            tol=tol,
-            extra={
-                "signed_value": witness.value,
-                "a_settings": list(witness.a_settings),
-                "b_settings": list(witness.b_settings),
-            },
-        )
-    ]
+    return Report(
+        check="chsh", inputs=_digests(args, "box"), value=abs(witness.value), bound=2.0,
+        passed=nonlocal_, tol=tol,
+        extra={"signed_value": witness.value, "a_settings": list(witness.a_settings),
+               "b_settings": list(witness.b_settings)},
+    )
 
 
-def cmd_nosignal(args) -> list[Report]:
+def cmd_nosignal(args, tol: float) -> Report:
     from . import correlations as corr
-    tol = _resolve_tol(args.tol, "nosignal")
-    box = serialize.load_box(args.box)
-    report = corr.check_no_signalling(box, tol)
+    report = corr.check_no_signalling(serialize.load_box(args.box), tol)
     witnesses = [
-        {
-            "subset": list(v.subset),
-            "subset_settings": list(v.subset_settings),
-            "complement_settings": [list(v.complement_settings_a), list(v.complement_settings_b)],
-            "deviation": v.deviation,
-        }
+        {"subset": list(v.subset), "subset_settings": list(v.subset_settings),
+         "complement_settings": [list(v.complement_settings_a), list(v.complement_settings_b)],
+         "deviation": v.deviation}
         for v in report.violations[:8]
     ]
-    return [
-        Report(
-            check="nosignal",
-            inputs={"box": file_digest(args.box)},
-            value=report.max_deviation,
-            bound=0.0,
-            passed=report.satisfied,
-            tol=tol,
-            extra={"violations": witnesses},
-        )
-    ]
+    return Report(
+        check="nosignal", inputs=_digests(args, "box"), value=report.max_deviation, bound=0.0,
+        passed=report.satisfied, tol=tol, extra={"violations": witnesses},
+    )
 
 
-def cmd_monogamy(args) -> list[Report]:
+def cmd_monogamy(args, tol: float) -> Report:
     from . import correlations as corr
-    tol = _resolve_tol(args.tol, "monogamy")
-    box = serialize.load_box(args.box)
     checker = corr.check_ns_monogamy if args.kind == "ns" else corr.check_strong_monogamy
-    rep = checker(box, tol)
-    return [
-        Report(
-            check=f"monogamy-{args.kind}",
-            inputs={"box": file_digest(args.box)},
-            value=rep.worst_value,
-            bound=rep.bound,
-            passed=rep.satisfied,
-            tol=tol,
-            extra={
-                "middle_party": rep.middle,
-                "wings": list(rep.wings),
-                "terms": list(rep.terms),
-            },
-        )
-    ]
+    rep = checker(serialize.load_box(args.box), tol)
+    return Report(
+        check=f"monogamy-{args.kind}", inputs=_digests(args, "box"), value=rep.worst_value,
+        bound=rep.bound, passed=rep.satisfied, tol=tol,
+        extra={"middle_party": rep.middle, "wings": list(rep.wings), "terms": list(rep.terms)},
+    )
 
 
-def cmd_local_model(args) -> list[Report]:
+def cmd_local_model(args, tol: float) -> Report:
     from . import ontic
-    tol = _resolve_tol(args.tol, "local-model")
     box = serialize.load_box(args.box)
     refutation = ontic.chsh_gate(box, tol)  # a refuted box needs no LP, so scipy is never imported
     if refutation is None:
@@ -154,222 +132,128 @@ def cmd_local_model(args) -> list[Report]:
         cert, witness = None, refutation.witness
         extra = {"method": "chsh", "a_settings": list(witness.a_settings),
                  "b_settings": list(witness.b_settings), "margin": refutation.margin}
-    return [
-        Report(
-            check="local-model",
-            inputs={"box": file_digest(args.box)},
-            value=cert.residual if cert else None,
-            bound=tol,
-            passed=cert is not None,
-            tol=tol,
-            extra={**extra, "certificate": cert.as_json_dict() if cert else None},
-        )
-    ]
+    return Report(
+        check="local-model", inputs=_digests(args, "box"), value=cert.residual if cert else None,
+        bound=tol, passed=cert is not None, tol=tol,
+        extra={**extra, "certificate": cert.as_json_dict() if cert else None},
+    )
 
 
-def cmd_verify_cj(args) -> list[Report]:
+def cmd_verify_cj(args, tol: float) -> Report:
     from . import duality
     from .quantum import leifer_ensemble
-    tol = _resolve_tol(args.tol, "verify-cj")
     state = serialize.load_state(args.state)
     povms = [serialize.load_povm(p) for p in args.povm]
     if len(povms) not in (2, 3):
         raise GptwError("verify-cj needs 2 or 3 --povm files (one per party)")
-    inputs = {"state": file_digest(args.state)}
-    for k, p in enumerate(args.povm):
-        inputs[f"povm{k}"] = file_digest(p)
+
+    def error(a, b) -> float:
+        return float(np.max(np.abs(a.distribution.probabilities - b.distribution.probabilities)))
 
     if args.channel:
         # converse direction: the inputs describe a temporal scenario whose
         # ensemble is the first POVM's decomposition of the state
         chan = serialize.load_channel(args.channel)
-        inputs["channel"] = file_digest(args.channel)
         if len(povms) - 1 != len(chan.output_dims):
             raise GptwError("one output --povm per channel output factor required after the first")
-        ensemble = leifer_ensemble(state, povms[0])
-        temporal = duality.temporal_scenario(ensemble, chan, povms[1:])
+        temporal = duality.temporal_scenario(leifer_ensemble(state, povms[0]), chan, povms[1:])
         spatial = duality.temporal_to_spatial(temporal, tol=math.inf)
-        forward = float(
-            np.max(np.abs(spatial.distribution.probabilities - temporal.distribution.probabilities))
-        )
-        round_trip = forward  # single reconstruction in this direction
     else:
         spatial = duality.spatial_scenario(state, povms)
         temporal = duality.spatial_to_temporal(spatial, tol=math.inf)
-        forward = float(
-            np.max(np.abs(spatial.distribution.probabilities - temporal.distribution.probabilities))
-        )
-        back = duality.temporal_to_spatial(temporal, tol=math.inf)
-        round_trip = float(
-            np.max(np.abs(back.distribution.probabilities - spatial.distribution.probabilities))
-        )
-    passed = forward <= tol and round_trip <= 2 * tol
-    return [
-        Report(
-            check="verify-cj",
-            inputs=inputs,
-            value=max(forward, round_trip),
-            bound=tol,
-            passed=passed,
-            tol=tol,
-            extra={"forward_error": forward, "round_trip_error": round_trip},
-        )
-    ]
+    forward = error(spatial, temporal)
+    # the converse direction makes a single reconstruction, so its round trip is the forward error
+    round_trip = forward if args.channel else error(duality.temporal_to_spatial(temporal, tol=math.inf), spatial)
+    return Report(
+        check="verify-cj", inputs=_digests(args, "state", "povm", "channel"),
+        value=max(forward, round_trip), bound=tol, passed=forward <= tol and round_trip <= 2 * tol,
+        tol=tol, extra={"forward_error": forward, "round_trip_error": round_trip},
+    )
 
 
-def cmd_broadcast(args) -> list[Report]:
+def cmd_broadcast(args, tol: float) -> Report:
     from . import broadcast as bc
-    tol = _resolve_tol(args.tol, "broadcast")
     states = [serialize.load_state(p) for p in args.state]
-    inputs = {f"state{k}": file_digest(p) for k, p in enumerate(args.state)}
     commuting = bc.pairwise_commuting(states, tol)
-    interference = bc.interference_flag(states)
+    extra = {"commuting": commuting, "interference": bc.interference_flag(states)}
     if commuting:
         _, check = bc.broadcast_commuting(states, tol)
         value = check.max_error
-        passed = value <= tol
-        extra = {"commuting": True, "interference": interference, "marginal_errors": list(check.errors)}
+        extra["marginal_errors"] = list(check.errors)
     else:
-        worst = max(
-            bc.commutator_norm(a.matrix, b.matrix)
-            for i, a in enumerate(states)
-            for b in states[i + 1 :]
+        value = max(
+            bc.commutator_norm(a.matrix, b.matrix) for i, a in enumerate(states) for b in states[i + 1 :]
         )
-        value = worst
-        passed = False
-        extra = {"commuting": False, "interference": interference}
-    return [
-        Report(
-            check="broadcast",
-            inputs=inputs,
-            value=value,
-            bound=tol,
-            passed=passed,
-            tol=tol,
-            extra=extra,
-        )
-    ]
+    return Report(
+        check="broadcast", inputs=_digests(args, "state"), value=value, bound=tol,
+        passed=commuting and value <= tol, tol=tol, extra=extra,
+    )
 
 
-def cmd_theorem1(args) -> list[Report]:
+def cmd_theorem1(args, tol: float) -> Report:
     from . import broadcast as bc, correlations as corr
-    tol = _resolve_tol(args.tol, "theorem1")
-    box = serialize.load_box(args.box)
-    result = bc.theorem1_construct(box, tol)
-    return [
-        Report(
-            check="theorem1",
-            inputs={"box": file_digest(args.box)},
-            value=result.squared_sum,
-            bound=corr.STRONG_MONOGAMY_BOUND,
-            passed=result.strong_monogamy.satisfied,
-            tol=tol,
-            extra={
-                "witness_chsh": abs(result.witness.value),
-                "chsh_ab": result.chsh_ab,
-                "chsh_ac": result.chsh_ac,
-            },
-        )
-    ]
+    result = bc.theorem1_construct(serialize.load_box(args.box), tol)
+    return Report(
+        check="theorem1", inputs=_digests(args, "box"), value=result.squared_sum,
+        bound=corr.STRONG_MONOGAMY_BOUND, passed=result.strong_monogamy.satisfied, tol=tol,
+        extra={"witness_chsh": abs(result.witness.value), "chsh_ab": result.chsh_ab, "chsh_ac": result.chsh_ac},
+    )
 
 
-def cmd_game(args) -> list[Report]:
+def cmd_game(args, tol: float) -> Report:
     from . import correlations as corr, game
-    tol = _resolve_tol(args.tol, "game")
     seed = _seed(args.seed)
     if args.box:
         strategy: game.GameStrategy | corr.CorrelationBox = serialize.load_box(args.box)
-        inputs = {"box": file_digest(args.box)}
+        files = ("box",)
     else:
         if not args.state or len(args.povm or []) != 4:
             raise GptwError("game needs --box, or --state plus four --povm files (S0 S1 M1 M2)")
         state = serialize.load_state(args.state)
         povms = [serialize.load_povm(p) for p in args.povm]
         strategy = game.GameStrategy(state, (povms[0], povms[1]), (povms[2], povms[3]))
-        inputs = {"state": file_digest(args.state)}
-        for k, p in enumerate(args.povm):
-            inputs[f"povm{k}"] = file_digest(p)
+        files = ("state", "povm")
     rep = game.simulate_game(strategy, seed=seed, rounds=args.rounds, tol=tol)
-    return [
-        Report(
-            check="game",
-            inputs=inputs,
-            value=rep.exact_rate,
-            bound=rep.bound,
-            passed=rep.passed,
-            tol=tol,
-            seed=seed,
-            extra={
-                "exact_rate": rep.exact_rate,
-                "empirical_rate": rep.empirical_rate,
-                "rounds": rep.rounds,
-                "sampling_consistent": rep.sampling_consistent,
-            },
-        )
-    ]
+    return Report(
+        check="game", inputs=_digests(args, *files), value=rep.exact_rate, bound=rep.bound,
+        passed=rep.passed, tol=tol, seed=seed,
+        extra={"exact_rate": rep.exact_rate, "empirical_rate": rep.empirical_rate, "rounds": rep.rounds,
+               "sampling_consistent": rep.sampling_consistent},
+    )
 
 
-def cmd_uncertainty(args) -> list[Report]:
+def cmd_uncertainty(args, tol: float) -> Report:
     from . import game
-    tol = _resolve_tol(args.tol, "uncertainty")
-    theory = serialize.load_theory(args.theory)
-    rep = game.check_finegrained(theory, args.m1, args.m2, tol)
-    return [
-        Report(
-            check="uncertainty",
-            inputs={"theory": file_digest(args.theory)},
-            value=rep.worst_sum,
-            bound=rep.bound,
-            passed=rep.satisfied,
-            tol=tol,
-            extra={
-                "worst_prep": rep.worst_prep,
-                "worst_outcomes": list(rep.worst_outcomes),
-                "saturated": rep.saturated,
-            },
-        )
-    ]
+    rep = game.check_finegrained(serialize.load_theory(args.theory), args.m1, args.m2, tol)
+    return Report(
+        check="uncertainty", inputs=_digests(args, "theory"), value=rep.worst_sum, bound=rep.bound,
+        passed=rep.satisfied, tol=tol,
+        extra={"worst_prep": rep.worst_prep, "worst_outcomes": list(rep.worst_outcomes),
+               "saturated": rep.saturated},
+    )
 
 
-def cmd_validate_model(args) -> list[Report]:
+def cmd_validate_model(args, tol: float) -> Report:
     from . import ontic
-    tol = _resolve_tol(args.tol, "validate-model")
-    model = serialize.load_model(args.model)
-    violations = ontic.validate_model(model, tol)
-    return [
-        Report(
-            check="validate-model",
-            inputs={"model": file_digest(args.model)},
-            value=len(violations),
-            bound=0.0,
-            passed=not violations,
-            tol=tol,
-            extra={
-                "violations": [
-                    {"condition": v.condition, "message": v.message, "where": [list(map(str, w)) if isinstance(w, tuple) else str(w) for w in v.where[:8]]}
-                    for v in violations
-                ]
-            },
-        )
-    ]
+    violations = ontic.validate_model(serialize.load_model(args.model), tol)
+    return Report(
+        check="validate-model", inputs=_digests(args, "model"), value=len(violations), bound=0.0,
+        passed=not violations, tol=tol,
+        extra={"violations": [
+            {"condition": v.condition, "message": v.message,
+             "where": [list(map(str, w)) if isinstance(w, tuple) else str(w) for w in v.where[:8]]}
+            for v in violations
+        ]},
+    )
 
 
-def cmd_dim(args) -> list[Report]:
+def cmd_dim(args, tol: float) -> Report:
     from . import theory as theory_mod
-    tol = _resolve_tol(args.tol, "dim")
-    theory = serialize.load_theory(args.theory)
-    dim = theory_mod.affine_dimension(theory)
-    return [
-        Report(
-            check="dim",
-            inputs={"theory": file_digest(args.theory)},
-            value=dim.affine_parameter_count,
-            bound=None,
-            passed=True,
-            tol=tol,
-            extra={"claimed_dimension": dim.claimed_dimension},
-        )
-    ]
+    dim = theory_mod.affine_dimension(serialize.load_theory(args.theory))
+    return Report(
+        check="dim", inputs=_digests(args, "theory"), value=dim.affine_parameter_count, bound=None,
+        passed=True, tol=tol, extra={"claimed_dimension": dim.claimed_dimension},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -438,19 +322,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
-        reports = args.handler(args)
+        report = args.handler(args, _resolve_tol(args.tol, args.command))
     except GptwError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    elapsed = time.perf_counter() - start
-    for rep in reports:
-        rep.wall_time_s = elapsed / len(reports)
-        print(rep.pretty() if args.pretty else rep.to_json_line())
-    return 0 if all(r.passed for r in reports) else 1
+    report.wall_time_s = time.perf_counter() - start
+    print(report.pretty() if args.pretty else report.to_json_line())
+    return 0 if report.passed else 1
 
 
 if __name__ == "__main__":

@@ -17,6 +17,7 @@ Conventions:
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
@@ -56,7 +57,8 @@ class DensityMatrix:
             raise ValidationError("density matrix has a negative eigenvalue")
         self.dim = d
         self.dims = tuple(int(x) for x in dims) if dims is not None else (d,)
-        if int(np.prod(self.dims)) != d:
+        # math.prod on Python ints: np.prod wraps in int64, so (3, 6148914691236517206) would give 2
+        if any(x < 1 for x in self.dims) or math.prod(self.dims) != d:
             raise DimensionMismatchError(f"dims {self.dims} do not factor dimension {d}")
         mat.flags.writeable = False
         self.matrix = mat
@@ -126,7 +128,7 @@ class Channel:
         self.dim_in = d_in
         self.dim_out = d_out
         self.output_dims = tuple(int(x) for x in output_dims) if output_dims is not None else (d_out,)
-        if int(np.prod(self.output_dims)) != d_out:
+        if any(x < 1 for x in self.output_dims) or math.prod(self.output_dims) != d_out:
             raise DimensionMismatchError(
                 f"output_dims {self.output_dims} do not factor output dimension {d_out}"
             )

@@ -262,12 +262,7 @@ def channel_to_json(chan: Channel) -> dict:
 def channel_from_json(data: Any, context: str = "channel") -> Channel:
     from .quantum import Channel
 
-    kraus = []
-    for k in _require(data, "kraus", context, list):
-        arr = _float_array(k, context)
-        if arr.ndim != 3 or arr.shape[-1] != 2:
-            raise ParseError(f"{context}: Kraus operator is not an array of [re, im] pairs")
-        kraus.append(arr[..., 0] + 1j * arr[..., 1])
+    kraus = [matrix_from_json(k, context) for k in _require(data, "kraus", context, list)]
     dims = data.get("output_dims")
     return Channel(kraus, output_dims=_int_list(dims, f"{context}: output_dims") if dims else None)
 

@@ -8,7 +8,8 @@ import pytest
 
 from gptw import quantum as q
 from gptw import serialize as ser
-from gptw.cli import main
+from gptw.cli import DEFAULT_TOLS, main
+from gptw.reports import file_digest
 
 from conftest import isotropic_table, pr_table, shared_bit_table, singlet_optimal_settings
 from test_game import full_qubit_theory
@@ -58,6 +59,9 @@ def files(tmp_path):
     ser.save_state(q.DensityMatrix.pure(q.KET_PLUS), paths["plus"])
     paths["diag"] = tmp_path / "diag.json"
     ser.save_state(q.DensityMatrix(np.diag([0.3, 0.7])), paths["diag"])
+
+    paths["channel"] = tmp_path / "channel.json"
+    ser.save_channel(q.random_channel(2, 2, 2, np.random.default_rng(3)), paths["channel"])
 
     paths["model"] = tmp_path / "model.json"
     ser.save_model(classical_bit_model(), paths["model"])
@@ -327,6 +331,9 @@ MALFORMED = [
     pytest.param("theory", _set(["table", 0, "probs", 0], float("nan")), id="theory-nan"),
     pytest.param("zero", _set(["dims"], ["a"]), id="state-dims-string"),
     pytest.param("zero", _set(["matrix", 0, 0, 0], float("nan")), id="state-nan"),
+    # both products equal the matrix dimension 2 in int64 arithmetic: 3 * 6148914691236517206 wraps
+    pytest.param("zero", _set(["dims"], [3, 6148914691236517206]), id="state-dims-int64-wrap"),
+    pytest.param("zero", _set(["dims"], [-1, -2]), id="state-dims-negative"),
     pytest.param("o", _set(["elements", 0, 0, 0, 0], float("inf")), id="povm-inf"),
 ]
 COMMANDS = {
@@ -413,3 +420,66 @@ def test_pretty_output(files, capsys):
     out = capsys.readouterr().out
     assert code == 0
     assert out.startswith("[PASS] chsh:")
+
+
+# One invocation per subcommand (both monogamy kinds); "{name}" is a file of the `files` fixture
+SUBCOMMANDS = {
+    "chsh": ["chsh", "--box", "{pr}"],
+    "nosignal": ["nosignal", "--box", "{pr}"],
+    "monogamy-ns": ["monogamy", "ns", "--box", "{shared_bit}"],
+    "monogamy-strong": ["monogamy", "strong", "--box", "{shared_bit}"],
+    "local-model": ["local-model", "--box", "{singlet_box}"],
+    "verify-cj": ["verify-cj", "--state", "{state}", "--povm", "{m}", "--povm", "{o}"],
+    "broadcast": ["broadcast", "--state", "{zero}", "--state", "{diag}"],
+    "theorem1": ["theorem1", "--box", "{singlet_box}"],
+    "game": ["game", "--state", "{singlet}", "--povm", "{s0}", "--povm", "{s1}", "--povm", "{b0}",
+             "--povm", "{b1}", "--rounds", "100"],
+    "uncertainty": ["uncertainty", "--theory", "{theory}", "--m1", "X", "--m2", "Z"],
+    "validate-model": ["validate-model", "--model", "{model}"],
+    "dim": ["dim", "--theory", "{theory}"],
+}
+BOX = [("box", "pr")]
+INPUTS = [
+    pytest.param(SUBCOMMANDS["chsh"], BOX, id="chsh"),
+    pytest.param(SUBCOMMANDS["nosignal"], BOX, id="nosignal"),
+    pytest.param(SUBCOMMANDS["monogamy-ns"], [("box", "shared_bit")], id="monogamy-ns"),
+    pytest.param(SUBCOMMANDS["local-model"], [("box", "singlet_box")], id="local-model"),
+    pytest.param(SUBCOMMANDS["theorem1"], [("box", "singlet_box")], id="theorem1"),
+    pytest.param(SUBCOMMANDS["verify-cj"], [("state", "state"), ("povm0", "m"), ("povm1", "o")], id="verify-cj"),
+    pytest.param(
+        ["verify-cj", "--state", "{zero}", "--povm", "{m}", "--povm", "{o}", "--channel", "{channel}"],
+        [("state", "zero"), ("povm0", "m"), ("povm1", "o"), ("channel", "channel")],
+        id="verify-cj-channel",
+    ),
+    pytest.param(SUBCOMMANDS["broadcast"], [("state0", "zero"), ("state1", "diag")], id="broadcast"),
+    pytest.param(
+        SUBCOMMANDS["game"],
+        [("state", "singlet"), ("povm0", "s0"), ("povm1", "s1"), ("povm2", "b0"), ("povm3", "b1")],
+        id="game-state",
+    ),
+    # --box wins, so the stray --state is never read and names no input
+    pytest.param(["game", "--box", "{pr}", "--state", "{absent}", "--rounds", "100"], BOX, id="game-box"),
+    pytest.param(SUBCOMMANDS["uncertainty"], [("theory", "theory")], id="uncertainty"),
+    pytest.param(SUBCOMMANDS["validate-model"], [("model", "model")], id="validate-model"),
+    pytest.param(SUBCOMMANDS["dim"], [("theory", "theory")], id="dim"),
+]
+
+
+@pytest.mark.parametrize("template, inputs", INPUTS)
+def test_one_report_line_with_inputs_in_flag_order(files, capsys, tmp_path, template, inputs):
+    main([a.format(**files, absent=tmp_path / "absent.json") for a in template])
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 1
+    digests = json.loads(lines[0])["inputs"]
+    assert list(digests.items()) == [(key, file_digest(files[name])) for key, name in inputs]
+
+
+@pytest.mark.parametrize("name", SUBCOMMANDS)
+def test_tolerance_default_and_env(files, capsys, monkeypatch, name):
+    argv = [a.format(**files) for a in SUBCOMMANDS[name]]
+    monkeypatch.delenv("GPTW_DEFAULT_TOL", raising=False)
+    _, (rep,) = run(capsys, argv)
+    assert rep["tol"] == DEFAULT_TOLS[argv[0]]
+    monkeypatch.setenv("GPTW_DEFAULT_TOL", "1e-5")
+    _, (rep,) = run(capsys, argv)
+    assert rep["tol"] == 1e-5

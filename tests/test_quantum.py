@@ -117,6 +117,28 @@ def test_channel_rejects_mixed_kraus_shapes():
         q.Channel([np.eye(2), np.eye(3)])
 
 
+# dims whose product, taken in int64 or over signed factors, equals the matrix dimension d:
+# 3 * 6148914691236517206 = 2**64 + 2 wraps to 2, and (-1) * (-2) = 2; plus a plain mismatch
+BAD_FACTORS = [((3, 6148914691236517206), 2), ((-1, -2), 2), ((-2, -2), 4), ((2, 3), 4)]
+
+
+@pytest.mark.parametrize("dims, d", BAD_FACTORS)
+def test_density_matrix_rejects_bad_dims(dims, d):
+    with pytest.raises(DimensionMismatchError):
+        q.DensityMatrix(np.eye(d) / d, dims=dims)
+
+
+@pytest.mark.parametrize("dims, d", BAD_FACTORS)
+def test_channel_rejects_bad_output_dims(dims, d):
+    with pytest.raises(DimensionMismatchError):
+        q.Channel([np.eye(d)], output_dims=dims)
+
+
+def test_positive_factor_dims_accepted():
+    assert q.DensityMatrix(np.eye(6) / 6, dims=(1, 2, 3)).dims == (1, 2, 3)
+    assert q.Channel([np.eye(6)], output_dims=(3, 2)).output_dims == (3, 2)
+
+
 # -- choi_of_channel ---------------------------------------------------------------
 
 

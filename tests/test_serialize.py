@@ -99,6 +99,23 @@ def test_non_numeric_probs_reported(tmp_path):
         ser.load_box(path)
 
 
+@pytest.mark.parametrize(
+    "kraus, message",
+    [
+        ([[[1.0, 0.0], [0.0, 1.0]]], "re, im"),  # real rows, not [re, im] pairs
+        ([[[[1.0, 0.0, 0.0]]]], "re, im"),  # triples
+        ([[[["a", 0.0]]]], "numbers"),
+        ([[[[float("nan"), 0.0]]]], "finite"),
+    ],
+)
+def test_bad_kraus_operator_names_the_file(tmp_path, kraus, message):
+    path = tmp_path / "bad_channel.json"
+    path.write_text(json.dumps({"kraus": kraus}))
+    with pytest.raises(ser.ParseError, match=message) as info:
+        ser.load_channel(path)
+    assert str(info.value).startswith(f"{path}: ")
+
+
 @pytest.mark.parametrize("parties", [17, 40])
 def test_box_with_more_axes_than_numpy_allows_is_refused(parties):
     # a one-setting, one-outcome table of 40 parties has 80 axes: numpy raised ValueError
