@@ -16,8 +16,10 @@ full joint distribution -- branch index included -- is preserved:
                         ensemble average), first-party measurement = the
                         transpose of the ensemble's recovered POVM
 
-All transposes are computational-basis.  Both directions verify the
-distribution equality they promise and raise ValidationError if the
+All transposes are computational-basis.  Each stage works on the stacked
+branches and effects, one NumPy call per stage, yet every intermediate object
+is still built through its validating constructor.  Both directions verify
+the distribution equality they promise and raise ValidationError if the
 reconstruction misses it, so a returned scenario is already checked.
 Supports 2 and 3 total systems (one upstream system plus 1 or 2 outputs).
 """
@@ -39,7 +41,6 @@ from .quantum import (
     transpose_povm,
     transpose_state,
     _born,
-    _effects,
     _psd_inv_sqrt,
 )
 from .theory import EPS_BRANCH, EnsemblePreparation, JointDistribution
@@ -67,8 +68,20 @@ class TemporalScenario:
 
 
 def _joint(matrix: np.ndarray, dims: tuple[int, ...], povms: tuple[Povm, ...]) -> np.ndarray:
-    """p(x_1..x_n) = Tr((M_1 x ... x M_n) rho) for one POVM per factor."""
-    return _born(matrix, dims, [_effects([p]) for p in povms]).reshape([len(p) for p in povms])
+    """p(x_1..x_n) = Tr((M_1 x ... x M_n) rho) for one POVM per factor, per leading batch index."""
+    probs = _born(matrix, dims, [p.element_stack[None] for p in povms])
+    return probs.reshape(matrix.shape[:-2] + tuple(len(p) for p in povms))
+
+
+def _live_branches(ensemble: EnsemblePreparation, dim: int) -> tuple[np.ndarray, np.ndarray]:
+    """The mask of live branches, and w_i rho_i stacked over them; each rho_i must be dim x dim."""
+    live = ensemble.weights > EPS_BRANCH
+    states = [s for s, on in zip(ensemble.branches, live) if on]
+    if not states:
+        raise ValidationError("ensemble has no live branches")
+    if any(s.dim != dim for s in states):
+        raise DimensionMismatchError("branch state does not match channel input")
+    return live, ensemble.weights[live][:, None, None] * np.array([s.matrix for s in states])
 
 
 def spatial_scenario(state: DensityMatrix, povms: tuple[Povm, ...] | list[Povm]) -> SpatialScenario:
@@ -98,13 +111,10 @@ def temporal_scenario(
         if povm.dim != d:
             raise DimensionMismatchError(f"output {k}: POVM dim {povm.dim} != factor dim {d}")
     arities = tuple(len(p) for p in povms)
+    live, weighted = _live_branches(ensemble, channel.dim_in)
     joint = np.zeros((len(ensemble),) + arities)
-    for i, (w, rho_i) in enumerate(zip(ensemble.weights, ensemble.branches)):
-        if w <= EPS_BRANCH:
-            continue
-        if rho_i.dim != channel.dim_in:
-            raise DimensionMismatchError("branch state does not match channel input")
-        joint[i] = w * _joint(channel.apply(rho_i.matrix), out_dims, povms)
+    # the channel and the Born rule are linear: the branch weights go in first
+    joint[live] = _joint(channel.apply(weighted), out_dims, povms)
     axes = [("branch", len(ensemble))] + [(f"M{k + 2}", a) for k, a in enumerate(arities)]
     return TemporalScenario(ensemble, channel, povms, JointDistribution(axes, joint))
 
@@ -144,34 +154,22 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     purification of the transposed ensemble average, and the first-party
     measurement is the transpose of the POVM that induces the ensemble.
     """
-    weights = temporal.ensemble.weights
-    states = temporal.ensemble.branches
-    live = [(w, s) for w, s in zip(weights, states) if w > EPS_BRANCH]
-    if not live:
-        raise ValidationError("ensemble has no live branches")
-    d = live[0][1].dim
-    rho_bar = DensityMatrix(sum(w * s.matrix for w, s in live))
+    chan = temporal.channel
+    live, mats = _live_branches(temporal.ensemble, chan.dim_in)
+    d = chan.dim_in
+    rho_bar = DensityMatrix(mats.sum(axis=0))
 
     inv_root, support = _psd_inv_sqrt(rho_bar.matrix)
-    effects = []
-    for w, s in zip(weights, states):
-        if w <= EPS_BRANCH:
-            effects.append(np.zeros((d, d), dtype=complex))
-        else:
-            e = w * (inv_root @ s.matrix @ inv_root)
-            effects.append(0.5 * (e + e.conj().T))
+    e = inv_root @ mats @ inv_root
+    effects = np.zeros((len(live), d, d), dtype=complex)
+    effects[live] = 0.5 * (e + e.conj().transpose(0, 2, 1))
     leftover = np.eye(d) - support
     if np.max(np.abs(leftover)) > 1e-12:
-        effects[-1] = effects[-1] + leftover  # complete the POVM off the support
+        effects[-1] += leftover  # complete the POVM off the support
     induced = Povm(effects)
     first_meas = transpose_povm(induced)
 
     psi = purification(transpose_state(rho_bar)).reshape(d, d)  # on dims (d, d)
-    chan = temporal.channel
-    if chan.dim_in != d:
-        raise DimensionMismatchError(
-            f"channel input dim {chan.dim_in} != ensemble system dim {d}"
-        )
     # (I x K_k) psi is psi K_k^T read row-major as a (first, output) vector
     vecs = (psi @ chan.kraus_stack.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
     joint_mat = vecs.T @ vecs.conj()

@@ -31,8 +31,9 @@ ATOL = 1e-10  # hermiticity / positivity / trace / eigenvalue-cutoff tolerance f
 CHOI_ATOL = 1e-9
 
 
-def _as_complex_matrix(entries: np.ndarray | Sequence[Sequence[complex]]) -> np.ndarray:
-    mat = np.array(entries, dtype=complex)  # always a fresh copy; callers freeze it
+def _as_complex_matrix(entries: np.ndarray | Sequence[Sequence[complex]], copy: bool = True) -> np.ndarray:
+    # a fresh copy that callers freeze; copy=False is for callers that copy the result themselves
+    mat = np.array(entries, dtype=complex) if copy else np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
     return mat
@@ -78,24 +79,22 @@ class Povm:
     """A list of positive effects summing to the identity."""
 
     def __init__(self, elements: Sequence[np.ndarray]) -> None:
-        mats = [_as_complex_matrix(e) for e in elements]
+        mats = [_as_complex_matrix(e, copy=False) for e in elements]  # np.stack below makes the one copy
         if not mats:
             raise ValidationError("POVM needs at least one element")
         d = mats[0].shape[0]
-        total = np.zeros((d, d), dtype=complex)
-        for e in mats:
-            if e.shape != (d, d):
-                raise DimensionMismatchError("POVM elements have mixed dimensions")
-            if not np.max(np.abs(e - e.conj().T)) <= ATOL:
-                raise ValidationError("POVM element is not finite and Hermitian")
-            if np.linalg.eigvalsh(e).min() < -ATOL:
-                raise ValidationError("POVM element is not positive semidefinite")
-            total += e
-        if np.max(np.abs(total - np.eye(d))) > ATOL:
+        if any(e.shape != (d, d) for e in mats):
+            raise DimensionMismatchError("POVM elements have mixed dimensions")
+        stack = np.stack(mats)  # element_stack[k] is the k-th effect
+        if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= ATOL:
+            raise ValidationError("POVM element is not finite and Hermitian")
+        if np.linalg.eigvalsh(stack).min() < -ATOL:
+            raise ValidationError("POVM element is not positive semidefinite")
+        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > ATOL:
             raise ValidationError("POVM elements do not sum to the identity")
-        for e in mats:
-            e.flags.writeable = False
-        self.elements = tuple(mats)
+        stack.flags.writeable = False
+        self.element_stack = stack
+        self.elements = tuple(stack)  # read-only views into the stack
         self.dim = d
 
     def __len__(self) -> int:
@@ -142,14 +141,14 @@ class Channel:
         return cls([np.asarray(u, dtype=complex)])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply to a raw matrix (not necessarily normalized)."""
+        """Apply to a raw matrix (not necessarily normalized), or to a stack of them along leading axes."""
         rho = np.asarray(rho, dtype=complex)
-        if rho.shape != (self.dim_in, self.dim_in):
+        if rho.shape[-2:] != (self.dim_in, self.dim_in):
             raise DimensionMismatchError(
                 f"channel expects a {self.dim_in}x{self.dim_in} input, got {rho.shape}"
             )
         stack = self.kraus_stack
-        return (stack @ rho @ stack.conj().transpose(0, 2, 1)).sum(axis=0)
+        return (stack @ rho[..., None, :, :] @ stack.conj().transpose(0, 2, 1)).sum(axis=-3)
 
 
 @dataclass(frozen=True)
@@ -223,25 +222,21 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _effects(povms: Sequence[Povm]) -> np.ndarray:
-    """Effects of POVMs with one outcome arity, stacked as (settings, outcomes, d, d)."""
-    return np.array([p.elements for p in povms])
-
-
 def _born(matrix: np.ndarray, dims: Sequence[int], stacks: Sequence[np.ndarray]) -> np.ndarray:
     """Re Tr((E^1_{x_1 a_1} x ... x E^n_{x_n a_n}) rho) for every setting and outcome.
 
     `stacks[k]` holds party k's effects, shape (settings_k, outcomes_k, d_k,
     d_k); the result has shape (settings_1..settings_n, outcomes_1..outcomes_n).
+    Leading batch axes of `matrix` (one rho per index) lead the result too.
     """
-    n = len(dims)
-    tensor = np.asarray(matrix).reshape(tuple(dims) * 2)  # (rows_1..rows_n, cols_1..cols_n)
+    n, b = len(dims), matrix.ndim - 2
+    tensor = matrix.reshape(matrix.shape[:b] + tuple(dims) * 2)  # (batch, rows_1..rows_n, cols_1..cols_n)
     for k, stack in enumerate(stacks):
         # Tr(E rho) = sum_ij E[i, j] rho[j, i].  Earlier parties are contracted
-        # away, so party k's row and column axes are 0 and n - k; its (x, a)
-        # axes are appended at the end
-        tensor = np.tensordot(tensor, stack, axes=([0, n - k], [3, 2]))
-    return tensor.transpose(list(range(0, 2 * n, 2)) + list(range(1, 2 * n, 2))).real
+        # away, so party k's row and column axes are b and b + n - k; its
+        # (x, a) axes are appended at the end
+        tensor = np.tensordot(tensor, stack, axes=([b, b + n - k], [3, 2]))
+    return tensor.transpose([*range(b), *range(b, b + 2 * n, 2), *range(b + 1, b + 2 * n, 2)]).real
 
 
 def born_table(
@@ -315,7 +310,8 @@ def multipartite_box(state: DensityMatrix, povms_per_party: Sequence[Sequence[Po
                 raise DimensionMismatchError(f"party {party}: POVM dim {povm.dim} != system dim {d}")
         outcomes.append(arities.pop())
     settings_count = [len(s) for s in povms_per_party]
-    table = _born(state.matrix, dims, [_effects(s) for s in povms_per_party])
+    # each party's effects stacked as (settings, outcomes, d, d)
+    table = _born(state.matrix, dims, [np.array([p.element_stack for p in s]) for s in povms_per_party])
     return CorrelationBox(settings_count, outcomes, table)
 
 
@@ -346,16 +342,12 @@ def choi_of_channel(chan: Channel) -> ChoiState:
     )
 
 
-def _kraus_from_in_out(j_mat: np.ndarray, d_in: int, d_out: int) -> list[np.ndarray]:
-    """Kraus operators from a PSD operator indexed (input^T, output)."""
+def _kraus_from_in_out(j_mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """Kraus operators, stacked, from a PSD operator indexed (input^T, output)."""
     vals, vecs = np.linalg.eigh(j_mat)
-    kraus = []
-    for lam, v in zip(vals, vecs.T):
-        if lam <= ATOL:
-            continue
-        block = (np.sqrt(lam) * v).reshape(d_in, d_out)
-        kraus.append(block.T)  # so that eps(Y) = sum K Y K^dagger
-    return kraus
+    keep = vals > ATOL
+    blocks = (vecs[:, keep] * np.sqrt(vals[keep])).T.reshape(-1, d_in, d_out)
+    return blocks.transpose(0, 2, 1)  # K = block^T, so that eps(Y) = sum K Y K^dagger
 
 
 def kraus_from_choi(choi: ChoiState) -> Channel:
@@ -424,17 +416,17 @@ def leifer_ensemble(rho: DensityMatrix, povm: Povm) -> EnsemblePreparation:
     if rho.dim != povm.dim:
         raise DimensionMismatchError("state and POVM dimensions differ")
     root = mat_sqrt(rho.matrix)
-    weights = np.array([np.trace(rho.matrix @ e).real for e in povm.elements])
+    weights = np.einsum("ij,kji->k", rho.matrix, povm.element_stack).real  # Tr(rho M_k)
     states = [
-        DensityMatrix.maximally_mixed(rho.dim) if w <= EPS_BRANCH else DensityMatrix(root @ e @ root / w)
-        for w, e in zip(weights, povm.elements)
+        DensityMatrix.maximally_mixed(rho.dim) if w <= EPS_BRANCH else DensityMatrix(b / w)
+        for w, b in zip(weights, root @ povm.element_stack @ root)
     ]
     return EnsemblePreparation(weights, states)
 
 
 def transpose_povm(povm: Povm) -> Povm:
     """Elementwise transpose in the computational basis (still a POVM)."""
-    return Povm([e.T for e in povm.elements])
+    return Povm(povm.element_stack.transpose(0, 2, 1))
 
 
 def transpose_state(rho: DensityMatrix) -> DensityMatrix:

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import DimensionMismatchError, ValidationError
 
 if TYPE_CHECKING:  # each loader imports the one module it builds from
     from .correlations import CorrelationBox
@@ -53,6 +53,16 @@ def _read_json(path: str | Path) -> Any:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
+
+
+def _load_quantum(path: str | Path, from_json) -> Any:
+    """Load with `from_json`; prefix a constructor's error with the path (a ParseError has it)."""
+    try:
+        return from_json(_read_json(path), context=str(path))
+    except ParseError:
+        raise
+    except (ValidationError, DimensionMismatchError) as exc:
+        raise type(exc)(f"{path}: {exc}") from None
 
 
 _JSON_TYPES = {list: "an array", dict: "an object"}
@@ -230,7 +240,7 @@ def state_from_json(data: Any, context: str = "state") -> DensityMatrix:
 
 
 def load_state(path: str | Path) -> DensityMatrix:
-    return state_from_json(_read_json(path), context=str(path))
+    return _load_quantum(path, state_from_json)
 
 
 def save_state(state: DensityMatrix, path: str | Path) -> None:
@@ -248,7 +258,7 @@ def povm_from_json(data: Any, context: str = "povm") -> Povm:
 
 
 def load_povm(path: str | Path) -> Povm:
-    return povm_from_json(_read_json(path), context=str(path))
+    return _load_quantum(path, povm_from_json)
 
 
 def save_povm(povm: Povm, path: str | Path) -> None:
@@ -268,7 +278,7 @@ def channel_from_json(data: Any, context: str = "channel") -> Channel:
 
 
 def load_channel(path: str | Path) -> Channel:
-    return channel_from_json(_read_json(path), context=str(path))
+    return _load_quantum(path, channel_from_json)
 
 
 def save_channel(chan: Channel, path: str | Path) -> None:

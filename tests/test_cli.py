@@ -355,6 +355,26 @@ def test_malformed_input_exits_two(files, capsys, tmp_path, name, mutate):
     assert_input_error(capsys, argv)
 
 
+# a file rejected by the object's constructor, not by the parser, given second of its kind
+CONSTRUCTOR_ERRORS = [
+    pytest.param("zero", _set(["dims"], [-1, -2]), ["broadcast", "--state", "{zero}", "--state", "{}"],
+                 id="second-state-negative-dims"),
+    pytest.param("o", _set(["elements", 0, 0, 1], [0.5, 0.0]),
+                 ["game", "--state", "{singlet}", "--povm", "{s0}", "--povm", "{}", "--povm", "{b0}",
+                  "--povm", "{b1}"], id="second-povm-non-hermitian"),
+]
+
+
+@pytest.mark.parametrize("name, mutate, command", CONSTRUCTOR_ERRORS)
+def test_constructor_error_names_the_file(files, capsys, tmp_path, name, mutate, command):
+    data = json.loads(files[name].read_text())
+    mutate(data)
+    bad = tmp_path / "constructor_error.json"
+    bad.write_text(json.dumps(data))
+    line = assert_input_error(capsys, [a.format(bad, **files) for a in command])
+    assert line.startswith(f"error: {bad}: ")
+
+
 @pytest.mark.parametrize(
     "settings, command",
     [

@@ -1,6 +1,8 @@
 """Spatial/temporal scenario constructions and their distribution equality."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from gptw.duality import (
     verify_ocj,
 )
 from gptw.errors import ArityError, ValidationError
-from gptw.theory import EnsemblePreparation, JointDistribution
+from gptw.theory import EPS_BRANCH, EnsemblePreparation, JointDistribution
 
 
 def test_bell_pair_z_z_forward():
@@ -209,3 +211,127 @@ def test_chsh_equality_through_duality():
         - pm_expectations[(1, 1)]
     )
     assert abs(pm_value - spatial_value) < 1e-8
+
+
+# -- per-branch reference oracles ---------------------------------------------------
+# The constructions written one branch, one effect and one eigenvalue at a time.
+# The library stacks each stage; both must agree to rounding.
+
+ORACLE_TOL = 1e-12
+
+
+def _born_loop(matrix, effects):
+    """p(x_1..x_n) = Tr((M_1 x ... x M_n) rho), one Kronecker product per outcome tuple."""
+    table = np.zeros(tuple(len(e) for e in effects))
+    for xs in itertools.product(*(range(len(e)) for e in effects)):
+        effect = np.ones((1, 1))
+        for party, x in zip(effects, xs):
+            effect = np.kron(effect, party[x])
+        table[xs] = np.trace(effect @ matrix).real
+    return table
+
+
+def _leifer_loop(rho, elements):
+    """(weights, branch matrices) of rho along the effects; None for a dead branch."""
+    root = q.mat_sqrt(rho)
+    weights = [np.trace(rho @ e).real for e in elements]
+    return weights, [None if w <= EPS_BRANCH else root @ e @ root / w for w, e in zip(weights, elements)]
+
+
+def _conditional_kraus_loop(state):
+    """Kraus operators of the conditional channel, one eigenvalue at a time."""
+    d_a = state.dims[0]
+    d_b = state.dim // d_a
+    rho_a = q.partial_trace(state.matrix, (d_a, d_b), keep=(0,))
+    inv_sqrt, support = q._psd_inv_sqrt(rho_a)
+    dress = np.kron(inv_sqrt, np.eye(d_b))
+    j_mat = dress @ state.matrix @ dress
+    comp = np.eye(d_a) - support
+    if np.max(np.abs(comp)) > q.ATOL:
+        j_mat = j_mat + np.kron(comp, np.eye(d_b) / d_b)
+    vals, vecs = np.linalg.eigh(0.5 * (j_mat + j_mat.conj().T))
+    return [(np.sqrt(lam) * v).reshape(d_a, d_b).T for lam, v in zip(vals, vecs.T) if lam > q.ATOL]
+
+
+def _temporal_loop(ensemble, channel, povms):
+    joint = np.zeros((len(ensemble),) + tuple(len(p) for p in povms))
+    for i, (w, branch) in enumerate(zip(ensemble.weights, ensemble.branches)):
+        if w > EPS_BRANCH:
+            out = sum(k @ branch.matrix @ k.conj().T for k in channel.kraus)
+            joint[i] = w * _born_loop(out, [p.elements for p in povms])
+    return joint
+
+
+def _temporal_to_spatial_loop(temporal):
+    """(joint state, first-party effects) of the realization, one branch at a time."""
+    ens = temporal.ensemble
+    live = [(w, s.matrix) for w, s in zip(ens.weights, ens.branches) if w > EPS_BRANCH]
+    d = live[0][1].shape[0]
+    rho_bar = sum(w * s for w, s in live)
+    inv_root, support = q._psd_inv_sqrt(rho_bar)
+    effects = []
+    for w, branch in zip(ens.weights, ens.branches):
+        if w <= EPS_BRANCH:
+            effects.append(np.zeros((d, d), dtype=complex))
+        else:
+            e = w * (inv_root @ branch.matrix @ inv_root)
+            effects.append(0.5 * (e + e.conj().T))
+    leftover = np.eye(d) - support
+    if np.max(np.abs(leftover)) > 1e-12:
+        effects[-1] = effects[-1] + leftover
+    psi = q.mat_sqrt(rho_bar.T).reshape(-1)
+    vecs = [np.kron(np.eye(d), k) @ psi for k in temporal.channel.kraus]
+    return sum(np.outer(v, v.conj()) for v in vecs), [e.T for e in effects]
+
+
+def _worst(a, b):
+    return float(np.max(np.abs(np.asarray(a) - np.asarray(b))))
+
+
+def _check_against_loops(state, povms):
+    spatial = spatial_scenario(state, povms)
+    elements = [p.elements for p in povms]
+    assert _worst(spatial.distribution.probabilities, _born_loop(state.matrix, elements)) < ORACLE_TOL
+    temporal = spatial_to_temporal(spatial)
+
+    d_a = state.dims[0]
+    rho_a = q.partial_trace(state.matrix, (d_a, state.dim // d_a), keep=(0,))
+    weights, branches = _leifer_loop(rho_a.T, [e.T for e in povms[0].elements])
+    assert _worst(temporal.ensemble.weights, weights) < ORACLE_TOL
+    for got, want in zip(temporal.ensemble.branches, branches):
+        assert _worst(got.matrix, np.eye(d_a) / d_a if want is None else want) < ORACLE_TOL
+
+    reference = q.Channel(_conditional_kraus_loop(state), output_dims=state.dims[1:])
+    choi = q.choi_of_channel(temporal.channel).state.matrix
+    assert _worst(choi, q.choi_of_channel(reference).state.matrix) < ORACLE_TOL
+
+    want = _temporal_loop(temporal.ensemble, temporal.channel, povms[1:])
+    assert _worst(temporal.distribution.probabilities, want) < ORACLE_TOL
+
+    back = temporal_to_spatial(temporal)
+    joint, first = _temporal_to_spatial_loop(temporal)
+    assert _worst(back.state.matrix, joint) < ORACLE_TOL
+    assert _worst(back.povms[0].element_stack, first) < ORACLE_TOL
+    assert _worst(back.distribution.probabilities, _born_loop(joint, [first] + elements[1:])) < ORACLE_TOL
+    return temporal
+
+
+@pytest.mark.parametrize("rest", [1, 2], ids=["two-party", "three-party"])
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_stages_match_per_branch_loops(d, rest):
+    rng = np.random.default_rng(100 + d + rest)
+    dims = (d, d) if rest == 1 else (d, 2, 2)
+    state = q.ginibre_state(int(np.prod(dims)), rng, dims=dims)
+    _check_against_loops(state, [q.random_povm(k, k, rng) for k in dims])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_stages_match_loops_with_dead_branch_and_rank_deficient_marginal(d):
+    # pure first marginal |0><0|; the last first-party effect is orthogonal to it
+    rng = np.random.default_rng(200 + d)
+    zero = np.zeros((d, d))
+    zero[0, 0] = 1.0
+    state = q.DensityMatrix(np.kron(zero, q.ginibre_state(d, rng).matrix), dims=(d, d))
+    first = q.Povm([0.3 * zero, 0.7 * zero, np.eye(d) - zero])
+    temporal = _check_against_loops(state, [first, q.random_povm(d, 2, rng)])
+    assert temporal.ensemble.weights[-1] == 0.0

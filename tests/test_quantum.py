@@ -106,15 +106,56 @@ def test_channel_keeps_one_read_only_kraus_stack():
         assert np.shares_memory(op, chan.kraus_stack) and np.array_equal(op, chan.kraus_stack[k])
         with pytest.raises(ValueError):
             op[0, 0] = 0.0
-    for _ in range(5):
-        rho = q.ginibre_state(3, rng).matrix
+    rhos = np.array([q.ginibre_state(3, rng).matrix for _ in range(5)])
+    for rho, stacked in zip(rhos, chan.apply(rhos)):  # a stack of inputs maps input by input
         loop = sum(k @ rho @ k.conj().T for k in chan.kraus)
         assert np.max(np.abs(chan.apply(rho) - loop)) < 1e-14
+        assert np.max(np.abs(stacked - loop)) < 1e-14
 
 
 def test_channel_rejects_mixed_kraus_shapes():
     with pytest.raises(DimensionMismatchError):
         q.Channel([np.eye(2), np.eye(3)])
+
+
+def test_povm_keeps_one_read_only_element_stack():
+    povm = q.random_povm(3, 4, np.random.default_rng(23))
+    assert povm.element_stack.shape == (4, 3, 3) and not povm.element_stack.flags.writeable
+    for k, e in enumerate(povm.elements):
+        assert np.shares_memory(e, povm.element_stack) and np.array_equal(e, povm.element_stack[k])
+        with pytest.raises(ValueError):
+            e[0, 0] = 0.0
+
+
+def test_povm_rejects_mixed_element_shapes():
+    with pytest.raises(DimensionMismatchError, match="mixed dimensions"):
+        q.Povm([np.diag([1.0, 0.0]), np.diag([0.0, 1.0, 0.0])])
+
+
+def _second_broken(entry, value):
+    """The Z-basis POVM with one entry of its second element replaced."""
+    second = np.diag([0.0, 1.0]).astype(complex)
+    second[entry] = value
+    return [np.diag([1.0, 0.0]), second]
+
+
+# one defect per case, in the second element, with the message each check raises
+POVM_DEFECTS = [
+    pytest.param(_second_broken((0, 1), 0.5), "POVM element is not finite and Hermitian", id="non-hermitian"),
+    pytest.param(_second_broken((1, 1), np.nan), "POVM element is not finite and Hermitian", id="nan"),
+    pytest.param(_second_broken((1, 1), np.inf), "POVM element is not finite and Hermitian", id="inf"),
+    pytest.param([np.diag([1.5, 0.0]), np.diag([-0.5, 1.0])], "POVM element is not positive semidefinite",
+                 id="negative-eigenvalue"),
+    pytest.param(_second_broken((1, 1), 0.5), "POVM elements do not sum to the identity", id="incomplete"),
+]
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf inside the checks
+@pytest.mark.parametrize("elements, message", POVM_DEFECTS)
+def test_povm_defect_messages(elements, message):
+    with pytest.raises(ValidationError) as info:
+        q.Povm(elements)
+    assert str(info.value) == message
 
 
 # dims whose product, taken in int64 or over signed factors, equals the matrix dimension d:

@@ -2,12 +2,14 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gptw import quantum as q
 from gptw import serialize as ser
+from gptw.errors import DimensionMismatchError, ValidationError
 from gptw.ontic import validate_model
 
 from test_theory import small_theory
@@ -114,6 +116,70 @@ def test_bad_kraus_operator_names_the_file(tmp_path, kraus, message):
     with pytest.raises(ser.ParseError, match=message) as info:
         ser.load_channel(path)
     assert str(info.value).startswith(f"{path}: ")
+
+
+def _encoded(*mats):
+    return [ser.matrix_to_json(m) for m in mats]
+
+
+# one constructor defect per loader, and a parse error that already names the file
+CONSTRUCTOR_DEFECTS = [
+    pytest.param(ser.load_state, {"dims": [-1, -2], "matrix": _encoded(np.eye(2) / 2)[0]},
+                 DimensionMismatchError, id="state-dims"),
+    pytest.param(ser.load_povm, {"elements": _encoded([[1.0, 0.5], [0.0, 0.0]], [[0.0, -0.5], [0.0, 1.0]])},
+                 ValidationError, id="povm-non-hermitian"),
+    pytest.param(ser.load_channel, {"kraus": _encoded(np.diag([1.0, 0.5]))}, ValidationError,
+                 id="channel-not-trace-preserving"),
+    pytest.param(ser.load_state, {"dim": 2, "matrix": [[[float("nan"), 0.0]]]}, ser.ParseError,
+                 id="state-parse-error"),
+]
+
+
+@pytest.mark.parametrize("load, data, error", CONSTRUCTOR_DEFECTS)
+def test_quantum_loader_errors_name_the_file_once(tmp_path, load, data, error):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(data))
+    with pytest.raises(error) as info:
+        load(path)
+    message = str(info.value)
+    assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
+
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+
+def _sample(name):
+    return lambda: json.loads((SAMPLES / name).read_text())
+
+
+# (loader, valid data, path to an integer field of that data whose value is 2)
+INTEGER_FIELDS = [
+    pytest.param(ser.box_from_json, _sample("pr_box.json"), ["parties"], id="parties"),
+    pytest.param(ser.box_from_json, _sample("pr_box.json"), ["settings", 0], id="settings"),
+    pytest.param(ser.box_from_json, _sample("pr_box.json"), ["outcomes", 1], id="outcomes"),
+    pytest.param(ser.state_from_json, _sample("random_two_qubit.json"), ["dims", 0], id="dims"),
+    pytest.param(ser.state_from_json, lambda: {"dim": 2, "matrix": _sample("state_zero.json")()["matrix"]},
+                 ["dim"], id="dim"),
+    pytest.param(ser.theory_from_json, _sample("qubit_theory.json"), ["measurements", 0, "arity"], id="arity"),
+    pytest.param(ser.channel_from_json, lambda: ser.channel_to_json(q.Channel.identity(2)), ["output_dims", 0],
+                 id="output_dims"),
+]
+
+
+@pytest.mark.parametrize("loader, make, path", INTEGER_FIELDS)
+def test_integer_field_takes_integral_floats_only(loader, make, path):
+    def load(value):
+        data = make()
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        assert node[path[-1]] == 2
+        node[path[-1]] = value
+        return loader(data)
+
+    load(2.0)
+    with pytest.raises(ser.ParseError, match="expected an integer, got 2.5"):
+        load(2.5)
 
 
 @pytest.mark.parametrize("parties", [17, 40])
