@@ -16,8 +16,8 @@ _EXPORTS = {
     "broadcast": """BroadcastCheck Theorem1Result broadcast_commuting commutator_norm
         interference_flag pairwise_commuting theorem1_construct""",
     "correlations": """ChshValue CorrelationBox MonogamyReport NoSignallingReport
-        check_no_signalling check_ns_monogamy check_strong_monogamy chsh chsh_prepare_measure
-        correlator is_bell_nonlocal""",
+        check_no_signalling check_ns_monogamy check_strong_monogamy chsh chsh_margin
+        chsh_prepare_measure correlator exact_chsh_witness is_bell_nonlocal""",
     "duality": """SpatialScenario TemporalScenario spatial_scenario spatial_to_temporal
         temporal_scenario temporal_to_spatial verify_ocj""",
     "errors": """ArityError DimensionMismatchError GptwError PreconditionError SizeLimitError

@@ -126,12 +126,17 @@ def broadcast_commuting(
     outputs; each output marginal then reproduces any input diagonal in that
     basis.  Non-commuting input is rejected.
     """
-    from .quantum import Channel, partial_trace, trace_distance
-
     if not states:
         raise PreconditionError("empty state family")
     if not pairwise_commuting(states, tol):
         raise PreconditionError("states do not commute pairwise; broadcasting impossible")
+    return _measure_and_reprepare(states, seed)
+
+
+def _measure_and_reprepare(states: Sequence[DensityMatrix], seed: int = 7) -> tuple[Channel, BroadcastCheck]:
+    """`broadcast_commuting` for a non-empty family whose commutation the caller already tested."""
+    from .quantum import Channel, partial_trace, trace_distance
+
     d = states[0].dim
     basis = _common_eigenbasis([s.matrix for s in states], np.random.default_rng(seed))
     kraus = []

@@ -31,7 +31,7 @@ DEFAULT_TOLS = {
     "game": 1e-6,
     "uncertainty": 1e-9,
     "validate-model": 1e-9,
-    "dim": 1e-9,
+    "dim": 1e-7,  # theory.RANK_RTOL, the relative singular-value threshold, written out: no import here
 }
 
 
@@ -84,9 +84,14 @@ def cmd_chsh(args, tol: float) -> Report:
         if any(s is None for s in explicit):
             raise GptwError("give all of --a0 --a1 --b0 --b1 or none")
         witness = corr.chsh(box, args.a0, args.a1, args.b0, args.b1)
-        nonlocal_ = abs(witness.value) > 2.0 + tol
+        nonlocal_ = corr.chsh_margin(box, witness, tol) is not None
     else:
-        nonlocal_, witness = corr.is_bell_nonlocal(box, tol)
+        _, witness = corr.is_bell_nonlocal(box, tol)
+        # the verdict is exact: a float |B| of 2.0000000000000004 may be exactly 2
+        found = corr.exact_chsh_witness(box, tol)
+        nonlocal_ = found is not None
+        if found:
+            witness = found[0]
     return Report(
         check="chsh", inputs=_digests(args, "box"), value=abs(witness.value), bound=2.0,
         passed=nonlocal_, tol=tol,
@@ -175,9 +180,10 @@ def cmd_broadcast(args, tol: float) -> Report:
     from . import broadcast as bc
     states = [serialize.load_state(p) for p in args.state]
     commuting = bc.pairwise_commuting(states, tol)
-    extra = {"commuting": commuting, "interference": bc.interference_flag(states)}
+    # commutation is tested once, at `tol`: interference is two or more states that do not commute
+    extra = {"commuting": commuting, "interference": not commuting}
     if commuting:
-        _, check = bc.broadcast_commuting(states, tol)
+        _, check = bc._measure_and_reprepare(states)
         value = check.max_error
         extra["marginal_errors"] = list(check.errors)
     else:
@@ -249,7 +255,7 @@ def cmd_validate_model(args, tol: float) -> Report:
 
 def cmd_dim(args, tol: float) -> Report:
     from . import theory as theory_mod
-    dim = theory_mod.affine_dimension(serialize.load_theory(args.theory))
+    dim = theory_mod.affine_dimension(serialize.load_theory(args.theory), rtol=tol)
     return Report(
         check="dim", inputs=_digests(args, "theory"), value=dim.affine_parameter_count, bound=None,
         passed=True, tol=tol, extra={"claimed_dimension": dim.claimed_dimension},
@@ -315,7 +321,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("validate-model", cmd_validate_model, "validity conditions of an ontological model")
     p.add_argument("--model", required=True)
 
-    p = add("dim", cmd_dim, "affine dimension of a theory table")
+    p = add("dim", cmd_dim, "affine dimension of a theory table (--tol: relative singular-value threshold)")
     p.add_argument("--theory", required=True)
 
     return parser

@@ -24,6 +24,13 @@ setting pair at once by indexing it.  The monogamy worst case then separates:
 at a fixed middle setting pair the two terms share no other choice, and both
 objectives increase in each |B|, so each wing's largest |B| over its pairs
 and spectator settings gives the exact maximum.
+
+A float |B| can land on the wrong side of 2 + tol by rounding: a local box
+whose exact |B| is 2 can read 2.0000000000000004.  `exact_chsh_witness`
+re-checks every setting pair within the rounding bound of the threshold in
+exact arithmetic (`chsh_margin`): each table entry is a float, i.e. an
+integer over a power of two, so the 16-entry sum runs in integers over one
+common denominator (`_dyadic`).  `is_bell_nonlocal` stays a float search.
 """
 from __future__ import annotations
 
@@ -39,6 +46,11 @@ from .theory import EPS_NORM, EnsemblePreparation, OperationalTheory, outcome_di
 
 NS_MONOGAMY_BOUND = 4.0
 STRONG_MONOGAMY_BOUND = 8.0
+# A float |B| sums 16 entries in [0, 1] with 6 roundings, so it is within 2**-47 of the exact sum;
+# pairs within this relative slack of the threshold (and at least this absolute one) get an exact check
+CHSH_ROUNDING = 2.0**-40
+# B's coefficient of p(ab|xy) in rows E(a0,b0), E(a0,b1), E(a1,b0), E(a1,b1), outcomes 00, 01, 10, 11
+_CHSH_SIGNS = (1, -1, -1, 1) * 3 + (-1, 1, 1, -1)
 
 
 class CorrelationBox:
@@ -241,6 +253,71 @@ def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, Chsh
     p, q = divmod(int(np.abs(values).argmax()), values.shape[1])
     best = ChshValue(float(values[p, q]), tuple(a_pairs[p].tolist()), tuple(b_pairs[q].tolist()))
     return abs(best.value) > 2.0 + tol, best
+
+
+def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
+    """Exact integers over one denominator: values[i] == nums[i] / 2**shift.
+
+    A finite float is n / d with d a power of two, so the largest d serves
+    every value.  Sums and differences of the numerators are exact, and an
+    int / int division at the end rounds correctly to the nearest float.
+    """
+    ratios = [v.as_integer_ratio() for v in values]
+    shift = max(d.bit_length() for _, d in ratios) - 1
+    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
+
+
+def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float, tol_weight: int = 1) -> float | None:
+    """Exact |B| - 2 - tol_weight * tol at the witness's settings, as the nearest float, if positive; else None.
+
+    B is summed from the 16 table entries of parties 0 and 1, each with
+    coefficient +-1 (a spectator's outcomes summed out at its setting 0, as
+    in `chsh`), and compared with the threshold in the same integers
+    (`_dyadic`).  A positive margin never rounds to 0.0: it is at least
+    2**-1074.  `tol` must be finite.
+    """
+    (a0, a1), (b0, b1) = witness.a_settings, witness.b_settings
+    spectators = (0,) * (box.n_parties - 2)
+    # the 16 entries in `_CHSH_SIGNS` order, each followed by the spectator's other outcomes
+    cells = box.table[([a0, a0, a1, a1], [b0, b1, b0, b1]) + spectators].reshape(-1).tolist()
+    nums, shift = _dyadic(cells + [tol])
+    per_entry = len(cells) // 16
+    value = abs(sum(_CHSH_SIGNS[k // per_entry] * n for k, n in enumerate(nums[:-1])))
+    margin = value - (2 << shift) - tol_weight * nums[-1]
+    return margin / (1 << shift) if margin > 0 else None
+
+
+def exact_chsh_witness(box: CorrelationBox, tol: float, tol_weight: int = 1) -> tuple[ChshValue, float] | None:
+    """A witness whose exact |B| exceeds 2 + tol_weight * tol, with its `chsh_margin`; else None.
+
+    `is_bell_nonlocal`'s witness, the float-best, is re-checked exactly
+    first.  Only if it fails are the other ordered setting pairs whose float
+    |B| exceeds the threshold, or falls short of it by no more than the
+    rounding slack, re-checked, best float |B| first and in
+    (a0, a1, b0, b1) order on ties.  Bipartite two-outcome boxes with a
+    finite `tol`.
+    """
+    values, a_pairs, b_pairs = _chsh_table(box, 0, 1)
+    size = np.abs(values).reshape(-1)
+    threshold = 2.0 + tol_weight * tol
+    floor = threshold - CHSH_ROUNDING * max(1.0, abs(threshold))
+
+    def check(k: int) -> tuple[ChshValue, float] | None:
+        p, q = divmod(k, values.shape[1])
+        witness = ChshValue(float(values[p, q]), tuple(a_pairs[p].tolist()), tuple(b_pairs[q].tolist()))
+        margin = chsh_margin(box, witness, tol, tol_weight)
+        return None if margin is None else (witness, margin)
+
+    best = int(size.argmax())
+    if not size[best] > floor:
+        return None
+    found = check(best)
+    if found is None:
+        near = np.flatnonzero(size > floor)
+        for k in near[np.argsort(-size[near], kind="stable")].tolist():
+            if k != best and (found := check(k)) is not None:
+                break
+    return found
 
 
 @dataclass(frozen=True)

@@ -17,8 +17,12 @@ full joint distribution -- branch index included -- is preserved:
                         transpose of the ensemble's recovered POVM
 
 All transposes are computational-basis.  Each stage works on the stacked
-branches and effects, one NumPy call per stage, yet every intermediate object
-is still built through its validating constructor.  Both directions verify
+branches and effects, one NumPy call per stage.  Each marginal (rho_A one
+way, rho_bar the other) is decomposed once, by one `eigh` of its transpose:
+that spectrum serves the PSD checks of the marginal and of its transpose, the
+square root and the inverse square root with its support.  Every check the
+validating constructors make still runs, each on its own matrix, and the
+live branch states are checked as one stack.  Both directions verify
 the distribution equality they promise and raise ValidationError if the
 reconstruction misses it, so a returned scenario is already checked.
 Supports 2 and 3 total systems (one upstream system plus 1 or 2 outputs).
@@ -34,14 +38,14 @@ from .quantum import (
     Channel,
     DensityMatrix,
     Povm,
-    conditional_channel,
-    leifer_ensemble,
     partial_trace,
-    purification,
     transpose_povm,
-    transpose_state,
     _born,
-    _psd_inv_sqrt,
+    _conditional_channel,
+    _inv_sqrt_from,
+    _leifer_ensemble,
+    _sqrt_from,
+    _transposed_state,
 )
 from .theory import EPS_BRANCH, EnsemblePreparation, JointDistribution
 
@@ -137,10 +141,11 @@ def spatial_to_temporal(spatial: SpatialScenario, tol: float = CONSTRUCTION_TOL)
     if len(dims) not in (2, 3):
         raise DimensionMismatchError("2 or 3 parties supported")
     d_a = dims[0]
-    d_rest = spatial.state.dim // d_a
-    rho_a = DensityMatrix(partial_trace(spatial.state.matrix, (d_a, d_rest), keep=(0,)))
-    ensemble = leifer_ensemble(transpose_state(rho_a), transpose_povm(spatial.povms[0]))
-    channel = conditional_channel(spatial.state)
+    rho_a = partial_trace(spatial.state.matrix, (d_a, spatial.state.dim // d_a), keep=(0,))
+    rho_a_t, vals, eigvecs = _transposed_state(rho_a)
+    ensemble = _leifer_ensemble(rho_a_t, transpose_povm(spatial.povms[0]), _sqrt_from(vals, eigvecs))
+    # rho_A = conj(rho_A^T): its eigenvectors are the conjugated ones
+    channel = _conditional_channel(spatial.state, *_inv_sqrt_from(vals, eigvecs.conj()))
     temporal = temporal_scenario(ensemble, channel, spatial.povms[1:])
     _check_match(temporal.distribution, spatial.distribution, tol, "spatial_to_temporal")
     return temporal
@@ -157,9 +162,9 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     chan = temporal.channel
     live, mats = _live_branches(temporal.ensemble, chan.dim_in)
     d = chan.dim_in
-    rho_bar = DensityMatrix(mats.sum(axis=0))
+    _, vals, eigvecs = _transposed_state(mats.sum(axis=0))  # rho_bar^T, checked with rho_bar
 
-    inv_root, support = _psd_inv_sqrt(rho_bar.matrix)
+    inv_root, support = _inv_sqrt_from(vals, eigvecs.conj())  # rho_bar = conj(rho_bar^T)
     e = inv_root @ mats @ inv_root
     effects = np.zeros((len(live), d, d), dtype=complex)
     effects[live] = 0.5 * (e + e.conj().transpose(0, 2, 1))
@@ -169,7 +174,7 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     induced = Povm(effects)
     first_meas = transpose_povm(induced)
 
-    psi = purification(transpose_state(rho_bar)).reshape(d, d)  # on dims (d, d)
+    psi = _sqrt_from(vals, eigvecs)  # the canonical purification of rho_bar^T, on dims (d, d)
     # (I x K_k) psi is psi K_k^T read row-major as a (first, output) vector
     vecs = (psi @ chan.kraus_stack.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
     joint_mat = vecs.T @ vecs.conj()

@@ -21,15 +21,16 @@ places within `tol` but that fails the re-check is solved once more at
 tighter feasibility tolerances before the answer is None.
 
 Before any LP is built, two-outcome boxes pass a CHSH gate (`chsh_gate`):
-the best CHSH witness is re-evaluated exactly, and if |B| > 2 + 16 tol the
-box has no local model within `tol` and no LP is solved.  This is sound
-because every local box q has |B(q)| <= 2 and B has sixteen +-1
-coefficients, so |B(p) - B(q)| <= 16 max|p - q|.  A box the gate does not
-settle goes to the unchanged LP.  Every table entry and `tol` is a float,
-i.e. an integer over a power of two, so both exact checks run in integers
-over one common denominator (`_dyadic`).  Factorizability is exactly what a
-preparation-noncontextual representation forces on the box, so this is the
-decidable endpoint of the noncontextuality-implies-locality chain;
+the best CHSH witnesses are re-evaluated exactly, and if one has
+|B| > 2 + 16 tol the box has no local model within `tol` and no LP is
+solved.  This is sound because every local box q has |B(q)| <= 2 and B has
+sixteen +-1 coefficients, so |B(p) - B(q)| <= 16 max|p - q|.  A box the gate
+does not settle goes to the unchanged LP.  Every table entry and `tol` is a
+float, i.e. an integer over a power of two, so both exact checks run in
+integers over one common denominator (`correlations._dyadic`).
+Factorizability is exactly what a preparation-noncontextual representation
+forces on the box, so this is the decidable endpoint of the
+noncontextuality-implies-locality chain;
 `noncontextual_chsh_bound` packages the implication.
 """
 from __future__ import annotations
@@ -39,7 +40,7 @@ from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlations import ChshValue, CorrelationBox, is_bell_nonlocal
+from .correlations import ChshValue, CorrelationBox, _dyadic, exact_chsh_witness, is_bell_nonlocal
 from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, ValidationError
 from .theory import EPS_NORM
 
@@ -197,18 +198,6 @@ def _alice_maps(n_x: int, n_a: int) -> np.ndarray:
     return np.arange(n_a**n_x)[:, None] // n_a ** np.arange(n_x - 1, -1, -1) % n_a
 
 
-def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
-    """Exact integers over one denominator: values[i] == nums[i] / 2**shift.
-
-    A finite float is n / d with d a power of two, so the largest d serves
-    every value.  Sums and differences of the numerators are exact, and an
-    int / int division at the end rounds correctly to the nearest float.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    shift = max(d.bit_length() for _, d in ratios) - 1
-    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
-
-
 def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> float:
     """Max reconstruction error, exact, as the float nearest to the rational error."""
     target = box.table.reshape(-1).tolist()
@@ -236,28 +225,19 @@ class ChshRefutation:
 
 
 def chsh_gate(box: CorrelationBox, tol: float) -> ChshRefutation | None:
-    """The float-best CHSH witness, if its exact |B| exceeds 2 + 16 tol; else None.
+    """A CHSH witness whose exact |B| exceeds 2 + 16 tol, if one exists; else None.
 
     Applies to bipartite two-outcome boxes with at least two settings per
     party and a finite `tol`; any other box gets None and goes to the LP.
-    |B| is summed exactly from the witness's 16 table entries, each with
-    coefficient +-1, and compared with the threshold in the same integers
-    (`_dyadic`).  A refuted box has no local box within `tol`: see the
-    module docstring.
+    The float-best witness is re-checked exactly first, then every other
+    setting pair within rounding of the threshold
+    (`correlations.exact_chsh_witness`).  A refuted box has no local box
+    within `tol`: see the module docstring.
     """
     if box.n_parties != 2 or box.outcomes != (2, 2) or min(box.settings) < 2 or not np.isfinite(tol):
         return None
-    _, witness = is_bell_nonlocal(box)
-    (a0, a1), (b0, b1) = witness.a_settings, witness.b_settings
-    # rows E(a0,b0), E(a0,b1), E(a1,b0), E(a1,b1); entries p(00), p(01), p(10), p(11)
-    cells = box.table[[a0, a0, a1, a1], [b0, b1, b0, b1]].reshape(-1).tolist()
-    nums, shift = _dyadic(cells + [tol])
-    signs = (1, -1, -1, 1) * 3 + (-1, 1, 1, -1)
-    value = abs(sum(s * n for s, n in zip(signs, nums)))
-    margin = value - (2 << shift) - 16 * nums[-1]
-    if margin <= 0:
-        return None
-    return ChshRefutation(witness, margin / (1 << shift))
+    found = exact_chsh_witness(box, tol, tol_weight=16)
+    return None if found is None else ChshRefutation(*found)
 
 
 def linprog(*args, **kwargs):

@@ -7,6 +7,15 @@ decomposition of a state induced by a POVM (weights Tr(rho M_i), states
 sqrt(rho) M_i sqrt(rho) / Tr(M_i rho)) and the conditional channel recovered
 from a bipartite state.
 
+The duality layer decomposes each marginal once: `_transposed_state` runs
+one `eigh` of rho^T, and that spectrum serves the PSD checks of rho and of
+rho^T, `mat_sqrt`'s check and square root (`_sqrt_from`), and the inverse
+square root with its support (`_inv_sqrt_from`, on the conjugated
+eigenvectors, since rho = conj(rho^T)).  Every check still runs on its own
+matrix; only a second decomposition of a spectrum already in hand is saved.
+Stacked states, such as a POVM's ensemble branches, are checked as one stack
+(`_check_density`) with `DensityMatrix`'s messages.
+
 Conventions:
   * all transposes are taken in the computational basis
   * Choi operators of a channel are ordered (output, input); tracing out the
@@ -48,14 +57,18 @@ class DensityMatrix:
 
     def __init__(self, entries, dims: Sequence[int] | None = None) -> None:
         mat = _as_complex_matrix(entries)
+        _check_density(mat[None])
+        self._freeze(mat, dims)
+
+    @classmethod
+    def _checked(cls, mat: np.ndarray, dims: Sequence[int] | None = None) -> "DensityMatrix":
+        """A state whose matrix the caller already passed through `_check_density`; `mat` becomes read-only."""
+        state = cls.__new__(cls)
+        state._freeze(mat, dims)
+        return state
+
+    def _freeze(self, mat: np.ndarray, dims: Sequence[int] | None) -> None:
         d = mat.shape[0]
-        # negated so that NaN and inf fail it: they make the difference non-finite
-        if not np.max(np.abs(mat - mat.conj().T)) <= ATOL:
-            raise ValidationError("density matrix is not finite and Hermitian")
-        if abs(np.trace(mat).real - 1.0) > ATOL or abs(np.trace(mat).imag) > ATOL:
-            raise ValidationError(f"density matrix has trace {np.trace(mat)}, not 1")
-        if np.linalg.eigvalsh(mat).min() < -ATOL:
-            raise ValidationError("density matrix has a negative eigenvalue")
         self.dim = d
         self.dims = tuple(int(x) for x in dims) if dims is not None else (d,)
         # math.prod on Python ints: np.prod wraps in int64, so (3, 6148914691236517206) would give 2
@@ -73,6 +86,25 @@ class DensityMatrix:
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
         return cls(np.eye(dim) / dim)
+
+
+def _check_density(stack: np.ndarray, eigvals: np.ndarray | None = None) -> None:
+    """`DensityMatrix`'s checks, with its messages, on every matrix of a (k, d, d) stack.
+
+    Hermiticity as one max over the stack, then the traces, then positivity:
+    on `eigvals` when the caller already holds the stack's spectrum, else by
+    one batched `eigvalsh`.  With several defective matrices the first failing
+    check kind is reported, and within it the first matrix.
+    """
+    # negated so that NaN and inf fail it: they make the difference non-finite
+    if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= ATOL:
+        raise ValidationError("density matrix is not finite and Hermitian")
+    traces = np.trace(stack, axis1=1, axis2=2)
+    for k, t in enumerate(traces.tolist()):  # a Python loop: a stack holds a few states, often one
+        if abs(t.real - 1.0) > ATOL or abs(t.imag) > ATOL:
+            raise ValidationError(f"density matrix has trace {traces[k]}, not 1")
+    if (np.linalg.eigvalsh(stack) if eigvals is None else eigvals).min() < -ATOL:
+        raise ValidationError("density matrix has a negative eigenvalue")
 
 
 class Povm:
@@ -194,7 +226,11 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
 
 def mat_sqrt(mat: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
+    return _sqrt_from(*np.linalg.eigh(np.asarray(mat, dtype=complex)))
+
+
+def _sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
+    """`mat_sqrt`, PSD check included, of the matrix with this `eigh` decomposition."""
     if vals.min() < -ATOL:
         raise ValidationError(f"matrix is not PSD (min eigenvalue {vals.min()})")
     vals = np.clip(vals, 0.0, None)
@@ -203,12 +239,32 @@ def mat_sqrt(mat: np.ndarray) -> np.ndarray:
 
 def _psd_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse square root on the support; returns (rho^{-1/2}, support projector)."""
-    vals, vecs = np.linalg.eigh(np.asarray(mat, dtype=complex))
+    return _inv_sqrt_from(*np.linalg.eigh(np.asarray(mat, dtype=complex)))
+
+
+def _inv_sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """`_psd_inv_sqrt` of the matrix with this `eigh` decomposition."""
     vals = np.clip(vals, 0.0, None)
     on = vals > ATOL
     inv = np.where(on, 1.0 / np.sqrt(np.where(on, vals, 1.0)), 0.0)
     support = (vecs * on.astype(float)) @ vecs.conj().T
     return (vecs * inv) @ vecs.conj().T, support
+
+
+def _transposed_state(mat: np.ndarray) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
+    """The state mat^T, from one `eigh` of mat^T: (state, eigenvalues, eigenvectors).
+
+    Runs `DensityMatrix`'s checks on the finite matrix `mat` and on mat^T
+    (what `DensityMatrix(mat)` and `transpose_state` check); a Hermitian
+    matrix and its transpose have one spectrum, so both PSD checks read the
+    eigenvalues of the one decomposition.  Since mat = conj(mat^T), the
+    conjugated eigenvectors decompose `mat` itself.
+    """
+    mat_t = mat.T
+    vals, vecs = np.linalg.eigh(mat_t)
+    _check_density(mat[None], vals)
+    _check_density(mat_t[None], vals)
+    return DensityMatrix._checked(mat_t), vals, vecs
 
 
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
@@ -391,13 +447,18 @@ def conditional_channel(state: DensityMatrix) -> Channel:
     rho_A is rank deficient the recovery lives on its support and the channel
     is completed arbitrarily (maximally mixed output) off it.
     """
-    dims = state.dims
-    if len(dims) < 2:
+    if len(state.dims) < 2:
         raise DimensionMismatchError("conditional_channel needs a state with >= 2 factors")
+    d_a = state.dims[0]
+    rho_a = partial_trace(state.matrix, (d_a, state.dim // d_a), keep=(0,))
+    return _conditional_channel(state, *_psd_inv_sqrt(rho_a))
+
+
+def _conditional_channel(state: DensityMatrix, inv_sqrt: np.ndarray, support: np.ndarray) -> Channel:
+    """`conditional_channel` from rho_A^{-1/2} and rho_A's support projector, which the caller computed."""
+    dims = state.dims
     d_a = dims[0]
     d_b = state.dim // d_a
-    rho_a = partial_trace(state.matrix, (d_a, d_b), keep=(0,))
-    inv_sqrt, support = _psd_inv_sqrt(rho_a)
     dress = np.kron(inv_sqrt, np.eye(d_b))
     j_mat = dress @ state.matrix @ dress
     comp = np.eye(d_a) - support
@@ -411,16 +472,24 @@ def leifer_ensemble(rho: DensityMatrix, povm: Povm) -> EnsemblePreparation:
     """Decompose rho along a POVM: p(i) = Tr(rho M_i), rho_i = sqrt(rho) M_i sqrt(rho) / p(i).
 
     A branch with weight <= EPS_BRANCH gets a maximally mixed placeholder
-    state; its statistics never contribute.
+    state; its statistics never contribute.  The live branch states are
+    checked as one stack, with `DensityMatrix`'s messages.
     """
+    return _leifer_ensemble(rho, povm, mat_sqrt(rho.matrix))
+
+
+def _leifer_ensemble(rho: DensityMatrix, povm: Povm, root: np.ndarray) -> EnsemblePreparation:
+    """`leifer_ensemble` with sqrt(rho) computed by the caller."""
     if rho.dim != povm.dim:
         raise DimensionMismatchError("state and POVM dimensions differ")
-    root = mat_sqrt(rho.matrix)
     weights = np.einsum("ij,kji->k", rho.matrix, povm.element_stack).real  # Tr(rho M_k)
-    states = [
-        DensityMatrix.maximally_mixed(rho.dim) if w <= EPS_BRANCH else DensityMatrix(b / w)
-        for w, b in zip(weights, root @ povm.element_stack @ root)
-    ]
+    live = weights > EPS_BRANCH
+    branches = root @ povm.element_stack[live] @ root / weights[live][:, None, None]
+    _check_density(branches)
+    branches.flags.writeable = False
+    checked = iter(branches)
+    states = [DensityMatrix._checked(next(checked)) if on else DensityMatrix.maximally_mixed(rho.dim)
+              for on in live]
     return EnsemblePreparation(weights, states)
 
 

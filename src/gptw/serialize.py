@@ -19,7 +19,8 @@ Formats (all plain JSON, probabilities as decimal doubles):
            "transformations": {T: [[column-stochastic matrix]]}}
 
 Complex matrices M are arrays of rows, each row an array of [re, im] pairs
-(row-major).  Loaders re-validate all invariants of the objects they build.
+(row-major).  Loaders re-validate all invariants of the objects they build,
+and every `load_*` goes through `_load`, so each error names its file.
 """
 from __future__ import annotations
 
@@ -30,7 +31,7 @@ from typing import TYPE_CHECKING, Any
 
 import numpy as np
 
-from .errors import DimensionMismatchError, ValidationError
+from .errors import GptwError, ValidationError
 
 if TYPE_CHECKING:  # each loader imports the one module it builds from
     from .correlations import CorrelationBox
@@ -55,13 +56,13 @@ def _read_json(path: str | Path) -> Any:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 
 
-def _load_quantum(path: str | Path, from_json) -> Any:
+def _load(path: str | Path, from_json) -> Any:
     """Load with `from_json`; prefix a constructor's error with the path (a ParseError has it)."""
     try:
         return from_json(_read_json(path), context=str(path))
     except ParseError:
         raise
-    except (ValidationError, DimensionMismatchError) as exc:
+    except GptwError as exc:
         raise type(exc)(f"{path}: {exc}") from None
 
 
@@ -161,7 +162,7 @@ def theory_from_json(data: Any, context: str = "theory") -> OperationalTheory:
 
 
 def load_theory(path: str | Path) -> OperationalTheory:
-    return theory_from_json(_read_json(path), context=str(path))
+    return _load(path, theory_from_json)
 
 
 def save_theory(theory: OperationalTheory, path: str | Path) -> None:
@@ -213,7 +214,7 @@ def box_from_json(data: Any, context: str = "box") -> CorrelationBox:
 
 
 def load_box(path: str | Path) -> CorrelationBox:
-    return box_from_json(_read_json(path), context=str(path))
+    return _load(path, box_from_json)
 
 
 def save_box(box: CorrelationBox, path: str | Path) -> None:
@@ -240,7 +241,7 @@ def state_from_json(data: Any, context: str = "state") -> DensityMatrix:
 
 
 def load_state(path: str | Path) -> DensityMatrix:
-    return _load_quantum(path, state_from_json)
+    return _load(path, state_from_json)
 
 
 def save_state(state: DensityMatrix, path: str | Path) -> None:
@@ -258,7 +259,7 @@ def povm_from_json(data: Any, context: str = "povm") -> Povm:
 
 
 def load_povm(path: str | Path) -> Povm:
-    return _load_quantum(path, povm_from_json)
+    return _load(path, povm_from_json)
 
 
 def save_povm(povm: Povm, path: str | Path) -> None:
@@ -278,7 +279,7 @@ def channel_from_json(data: Any, context: str = "channel") -> Channel:
 
 
 def load_channel(path: str | Path) -> Channel:
-    return _load_quantum(path, channel_from_json)
+    return _load(path, channel_from_json)
 
 
 def save_channel(chan: Channel, path: str | Path) -> None:
@@ -309,7 +310,7 @@ def model_from_json(data: Any, context: str = "model") -> OnticModel:
 
 
 def load_model(path: str | Path) -> OnticModel:
-    return model_from_json(_read_json(path), context=str(path))
+    return _load(path, model_from_json)
 
 
 def save_model(model: OnticModel, path: str | Path) -> None:

@@ -309,21 +309,22 @@ def operationally_equivalent(
     return True
 
 
-def _affine_rank(points: np.ndarray) -> int:
-    """Affine rank of a set of row vectors via SVD of the centered matrix."""
+def _affine_rank(points: np.ndarray, rtol: float = RANK_RTOL) -> int:
+    """Affine rank of a set of row vectors: singular values of the centered matrix above rtol * the largest."""
     if points.shape[0] <= 1:
         return 0
     centered = points - points.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
     if svals.size == 0 or svals[0] == 0.0:
         return 0
-    return int(np.sum(svals > RANK_RTOL * svals[0]))
+    return int(np.sum(svals > rtol * svals[0]))
 
 
-def affine_dimension(theory: OperationalTheory) -> SubtheoryDimension:
+def affine_dimension(theory: OperationalTheory, rtol: float = RANK_RTOL) -> SubtheoryDimension:
     """Affine parameter count of the stacked identity-row statistics.
 
-    Counts the affine rank of { (p(M^x|P))_{M,x} : P in preparations }.  The
+    Counts the affine rank of { (p(M^x|P))_{M,x} : P in preparations }: the
+    singular values of the centered points above `rtol` times the largest.  The
     claimed dimension d is reported only when the count equals d**2 - 1 for
     integer d >= 2; realizability of every parameter value (the surjectivity
     half of the definition) is not checked.
@@ -338,7 +339,7 @@ def affine_dimension(theory: OperationalTheory) -> SubtheoryDimension:
             for m in theory.measurements
         ]
     )
-    count = _affine_rank(stacked)
+    count = _affine_rank(stacked, rtol)
     d = round((count + 1) ** 0.5)
     claimed = d if d >= 2 and d * d - 1 == count else None
     return SubtheoryDimension(count, claimed)

@@ -33,6 +33,24 @@ def isotropic_table(visibility: float) -> np.ndarray:
     return visibility * pr_table() + (1 - visibility) * np.full((2, 2, 2, 2), 0.25)
 
 
+def local_draws(count: int, m: int = 2, seed: int = 1):
+    """Seeded mixtures of 2 to 5 deterministic strategies, m settings per party: local boxes.
+
+    Their float tables can still read |B| = 2.0000000000000004 where the
+    exact |B| of the stored entries is 2 (at m = 2, draw 272 is the first).
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n = rng.integers(2, 6)
+        weights = rng.random(n)
+        strategies = [(rng.integers(0, 2, m), rng.integers(0, 2, m)) for _ in range(n)]
+        table = np.zeros((m, m, 2, 2))
+        for w, (a, b) in zip(weights / weights.sum(), strategies):
+            for x, y in np.ndindex(m, m):
+                table[x, y, a[x], b[y]] += w
+        yield CorrelationBox((m, m), (2, 2), table)
+
+
 @pytest.fixture
 def isotropic_half() -> CorrelationBox:
     return CorrelationBox((2, 2), (2, 2), isotropic_table(0.5))

@@ -11,10 +11,11 @@ from gptw import serialize as ser
 from gptw.cli import DEFAULT_TOLS, main
 from gptw.reports import file_digest
 
-from conftest import isotropic_table, pr_table, shared_bit_table, singlet_optimal_settings
+from conftest import isotropic_table, local_draws, pr_table, shared_bit_table, singlet_optimal_settings
 from test_game import full_qubit_theory
 from test_ontic import classical_bit_model
-from gptw.correlations import CorrelationBox
+from gptw.correlations import CorrelationBox, is_bell_nonlocal
+from gptw.theory import RANK_RTOL
 
 
 @pytest.fixture
@@ -185,6 +186,18 @@ def test_broadcast_non_commuting(files, capsys):
     assert abs(reports[0]["value"] - 0.5) < 1e-12
 
 
+def test_broadcast_tests_commutation_once_at_the_given_tol(capsys, tmp_path):
+    # [diag(0.7, 0.3), |psi><psi|] has entries 0.4 sin(t) cos(t) ~ 4e-6: commuting at 1e-3, not at 1e-9
+    diag, tilted = tmp_path / "diag.json", tmp_path / "tilted.json"
+    ser.save_state(q.DensityMatrix(np.diag([0.7, 0.3])), diag)
+    ser.save_state(q.DensityMatrix.pure([np.cos(1e-5), np.sin(1e-5)]), tilted)
+    for tol, commuting in (("1e-3", True), ("1e-9", False)):
+        _, (rep,) = run(capsys, ["broadcast", "--state", diag, "--state", tilted, "--tol", tol])
+        assert (rep["commuting"], rep["interference"]) == (commuting, not commuting)
+    _, (rep,) = run(capsys, ["broadcast", "--state", tilted, "--tol", "0"])
+    assert (rep["commuting"], rep["interference"]) == (True, False)  # one state commutes vacuously
+
+
 def test_theorem1_demonstrates_violation(files, capsys):
     code, reports = run(capsys, ["theorem1", "--box", files["singlet_box"]])
     assert code == 1  # the violation is the point: the monogamy check fails
@@ -261,6 +274,33 @@ def test_dim(files, capsys):
     assert code == 0
     assert reports[0]["value"] == 3
     assert reports[0]["claimed_dimension"] == 2
+
+
+def test_dim_tol_is_the_rank_threshold(capsys, tmp_path):
+    # the cardinal qubit states plus one tilted off the X-Z plane by 1e-5: one tiny singular direction
+    states = {name: q.DensityMatrix.pure(vec) for name, vec in
+              (("zero", q.KET0), ("one", q.KET1), ("plus", q.KET_PLUS), ("minus", q.KET_MINUS))}
+    states["tilt"] = q.DensityMatrix.pure([np.cos(0.3), np.sin(0.3) * np.exp(1e-5j)])
+    path = tmp_path / "tilted_theory.json"
+    ser.save_theory(q.born_table(states, {"X": q.x_basis(), "Y": q.y_basis(), "Z": q.z_basis()}), path)
+    for argv, tol, count in (([], RANK_RTOL, 3), (["--tol", "1e-3"], 1e-3, 2)):
+        code, (rep,) = run(capsys, ["dim", "--theory", path, *argv])
+        assert (code, rep["tol"], rep["value"]) == (0, tol, count)
+        assert rep["claimed_dimension"] == (2 if count == 3 else None)
+    assert DEFAULT_TOLS["dim"] == RANK_RTOL
+
+
+def test_chsh_verdict_at_tol_zero_is_exact(capsys, tmp_path):
+    box = list(local_draws(273))[272]
+    _, witness = is_bell_nonlocal(box, 0.0)
+    assert abs(witness.value) > 2.0  # the float search alone calls it a violation
+    path = tmp_path / "draw272.json"
+    ser.save_box(box, path)
+    settings = [f"--{k}" for k in ("a0", "a1", "b0", "b1")]
+    explicit = [a for flag, s in zip(settings, witness.a_settings + witness.b_settings) for a in (flag, str(s))]
+    for argv in (["chsh", "--box", path, "--tol", "0"], ["chsh", "--box", path, "--tol", "0", *explicit]):
+        code, (rep,) = run(capsys, argv)
+        assert (code, rep["pass"]) == (1, False)
 
 
 def test_parse_error_exits_two(files, capsys, tmp_path):
@@ -362,6 +402,12 @@ CONSTRUCTOR_ERRORS = [
     pytest.param("o", _set(["elements", 0, 0, 1], [0.5, 0.0]),
                  ["game", "--state", "{singlet}", "--povm", "{s0}", "--povm", "{}", "--povm", "{b0}",
                   "--povm", "{b1}"], id="second-povm-non-hermitian"),
+    pytest.param("pr", _set(["table", "0,0"], [0.4, 0.0, 0.0, 0.5]), ["chsh", "--box", "{}"],
+                 id="box-row-sums-to-0.9"),
+    pytest.param("theory", _set(["table", 0, "probs"], [0.4, 1.0]), ["dim", "--theory", "{}"],
+                 id="theory-row-sums-to-1.4"),
+    pytest.param("model", _set(["ontic_states"], ["l0"]), ["validate-model", "--model", "{}"],
+                 id="model-one-ontic-state"),
 ]
 
 

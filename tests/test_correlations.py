@@ -1,7 +1,8 @@
 """CHSH, nonlocality, no-signalling, and monogamy checks on boxes."""
 from __future__ import annotations
 
-from itertools import product
+from fractions import Fraction
+from itertools import permutations, product
 
 import numpy as np
 import pytest
@@ -13,15 +14,17 @@ from gptw.correlations import (
     check_ns_monogamy,
     check_strong_monogamy,
     chsh,
+    chsh_margin,
     chsh_prepare_measure,
     correlator,
+    exact_chsh_witness,
     is_bell_nonlocal,
 )
 from gptw.duality import spatial_scenario, spatial_to_temporal
 from gptw.errors import ArityError, ValidationError
 from gptw.theory import EnsemblePreparation
 
-from conftest import singlet_optimal_settings
+from conftest import isotropic_table, local_draws, singlet_optimal_settings
 
 
 def chsh_oracle(table: np.ndarray, a0, a1, b0, b1) -> float:
@@ -284,6 +287,65 @@ def test_bell_search_matches_per_pair_loop(m):
         verdict, witness = is_bell_nonlocal(box)
         assert witness == best  # same arithmetic: equal, with the first maximum on ties
         assert verdict == (abs(best.value) > 2.0 + 1e-9)
+
+
+def fraction_correlators(table: np.ndarray) -> dict:
+    """E(x, y) of parties 0 and 1 in rational arithmetic, spectators' outcomes summed at setting 0."""
+    spectators = (0,) * (table.ndim // 2 - 2)
+    correlators = {}
+    for x, y in np.ndindex(*table.shape[:2]):
+        p = table[(x, y) + spectators].reshape(2, 2, -1)
+        correlators[x, y] = sum((-1) ** (a + b) * sum(map(Fraction, p[a, b].tolist())) for a, b in np.ndindex(2, 2))
+    return correlators
+
+
+def fraction_chsh(e: dict, a_settings, b_settings) -> Fraction:
+    (a0, a1), (b0, b1) = a_settings, b_settings
+    return abs(e[a0, b0] + e[a0, b1] + e[a1, b0] - e[a1, b1])
+
+
+@pytest.mark.parametrize("m, count", [(2, 1000), (3, 150)])
+def test_exact_witness_decides_in_rational_arithmetic(m, count):
+    """The exact verdict matches rationals on local draws whose float |B| can exceed 2 by rounding.
+
+    At m = 3 many setting pairs tie at a float |B| of 2, and the first of
+    them is often not the one whose exact |B| exceeds 2.
+    """
+    boxes = list(local_draws(count, m))
+    if m == 2:
+        boxes += [CorrelationBox((2, 2), (2, 2), isotropic_table(v)) for v in (0.5, 0.5 + 1e-16, 0.5 + 1e-12, 1.0)]
+    pairs = list(product(permutations(range(m), 2), repeat=2))
+    float_only = later = 0
+    for box in boxes:
+        e = fraction_correlators(box.table)
+        best = max(fraction_chsh(e, a, b) for a, b in pairs)
+        for tol in (0.0, 1e-12):
+            found = exact_chsh_witness(box, tol)
+            assert (found is not None) == (best > 2 + Fraction(tol))
+            nonlocal_, first = is_bell_nonlocal(box, tol)
+            float_only += found is None and nonlocal_
+            if found is not None:
+                witness, margin = found
+                exact = fraction_chsh(e, witness.a_settings, witness.b_settings) - 2 - Fraction(tol)
+                assert exact > 0 and margin == float(exact)
+                assert chsh_margin(box, witness, tol) == margin
+                later += witness != first
+    # m = 2: draws 272 and 499 have a float |B| above 2 and an exact one of at most 2
+    assert float_only >= 2 if m == 2 else later >= 2
+
+
+def test_chsh_margin_on_a_tripartite_box_sums_the_spectator():
+    rng = np.random.default_rng(70)
+    table = rng.random((2, 2, 2, 2, 2, 2))
+    box = CorrelationBox((2, 2, 2), (2, 2, 2), table / table.sum(axis=(3, 4, 5), keepdims=True))
+    e = fraction_correlators(box.table)
+    for a, b in product(permutations(range(2)), repeat=2):
+        witness = chsh(box, *a, *b)
+        exact = fraction_chsh(e, a, b)
+        assert abs(abs(witness.value) - float(exact)) < 1e-15
+        for tol in (-1.0, float(exact) - 2 - 1e-9, float(exact) - 2 + 1e-9):
+            margin = chsh_margin(box, witness, tol)
+            assert (margin is not None) == (exact > 2 + Fraction(tol))
 
 
 @pytest.mark.parametrize("settings", [(1, 2), (2, 1), (1, 2, 2), (2, 2, 1)])

@@ -8,6 +8,9 @@ import pytest
 
 from gptw import quantum as q
 from gptw.duality import (
+    CONSTRUCTION_TOL,
+    _check_match,
+    _live_branches,
     spatial_scenario,
     spatial_to_temporal,
     temporal_scenario,
@@ -335,3 +338,169 @@ def test_stages_match_loops_with_dead_branch_and_rank_deficient_marginal(d):
     first = q.Povm([0.3 * zero, 0.7 * zero, np.eye(d) - zero])
     temporal = _check_against_loops(state, [first, q.random_povm(d, 2, rng)])
     assert temporal.ensemble.weights[-1] == 0.0
+
+
+# -- the parent constructions as oracles ----------------------------------------------
+# Written as they were before each marginal was decomposed once: separate eigen-
+# decompositions of rho_A, rho_A^T, rho_bar and rho_bar^T, and one DensityMatrix per
+# branch.  Sharing a spectrum may move results by rounding only.
+
+
+def _parent_leifer_ensemble(rho, povm):
+    root = q.mat_sqrt(rho.matrix)
+    weights = np.einsum("ij,kji->k", rho.matrix, povm.element_stack).real
+    states = [
+        q.DensityMatrix.maximally_mixed(rho.dim) if w <= EPS_BRANCH else q.DensityMatrix(b / w)
+        for w, b in zip(weights, root @ povm.element_stack @ root)
+    ]
+    return EnsemblePreparation(weights, states)
+
+
+def _parent_conditional_channel(state):
+    d_a = state.dims[0]
+    d_b = state.dim // d_a
+    inv_sqrt, support = q._psd_inv_sqrt(q.partial_trace(state.matrix, (d_a, d_b), keep=(0,)))
+    dress = np.kron(inv_sqrt, np.eye(d_b))
+    j_mat = dress @ state.matrix @ dress
+    comp = np.eye(d_a) - support
+    if np.max(np.abs(comp)) > q.ATOL:
+        j_mat = j_mat + np.kron(comp, np.eye(d_b) / d_b)
+    j_mat = 0.5 * (j_mat + j_mat.conj().T)
+    return q.Channel(q._kraus_from_in_out(j_mat, d_a, d_b), output_dims=state.dims[1:])
+
+
+def _parent_spatial_to_temporal(spatial):
+    d_a = spatial.state.dims[0]
+    rho_a = q.DensityMatrix(q.partial_trace(spatial.state.matrix, (d_a, spatial.state.dim // d_a), keep=(0,)))
+    ensemble = _parent_leifer_ensemble(q.transpose_state(rho_a), q.transpose_povm(spatial.povms[0]))
+    temporal = temporal_scenario(ensemble, _parent_conditional_channel(spatial.state), spatial.povms[1:])
+    _check_match(temporal.distribution, spatial.distribution, CONSTRUCTION_TOL, "parent")
+    return temporal
+
+
+def _parent_temporal_to_spatial(temporal):
+    chan = temporal.channel
+    live, mats = _live_branches(temporal.ensemble, chan.dim_in)
+    d = chan.dim_in
+    rho_bar = q.DensityMatrix(mats.sum(axis=0))
+    inv_root, support = q._psd_inv_sqrt(rho_bar.matrix)
+    e = inv_root @ mats @ inv_root
+    effects = np.zeros((len(live), d, d), dtype=complex)
+    effects[live] = 0.5 * (e + e.conj().transpose(0, 2, 1))
+    leftover = np.eye(d) - support
+    if np.max(np.abs(leftover)) > 1e-12:
+        effects[-1] += leftover
+    first_meas = q.transpose_povm(q.Povm(effects))
+    psi = q.purification(q.transpose_state(rho_bar)).reshape(d, d)
+    vecs = (psi @ chan.kraus_stack.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
+    joint_state = q.DensityMatrix(vecs.T @ vecs.conj(), dims=(d,) + chan.output_dims)
+    spatial = spatial_scenario(joint_state, (first_meas,) + temporal.povms)
+    _check_match(spatial.distribution, temporal.distribution, CONSTRUCTION_TOL, "parent")
+    return spatial
+
+
+def _choi(chan):
+    return q.choi_of_channel(chan).state.matrix
+
+
+def _check_against_parent(state, povms):
+    spatial = spatial_scenario(state, povms)
+    temporal, want = spatial_to_temporal(spatial), _parent_spatial_to_temporal(spatial)
+    assert _worst(temporal.ensemble.weights, want.ensemble.weights) < ORACLE_TOL
+    for got, ref in zip(temporal.ensemble.branches, want.ensemble.branches):
+        assert _worst(got.matrix, ref.matrix) < ORACLE_TOL
+    assert _worst(_choi(temporal.channel), _choi(want.channel)) < ORACLE_TOL
+    assert _worst(temporal.distribution.probabilities, want.distribution.probabilities) < ORACLE_TOL
+
+    back, ref = temporal_to_spatial(temporal), _parent_temporal_to_spatial(temporal)
+    assert _worst(back.state.matrix, ref.state.matrix) < ORACLE_TOL
+    for got, ref_povm in zip(back.povms, ref.povms):
+        assert _worst(got.element_stack, ref_povm.element_stack) < ORACLE_TOL
+    assert _worst(back.distribution.probabilities, ref.distribution.probabilities) < ORACLE_TOL
+
+    # the public constructions the round trip shares its spectra with
+    assert _worst(_choi(q.conditional_channel(state)), _choi(_parent_conditional_channel(state))) < ORACLE_TOL
+    d_a = state.dims[0]
+    rho_a = q.DensityMatrix(q.partial_trace(state.matrix, (d_a, state.dim // d_a), keep=(0,)))
+    got, ref = q.leifer_ensemble(rho_a, povms[0]), _parent_leifer_ensemble(rho_a, povms[0])
+    assert _worst(got.weights, ref.weights) < ORACLE_TOL
+    assert max(_worst(g.matrix, r.matrix) for g, r in zip(got.branches, ref.branches)) < ORACLE_TOL
+    return temporal
+
+
+@pytest.mark.parametrize("rest", [1, 2], ids=["two-party", "three-party"])
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_round_trip_matches_the_parent_constructions(d, rest):
+    rng = np.random.default_rng(300 + d + rest)
+    dims = (d, d) if rest == 1 else (d, 2, 2)
+    state = q.ginibre_state(int(np.prod(dims)), rng, dims=dims)
+    _check_against_parent(state, [q.random_povm(k, k, rng) for k in dims])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_parent_match_with_dead_branch_and_rank_deficient_marginal(d):
+    rng = np.random.default_rng(400 + d)
+    zero = np.zeros((d, d))
+    zero[0, 0] = 1.0
+    state = q.DensityMatrix(np.kron(zero, q.ginibre_state(d, rng).matrix), dims=(d, d))
+    first = q.Povm([0.3 * zero, 0.7 * zero, np.eye(d) - zero])
+    temporal = _check_against_parent(state, [first, q.random_povm(d, 2, rng)])
+    assert temporal.ensemble.weights[-1] == 0.0
+
+
+def _state_with_negative_marginal(rng):
+    """A valid (2, 6) state whose first marginal has eigenvalue -5.4e-10, below -ATOL.
+
+    Eigenvalue -0.9e-10 (within ATOL) on each |0>|b>, the rest of the trace
+    spread over |1>|b>, all rotated by a local unitary U_A x U_B.
+    """
+    spectrum = np.concatenate([np.full(6, -0.9e-10), np.full(6, (1 + 5.4e-10) / 6)])
+    u = np.kron(q.haar_unitary(2, rng), q.haar_unitary(6, rng))
+    return q.DensityMatrix((u * spectrum) @ u.conj().T, dims=(2, 6))
+
+
+def test_negative_marginal_is_refused_as_at_the_parent():
+    rng = np.random.default_rng(500)
+    state = _state_with_negative_marginal(rng)
+    rho_a = q.partial_trace(state.matrix, (2, 6), keep=(0,))
+    assert np.linalg.eigvalsh(rho_a).min() < -q.ATOL
+    spatial = spatial_scenario(state, [q.random_povm(2, 2, rng), q.random_povm(6, 2, rng)])
+    for construct in (_parent_spatial_to_temporal, spatial_to_temporal):
+        with pytest.raises(ValidationError, match="^density matrix has a negative eigenvalue$"):
+            construct(spatial)
+
+
+def test_round_trip_checks_every_state_on_its_own_matrix(monkeypatch):
+    """Each state the parent validated is still checked, on its own matrix and spectrum."""
+    checked = []
+    check = q._check_density
+
+    def recording(stack, eigvals=None):
+        checked.append((np.array(stack), None if eigvals is None else np.array(eigvals)))
+        check(stack, eigvals)
+
+    monkeypatch.setattr(q, "_check_density", recording)
+    rng = np.random.default_rng(600)
+    state = q.ginibre_state(9, rng, dims=(3, 3))
+    spatial = spatial_scenario(state, [q.random_povm(3, 3, rng), q.random_povm(3, 2, rng)])
+    checked.clear()
+    temporal = spatial_to_temporal(spatial)
+    back = temporal_to_spatial(temporal)
+
+    def assert_checked(mat):
+        for stack, vals in checked:
+            for member in stack:
+                if member.shape == mat.shape and np.array_equal(member, mat):
+                    spectrum = np.linalg.eigvalsh(member) if vals is None else np.sort(vals)
+                    assert np.max(np.abs(spectrum - np.linalg.eigvalsh(mat))) < 1e-12
+                    return
+        raise AssertionError("a state was not checked")
+
+    rho_a = q.partial_trace(state.matrix, (3, 3), keep=(0,))
+    assert _worst(rho_a, rho_a.T) > 1e-3  # complex: a check of rho_A^T is no check of rho_A
+    _, mats = _live_branches(temporal.ensemble, 3)
+    rho_bar = mats.sum(axis=0)
+    for mat in [rho_a, rho_a.T, rho_bar, rho_bar.T, back.state.matrix]:
+        assert_checked(mat)
+    for branch in temporal.ensemble.branches:
+        assert_checked(branch.matrix)

@@ -158,6 +158,54 @@ def test_povm_defect_messages(elements, message):
     assert str(info.value) == message
 
 
+# one defective state per case; each check kind of DensityMatrix raises once
+DENSITY_DEFECTS = [
+    pytest.param(np.array([[0.5, 0.5], [0.0, 0.5]]), id="non-hermitian"),
+    pytest.param(np.eye(2) * 0.75, id="wrong-trace"),
+    pytest.param(np.diag([1.2, -0.2]), id="negative-eigenvalue"),
+]
+
+
+@pytest.mark.parametrize("position", [0, 2])
+@pytest.mark.parametrize("member", DENSITY_DEFECTS)
+def test_stacked_state_check_gives_density_matrix_messages(member, position):
+    with pytest.raises(ValidationError) as single:
+        q.DensityMatrix(member)
+    stack = np.array([np.eye(2) / 2, np.diag([1.0, 0.0]), np.diag([0.3, 0.7])], dtype=complex)
+    stack[position] = member
+    with pytest.raises(ValidationError) as batched:
+        q._check_density(stack)
+    assert str(batched.value) == str(single.value)
+
+
+# a square root of I/2 that is not one: the only branch of the trivial POVM is root @ root
+LEIFER_BAD_ROOTS = [
+    pytest.param(np.array([[1.0, 0.5], [0.0, 1.0]]) / np.sqrt(2), id="non-hermitian"),
+    pytest.param(np.eye(2), id="wrong-trace"),
+    pytest.param(np.diag([np.sqrt(1.2), 1j * np.sqrt(0.2)]), id="negative-eigenvalue"),
+]
+
+
+@pytest.mark.parametrize("root", LEIFER_BAD_ROOTS)
+def test_leifer_branch_check_gives_density_matrix_messages(monkeypatch, root):
+    with pytest.raises(ValidationError) as single:
+        q.DensityMatrix(root @ root)
+    monkeypatch.setattr(q, "mat_sqrt", lambda mat: root)
+    with pytest.raises(ValidationError) as batched:
+        q.leifer_ensemble(q.DensityMatrix.maximally_mixed(2), q.Povm([np.eye(2)]))
+    assert str(batched.value) == str(single.value)
+
+
+def test_leifer_branches_are_read_only_and_distinct():
+    rng = np.random.default_rng(8)
+    ens = q.leifer_ensemble(q.ginibre_state(3, rng), q.random_povm(3, 4, rng))
+    assert len({id(s) for s in ens.branches}) == 4
+    for state in ens.branches:
+        assert not state.matrix.flags.writeable and state.dims == (3,)
+        with pytest.raises(ValueError):
+            state.matrix[0, 0] = 0.0
+
+
 # dims whose product, taken in int64 or over signed factors, equals the matrix dimension d:
 # 3 * 6148914691236517206 = 2**64 + 2 wraps to 2, and (-1) * (-2) = 2; plus a plain mismatch
 BAD_FACTORS = [((3, 6148914691236517206), 2), ((-1, -2), 2), ((-2, -2), 4), ((2, 3), 4)]

@@ -122,8 +122,32 @@ def _encoded(*mats):
     return [ser.matrix_to_json(m) for m in mats]
 
 
+def _edited(name, path, value):
+    """The sample file's data with the entry at `path` replaced."""
+
+    def make():
+        data = json.loads((SAMPLES / name).read_text())
+        node = data
+        for key in path[:-1]:
+            node = node[key]
+        node[path[-1]] = value
+        return data
+
+    return make
+
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
 # one constructor defect per loader, and a parse error that already names the file
 CONSTRUCTOR_DEFECTS = [
+    pytest.param(ser.load_box, _edited("pr_box.json", ["table", "0,0"], [0.4, 0.0, 0.0, 0.5]), ValidationError,
+                 id="box-row-sums-to-0.9"),
+    pytest.param(ser.load_theory, _edited("qubit_theory.json", ["table", 0, "probs"], [0.4, 1.0]),
+                 ValidationError, id="theory-row-sums-to-1.4"),
+    pytest.param(ser.load_theory, _edited("qubit_theory.json", ["measurements", 0, "arity"], 0),
+                 ValidationError, id="theory-arity-zero"),
+    pytest.param(ser.load_model, _edited("classical_bit_model.json", ["preparations", "p0"], [1.0, 0.0, 0.0]),
+                 ValidationError, id="model-mu-length"),
     pytest.param(ser.load_state, {"dims": [-1, -2], "matrix": _encoded(np.eye(2) / 2)[0]},
                  DimensionMismatchError, id="state-dims"),
     pytest.param(ser.load_povm, {"elements": _encoded([[1.0, 0.5], [0.0, 0.0]], [[0.0, -0.5], [0.0, 1.0]])},
@@ -138,14 +162,11 @@ CONSTRUCTOR_DEFECTS = [
 @pytest.mark.parametrize("load, data, error", CONSTRUCTOR_DEFECTS)
 def test_quantum_loader_errors_name_the_file_once(tmp_path, load, data, error):
     path = tmp_path / "bad.json"
-    path.write_text(json.dumps(data))
+    path.write_text(json.dumps(data() if callable(data) else data))
     with pytest.raises(error) as info:
         load(path)
     message = str(info.value)
     assert message.startswith(f"{path}: ") and message.count(str(path)) == 1
-
-
-SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 def _sample(name):
