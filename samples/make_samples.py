@@ -25,6 +25,11 @@ def pr_box() -> CorrelationBox:
     return CorrelationBox((2, 2), (2, 2), t)
 
 
+def isotropic_half_box() -> CorrelationBox:
+    """The PR box at visibility 1/2 in white noise: |CHSH| = 2 exactly, local, so `local-model` solves an LP."""
+    return CorrelationBox((2, 2), (2, 2), 0.5 * pr_box().table + 0.125)
+
+
 def singlet_optimal_box() -> CorrelationBox:
     alice = [q.z_basis(), q.x_basis()]
     bob = [
@@ -67,6 +72,7 @@ def classical_bit_model() -> OnticModel:
 
 def main() -> None:
     ser.save_box(pr_box(), HERE / "pr_box.json")
+    ser.save_box(isotropic_half_box(), HERE / "isotropic_half_box.json")
     ser.save_box(singlet_optimal_box(), HERE / "singlet_opt_box.json")
     ser.save_box(shared_bit_box(), HERE / "shared_bit_box.json")
     ser.save_theory(qubit_theory(), HERE / "qubit_theory.json")

@@ -58,11 +58,14 @@ def pairwise_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL
     return True
 
 
-def interference_flag(states: Sequence[DensityMatrix]) -> bool:
-    """True iff the family is non-commuting (so no commutative representation exists)."""
+def interference_flag(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL) -> bool:
+    """True iff the family is non-commuting at `tol` (so no commutative representation exists).
+
+    Always the negation of `pairwise_commuting(states, tol)` for two or more states.
+    """
     if len(states) < 2:
         return False
-    return not pairwise_commuting(states)
+    return not pairwise_commuting(states, tol)
 
 
 def _common_eigenbasis(

@@ -84,19 +84,19 @@ def cmd_chsh(args, tol: float) -> Report:
         if any(s is None for s in explicit):
             raise GptwError("give all of --a0 --a1 --b0 --b1 or none")
         witness = corr.chsh(box, args.a0, args.a1, args.b0, args.b1)
-        nonlocal_ = corr.chsh_margin(box, witness, tol) is not None
+        margin = corr.chsh_margin(box, witness, tol)
     else:
         _, witness = corr.is_bell_nonlocal(box, tol)
-        # the verdict is exact: a float |B| of 2.0000000000000004 may be exactly 2
+        # the verdict is exact: a float |B| of 2.0000000000000004 may be exactly 2, and 2.0 exceed it
         found = corr.exact_chsh_witness(box, tol)
-        nonlocal_ = found is not None
+        margin = None
         if found:
-            witness = found[0]
+            witness, margin = found
     return Report(
         check="chsh", inputs=_digests(args, "box"), value=abs(witness.value), bound=2.0,
-        passed=nonlocal_, tol=tol,
+        passed=margin is not None, tol=tol,
         extra={"signed_value": witness.value, "a_settings": list(witness.a_settings),
-               "b_settings": list(witness.b_settings)},
+               "b_settings": list(witness.b_settings), "margin": margin},
     )
 
 

@@ -18,7 +18,11 @@ six two-outcome settings per side it has 449 columns and one equality row.
 The returned certificate over strategy pairs is re-checked in exact
 arithmetic to guard against solver false positives; a solution that HiGHS
 places within `tol` but that fails the re-check is solved once more at
-tighter feasibility tolerances before the answer is None.
+tighter feasibility tolerances before the answer is None.  HiGHS's dual
+simplex runs through scipy's bundled bindings (`linprog`), on the model and
+options that `scipy.optimize.linprog(method="highs")` would hand it, so it
+takes the same pivots without that wrapper's per-call input checks and
+matrix conversions; linprog's post-solve feasibility check is kept.
 
 Before any LP is built, two-outcome boxes pass a CHSH gate (`chsh_gate`):
 the best CHSH witnesses are re-evaluated exactly, and if one has
@@ -240,16 +244,89 @@ def chsh_gate(box: CorrelationBox, tol: float) -> ChshRefutation | None:
     return None if found is None else ChshRefutation(*found)
 
 
-def linprog(*args, **kwargs):
-    """`scipy.optimize.linprog`, imported on the first solve.
+@dataclass(frozen=True)
+class LpResult:
+    """The fields of `scipy.optimize.linprog`'s result that `find_local_model` and its tracers read."""
 
-    scipy.optimize takes most of `import gptw`, and only the local-model LP
-    needs it.  `find_local_model` looks this name up at call time, so it can
-    be replaced on the module (a test fake, a tracing wrapper).
+    status: int  # 0 optimal; else linprog's code: 1 a limit, 2 infeasible, 3 unbounded, 4 anything else
+    message: str
+    x: np.ndarray | None  # None unless HiGHS reports an optimum
+    fun: float | None
+    nit: int  # simplex iterations
+
+
+# linprog's status code for each HiGHS model status that is not optimal; any other maps to 4
+_LINPROG_STATUS = {"kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3}
+
+
+def linprog(*, c, A_ub, b_ub, A_eq, b_eq, bounds=(0, None), method="highs", options=None) -> LpResult:
+    """min c x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0, by HiGHS's dual simplex as linprog runs it.
+
+    HiGHS is called through scipy's bundled bindings (`scipy.optimize._highspy`),
+    imported on the first solve: scipy.optimize takes most of a `gptw`
+    process's import time, and only the local-model LP needs it.  `A_ub` is
+    a CSC array with sorted row indices and `A_eq` one dense row, as
+    `_local_lp` builds them; the equality row is appended as the last row
+    of each column's entries, so HiGHS gets the matrix, bounds and options
+    that `linprog(method="highs")` hands it and takes the same pivots.
+    `options` are HiGHS option names; `presolve` is a bool, as in linprog.
+    A name or value HiGHS rejects raises ValueError.
+
+    The optimum passes linprog's post-solve check, at tolerance
+    10 sqrt(1e-9): x >= -tol, every inequality's slack >= -tol, the
+    equality residual within tol and no NaN; a solution that fails it gets
+    status 4.  `find_local_model` looks this name up at call time, so it
+    can be replaced on the module (a test fake, a tracing wrapper).
     """
-    from scipy.optimize import linprog as solve
+    from scipy.optimize._highspy import _core as highs
 
-    return solve(*args, **kwargs)
+    if method != "highs" or tuple(bounds) != (0, None):
+        raise ValueError("ontic.linprog solves method='highs' over x >= 0 only")
+    c, b_ub, a_eq, b_eq = (np.asarray(v, dtype=float) for v in (c, b_ub, A_eq, b_eq))
+    n_ub, n_cols = A_ub.shape
+    # HiGHS reads each array up to the lengths it is given, so they are checked here
+    shapes = (c.shape, b_ub.shape, a_eq.shape, b_eq.shape)
+    if getattr(A_ub, "format", None) != "csc" or shapes != ((n_cols,), (n_ub,), (1, n_cols), (1,)):
+        raise ValueError("ontic.linprog takes a CSC A_ub, one equality row and arrays of matching lengths")
+    a_eq = a_eq[0]
+    eq = np.flatnonzero(a_eq)
+    ends = A_ub.indptr[1:][eq]
+    start = A_ub.indptr + np.concatenate([[0], np.cumsum(a_eq != 0)])
+    index = np.insert(A_ub.indices, ends, n_ub)
+    value = np.insert(A_ub.data, ends, a_eq[eq])
+    row_lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
+    row_upper = np.concatenate([b_ub, b_eq])
+
+    solver = highs._Highs()
+    # linprog's settings: no log, dual simplex (strategy 1), presolve on unless turned off
+    settings = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1, **(options or {})}
+    presolve = settings.get("presolve", True)
+    settings["presolve"] = ("on" if presolve else "off") if isinstance(presolve, bool) else presolve
+    for name, setting in settings.items():
+        if solver.setOptionValue(name, setting) != highs.HighsStatus.kOk:
+            raise ValueError(f"HiGHS rejects the option {name}={setting!r}")
+    passed = solver.passModel(
+        n_cols, n_ub + 1, len(index), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+        c, np.zeros(n_cols), np.full(n_cols, np.inf), row_lower, row_upper,
+        start, index, value, np.zeros(n_cols, dtype=np.int32),
+    )
+    if passed == highs.HighsStatus.kError:
+        raise ValueError("HiGHS rejects the LP's matrix")
+    solver.run()
+    model_status = solver.getModelStatus()
+    info = solver.getInfo()
+    message = f"HiGHS model status {int(model_status)}: {solver.modelStatusToString(model_status)}"
+    nit = info.simplex_iteration_count
+    if model_status != highs.HighsModelStatus.kOptimal:
+        return LpResult(_LINPROG_STATUS.get(model_status.name, 4), message, None, None, nit)
+    solution = solver.getSolution()
+    x, row = np.array(solution.col_value), np.array(solution.row_value)
+    fun = info.objective_function_value
+    tol = 10 * np.sqrt(1e-9)  # linprog's post-solve check; a NaN fails every comparison
+    slack, residual = b_ub - row[:n_ub], b_eq - row[n_ub:]
+    if not (fun == fun and (x >= -tol).all() and (slack >= -tol).all() and (np.abs(residual) <= tol).all()):
+        return LpResult(4, f"{message}, but the solution misses the constraints by more than {tol:.2e}", x, fun, nit)
+    return LpResult(0, message, x, fun, nit)
 
 
 def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> dict:

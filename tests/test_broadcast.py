@@ -117,6 +117,16 @@ def test_empty_family_no_interference():
     assert not interference_flag([])
 
 
+def test_interference_flag_tests_commutation_at_its_tol():
+    # diag(0.7, 0.3) and |0> rotated by 1e-5: a commutator of about 4e-6, between the two tolerances
+    theta = 1e-5
+    states = [q.DensityMatrix(np.diag([0.7, 0.3])), ket_dm(np.array([np.cos(theta), np.sin(theta)]))]
+    for tol, commuting in ((1e-3, True), (1e-9, False)):
+        assert pairwise_commuting(states, tol) is commuting
+        assert interference_flag(states, tol) is not commuting
+    assert interference_flag(states)  # the default tol is COMMUTE_TOL
+
+
 # -- theorem-1 constructor --------------------------------------------------------------
 
 

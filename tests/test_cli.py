@@ -303,6 +303,24 @@ def test_chsh_verdict_at_tol_zero_is_exact(capsys, tmp_path):
         assert (code, rep["pass"]) == (1, False)
 
 
+def test_chsh_reports_the_exact_margin(files, capsys, tmp_path):
+    # draw 0's float |B| is 2.0, while its stored table's exact |B| exceeds 2 by about 1e-16
+    box = next(iter(local_draws(1)))
+    path = tmp_path / "draw0.json"
+    ser.save_box(box, path)
+    _, witness = is_bell_nonlocal(box, 0.0)
+    settings = [f"--{k}" for k in ("a0", "a1", "b0", "b1")]
+    explicit = [a for flag, s in zip(settings, witness.a_settings + witness.b_settings) for a in (flag, str(s))]
+    for argv in (["chsh", "--box", path, "--tol", "0"], ["chsh", "--box", path, "--tol", "0", *explicit]):
+        code, (rep,) = run(capsys, argv)
+        assert (code, rep["value"], rep["pass"]) == (0, 2.0, True)
+        assert 0.0 < rep["margin"] < 1e-15
+    code, (rep,) = run(capsys, ["chsh", "--box", path])  # tol 1e-9: no witness exceeds 2 + tol
+    assert (code, rep["pass"], rep["margin"]) == (1, False, None)
+    code, (rep,) = run(capsys, ["chsh", "--box", files["pr"]])
+    assert (code, rep["value"], rep["margin"]) == (0, 4.0, 2.0 - 1e-9)
+
+
 def test_parse_error_exits_two(files, capsys, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")

@@ -12,12 +12,13 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from scipy.sparse import csc_array
 
 import gptw
 from gptw import ontic
 from gptw import quantum as q
 from gptw.correlations import CorrelationBox, is_bell_nonlocal
-from gptw.errors import SizeLimitError, UnknownIdError
+from gptw.errors import SizeLimitError, SolverError, UnknownIdError
 from gptw.ontic import (
     OnticModel,
     certificate_to_ontic_model,
@@ -564,6 +565,75 @@ def test_exact_residual_equals_fraction_residual():
                 for w in weights
             }
             assert ontic._exact_residual(box, cert) == fraction_residual(box, cert)
+
+
+# -- `ontic.linprog` on HiGHS against `scipy.optimize.linprog` --------------------------
+
+
+@pytest.mark.parametrize("settings, outcomes", LP_SHAPES)
+def test_linprog_matches_scipy_linprog_bit_for_bit(settings, outcomes):
+    # the same HiGHS model and options as `scipy.optimize.linprog(method="highs")`, so the same pivots
+    from scipy.optimize import linprog
+
+    rng = np.random.default_rng(sum(settings) * 10 + sum(outcomes) + 1)
+    a_maps = ontic._alice_maps(settings[0], outcomes[0])
+    for kind, box in seeded_boxes(settings, outcomes, rng):
+        lp = ontic._local_lp(box, a_maps)
+        assert lp["A_ub"].has_canonical_format  # sorted row indices: `linprog` appends the equality row last
+        for options in (lp["options"], {**lp["options"], **ontic.TIGHT_TOLERANCES}):
+            got, want = ontic.linprog(**{**lp, "options": options}), linprog(**{**lp, "options": options})
+            assert (got.status, got.fun, got.nit) == (want.status, want.fun, want.nit), kind
+            assert np.array_equal(got.x, want.x), kind
+
+
+def test_linprog_reports_highs_status_on_an_iteration_limit():
+    box = CorrelationBox((3, 3), (2, 2), np.full((3, 3, 2, 2), 0.25))
+    lp = ontic._local_lp(box, ontic._alice_maps(3, 2))
+    lp["options"] = {**lp["options"], "simplex_iteration_limit": 1}
+    res = ontic.linprog(**lp)
+    assert (res.status, res.x, res.nit) == (1, None, 1)
+    with pytest.raises(SolverError, match="HiGHS model status 14: Iteration limit reached"):
+        ontic._solve(lp)
+
+
+def tiny_lp(options: dict) -> dict:
+    """min x0 s.t. -x0 <= -0.01, x0 + x1 = 1, x >= 0, in `_local_lp`'s argument layout."""
+    return dict(c=np.array([1.0, 0.0]), A_ub=csc_array(np.array([[-1.0, 0.0]])), b_ub=np.array([-0.01]),
+                A_eq=np.array([[1.0, 1.0]]), b_eq=[1.0], bounds=(0, None), method="highs", options=options)
+
+
+@pytest.mark.parametrize("feasibility, status", [(1e-3, 0), (0.05, 4)])
+def test_linprog_post_solve_check(feasibility, status):
+    # at a 0.05 feasibility tolerance HiGHS calls x = (0, 1) optimal; its slack of -0.01 misses 10 sqrt(1e-9)
+    from scipy.optimize import linprog
+
+    lp = tiny_lp({"presolve": False, "primal_feasibility_tolerance": feasibility})
+    res, want = ontic.linprog(**lp), linprog(**lp)
+    assert (res.status, res.fun, res.nit) == (want.status, want.fun, want.nit) and res.status == status
+    assert np.array_equal(res.x, want.x)
+    if status:
+        with pytest.raises(SolverError, match="misses the constraints"):
+            ontic._solve(lp)
+
+
+@pytest.mark.parametrize("options", [{"no_such_option": 1}, {"presolve": "sometimes"}, {"time_limit": "soon"}])
+def test_linprog_rejects_options_highs_does_not_know(options):
+    # `scipy.optimize.linprog` drops such an option with only an OptimizeWarning
+    with pytest.raises(ValueError, match="HiGHS rejects the option"):
+        ontic.linprog(**tiny_lp(options))
+
+
+@pytest.mark.parametrize("name, value, message", [
+    ("c", np.zeros(3), "matching lengths"),
+    ("b_ub", np.zeros(2), "matching lengths"),
+    ("A_eq", np.ones((2, 2)), "matching lengths"),
+    ("A_ub", np.array([[-1.0, 0.0]]), "CSC"),
+    ("A_ub", csc_array((np.array([1.0]), np.array([5]), np.array([0, 1, 1])), shape=(1, 2)), "LP's matrix"),
+])
+def test_linprog_checks_arrays_before_handing_them_to_highs(name, value, message):
+    # HiGHS reads each array up to the lengths it is given, and rejects a row index outside the matrix
+    with pytest.raises(ValueError, match=message):
+        ontic.linprog(**{**tiny_lp({}), name: value})
 
 
 # -- noncontextual_chsh_bound ----------------------------------------------------------
