@@ -18,8 +18,8 @@ _EXPORTS = {
     "correlations": """ChshValue CorrelationBox MonogamyReport NoSignallingReport
         check_no_signalling check_ns_monogamy check_strong_monogamy chsh chsh_margin
         chsh_prepare_measure correlator exact_chsh_witness is_bell_nonlocal""",
-    "duality": """SpatialScenario TemporalScenario spatial_scenario spatial_to_temporal
-        temporal_scenario temporal_to_spatial verify_ocj""",
+    "duality": """SpatialScenario TemporalScenario distribution_error spatial_scenario
+        spatial_to_temporal temporal_scenario temporal_to_spatial verify_ocj""",
     "errors": """ArityError DimensionMismatchError GptwError PreconditionError SizeLimitError
         SolverError UnknownIdError ValidationError""",
     "game": """FineGrainedReport GameReport GameStrategy UncertaintyTriple a3_strategy

@@ -31,11 +31,13 @@ from .correlations import (
     is_bell_nonlocal,
 )
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
+from .theory import EPS_NORM
 
 if TYPE_CHECKING:  # only broadcast_commuting needs quantum; it imports it when called
     from .quantum import Channel, DensityMatrix
 
 COMMUTE_TOL = 1e-9
+EIGENBASIS_SEED = 7  # the random combinations `_common_eigenbasis` diagonalizes are drawn from this seed
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -120,9 +122,7 @@ class BroadcastCheck:
     max_error: float
 
 
-def broadcast_commuting(
-    states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL, seed: int = 7
-) -> tuple[Channel, BroadcastCheck]:
+def broadcast_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL) -> tuple[Channel, BroadcastCheck]:
     """Broadcast channel for a pairwise-commuting family, with its marginal errors.
 
     Measures in a common eigenbasis and reprepares the outcome on both
@@ -133,15 +133,15 @@ def broadcast_commuting(
         raise PreconditionError("empty state family")
     if not pairwise_commuting(states, tol):
         raise PreconditionError("states do not commute pairwise; broadcasting impossible")
-    return _measure_and_reprepare(states, seed)
+    return _measure_and_reprepare(states)
 
 
-def _measure_and_reprepare(states: Sequence[DensityMatrix], seed: int = 7) -> tuple[Channel, BroadcastCheck]:
+def _measure_and_reprepare(states: Sequence[DensityMatrix]) -> tuple[Channel, BroadcastCheck]:
     """`broadcast_commuting` for a non-empty family whose commutation the caller already tested."""
     from .quantum import Channel, partial_trace, trace_distance
 
     d = states[0].dim
-    basis = _common_eigenbasis([s.matrix for s in states], np.random.default_rng(seed))
+    basis = _common_eigenbasis([s.matrix for s in states], np.random.default_rng(EIGENBASIS_SEED))
     kraus = []
     for k in range(d):
         e = basis[:, k]
@@ -177,7 +177,10 @@ def theorem1_construct(box2: CorrelationBox, tol: float = 1e-6) -> Theorem1Resul
     statistics.  Both pair marginals AB and AC equal the input box at the
     witness settings, so B_AB = B_AC = v and the squared sum is 2 v^2.
     Requires a witness of at least 2 (the boundary case is allowed and lands
-    exactly on the strong-monogamy bound); assumes a non-signalling input.
+    exactly on the strong-monogamy bound) and an input that does not signal
+    at the witness settings: Alice's marginal p(a|x) must not move with
+    Bob's setting by more than EPS_NORM, since the branch distribution is
+    read off one of Bob's settings.
     """
     _, witness = is_bell_nonlocal(box2)
     v = abs(witness.value)
@@ -185,6 +188,13 @@ def theorem1_construct(box2: CorrelationBox, tol: float = 1e-6) -> Theorem1Resul
         raise PreconditionError(f"no CHSH witness >= 2 (best |B| = {v:.6f})")
     xs = witness.a_settings
     ys = witness.b_settings
+    alice = box2.table[np.ix_(xs, ys)].sum(axis=3)  # p(a | x, y) at the witness settings
+    drift = float(np.max(np.abs(alice[:, 0] - alice[:, 1])))
+    if drift > EPS_NORM:
+        raise PreconditionError(
+            f"the box signals: Alice's marginal at settings {list(xs)} moves by {drift:.3e} "
+            f"between Bob's settings {list(ys)}"
+        )
 
     table = np.zeros((2, 2, 2, 2, 2, 2))
     for x in range(2):

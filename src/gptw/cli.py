@@ -14,8 +14,6 @@ import sys
 import time
 from typing import Callable
 
-import numpy as np
-
 from . import serialize
 from .errors import GptwError
 from .reports import Report, file_digest
@@ -86,12 +84,8 @@ def cmd_chsh(args, tol: float) -> Report:
         witness = corr.chsh(box, args.a0, args.a1, args.b0, args.b1)
         margin = corr.chsh_margin(box, witness, tol)
     else:
-        _, witness = corr.is_bell_nonlocal(box, tol)
         # the verdict is exact: a float |B| of 2.0000000000000004 may be exactly 2, and 2.0 exceed it
-        found = corr.exact_chsh_witness(box, tol)
-        margin = None
-        if found:
-            witness, margin = found
+        witness, margin = corr.exact_chsh_witness(box, tol)
     return Report(
         check="chsh", inputs=_digests(args, "box"), value=abs(witness.value), bound=2.0,
         passed=margin is not None, tol=tol,
@@ -152,9 +146,6 @@ def cmd_verify_cj(args, tol: float) -> Report:
     if len(povms) not in (2, 3):
         raise GptwError("verify-cj needs 2 or 3 --povm files (one per party)")
 
-    def error(a, b) -> float:
-        return float(np.max(np.abs(a.distribution.probabilities - b.distribution.probabilities)))
-
     if args.channel:
         # converse direction: the inputs describe a temporal scenario whose
         # ensemble is the first POVM's decomposition of the state
@@ -166,9 +157,11 @@ def cmd_verify_cj(args, tol: float) -> Report:
     else:
         spatial = duality.spatial_scenario(state, povms)
         temporal = duality.spatial_to_temporal(spatial, tol=math.inf)
-    forward = error(spatial, temporal)
+    forward = duality.distribution_error(spatial.distribution, temporal.distribution)
     # the converse direction makes a single reconstruction, so its round trip is the forward error
-    round_trip = forward if args.channel else error(duality.temporal_to_spatial(temporal, tol=math.inf), spatial)
+    round_trip = forward if args.channel else duality.distribution_error(
+        duality.temporal_to_spatial(temporal, tol=math.inf).distribution, spatial.distribution
+    )
     return Report(
         check="verify-cj", inputs=_digests(args, "state", "povm", "channel"),
         value=max(forward, round_trip), bound=tol, passed=forward <= tol and round_trip <= 2 * tol,

@@ -30,7 +30,11 @@ whose exact |B| is 2 can read 2.0000000000000004.  `exact_chsh_witness`
 re-checks every setting pair within the rounding bound of the threshold in
 exact arithmetic (`chsh_margin`): each table entry is a float, i.e. an
 integer over a power of two, so the 16-entry sum runs in integers over one
-common denominator (`_dyadic`).  `is_bell_nonlocal` stays a float search.
+common denominator (`_dyadic`).  It always returns a witness: the first
+whose exact |B| exceeds 2 + tol, with its exact margin, or else the
+float-best one, `is_bell_nonlocal`'s, with None, so one scan of the table
+serves both the verdict and the witness it reports.  `is_bell_nonlocal`
+stays a float search.
 """
 from __future__ import annotations
 
@@ -236,6 +240,21 @@ def _chsh_table(box: CorrelationBox, first: int, second: int) -> tuple[np.ndarra
     return e[a0, b0] + e[a0, b1] + e[a1, b0] - e[a1, b1], a, b
 
 
+def _bipartite_chsh_table(box: CorrelationBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`_chsh_table` of a bipartite two-outcome box, the only boxes the witness searches take."""
+    if box.n_parties != 2:
+        raise ArityError("nonlocality search expects a bipartite box")
+    if box.outcomes != (2, 2):
+        raise ArityError("nonlocality search needs two-outcome parties")
+    return _chsh_table(box, 0, 1)
+
+
+def _witness(values: np.ndarray, a_pairs: np.ndarray, b_pairs: np.ndarray, k: int) -> ChshValue:
+    """The ChshValue at flat index k of a bipartite `_chsh_table`."""
+    p, q = divmod(k, values.shape[1])
+    return ChshValue(float(values[p, q]), tuple(a_pairs[p].tolist()), tuple(b_pairs[q].tolist()))
+
+
 def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, ChshValue]:
     """Search the box's own settings for a CHSH witness with |B| > 2 + tol.
 
@@ -245,13 +264,8 @@ def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, Chsh
     two-outcome boxes this decides membership of the local polytope
     boundary exactly.
     """
-    if box.n_parties != 2:
-        raise ArityError("nonlocality search expects a bipartite box")
-    if box.outcomes != (2, 2):
-        raise ArityError("nonlocality search needs two-outcome parties")
-    values, a_pairs, b_pairs = _chsh_table(box, 0, 1)
-    p, q = divmod(int(np.abs(values).argmax()), values.shape[1])
-    best = ChshValue(float(values[p, q]), tuple(a_pairs[p].tolist()), tuple(b_pairs[q].tolist()))
+    table = _bipartite_chsh_table(box)
+    best = _witness(*table, int(np.abs(table[0]).argmax()))
     return abs(best.value) > 2.0 + tol, best
 
 
@@ -267,8 +281,8 @@ def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
     return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
 
 
-def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float, tol_weight: int = 1) -> float | None:
-    """Exact |B| - 2 - tol_weight * tol at the witness's settings, as the nearest float, if positive; else None.
+def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float) -> float | None:
+    """Exact |B| - 2 - tol at the witness's settings, as the nearest float, if positive; else None.
 
     B is summed from the 16 table entries of parties 0 and 1, each with
     coefficient +-1 (a spectator's outcomes summed out at its setting 0, as
@@ -283,41 +297,37 @@ def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float, tol_weight:
     nums, shift = _dyadic(cells + [tol])
     per_entry = len(cells) // 16
     value = abs(sum(_CHSH_SIGNS[k // per_entry] * n for k, n in enumerate(nums[:-1])))
-    margin = value - (2 << shift) - tol_weight * nums[-1]
+    margin = value - (2 << shift) - nums[-1]
     return margin / (1 << shift) if margin > 0 else None
 
 
-def exact_chsh_witness(box: CorrelationBox, tol: float, tol_weight: int = 1) -> tuple[ChshValue, float] | None:
-    """A witness whose exact |B| exceeds 2 + tol_weight * tol, with its `chsh_margin`; else None.
+def exact_chsh_witness(box: CorrelationBox, tol: float) -> tuple[ChshValue, float | None]:
+    """(witness, margin): a witness whose exact |B| exceeds 2 + tol and its `chsh_margin`, if any.
 
-    `is_bell_nonlocal`'s witness, the float-best, is re-checked exactly
-    first.  Only if it fails are the other ordered setting pairs whose float
-    |B| exceeds the threshold, or falls short of it by no more than the
-    rounding slack, re-checked, best float |B| first and in
-    (a0, a1, b0, b1) order on ties.  Bipartite two-outcome boxes with a
-    finite `tol`.
+    Otherwise the float-best witness, `is_bell_nonlocal`'s, with margin
+    None.  The float-best witness is re-checked exactly first.  Only if it
+    fails are the other ordered setting pairs whose float |B| exceeds the
+    threshold, or falls short of it by no more than the rounding slack,
+    re-checked, best float |B| first and in (a0, a1, b0, b1) order on ties.
+    Bipartite two-outcome boxes with a finite `tol`.
     """
-    values, a_pairs, b_pairs = _chsh_table(box, 0, 1)
-    size = np.abs(values).reshape(-1)
-    threshold = 2.0 + tol_weight * tol
+    table = _bipartite_chsh_table(box)
+    size = np.abs(table[0]).reshape(-1)
+    threshold = 2.0 + tol
     floor = threshold - CHSH_ROUNDING * max(1.0, abs(threshold))
-
-    def check(k: int) -> tuple[ChshValue, float] | None:
-        p, q = divmod(k, values.shape[1])
-        witness = ChshValue(float(values[p, q]), tuple(a_pairs[p].tolist()), tuple(b_pairs[q].tolist()))
-        margin = chsh_margin(box, witness, tol, tol_weight)
-        return None if margin is None else (witness, margin)
-
-    best = int(size.argmax())
-    if not size[best] > floor:
-        return None
-    found = check(best)
-    if found is None:
-        near = np.flatnonzero(size > floor)
-        for k in near[np.argsort(-size[near], kind="stable")].tolist():
-            if k != best and (found := check(k)) is not None:
-                break
-    return found
+    best = _witness(*table, int(size.argmax()))
+    if not abs(best.value) > floor:
+        return best, None
+    margin = chsh_margin(box, best, tol)
+    if margin is not None:
+        return best, margin
+    near = np.flatnonzero(size > floor)
+    for k in near[np.argsort(-size[near], kind="stable")].tolist()[1:]:  # the float-best leads: checked
+        witness = _witness(*table, k)
+        margin = chsh_margin(box, witness, tol)
+        if margin is not None:
+            return witness, margin
+    return best, None
 
 
 @dataclass(frozen=True)
@@ -345,15 +355,6 @@ class NoSignallingReport:
         return self.satisfied
 
 
-def _unravel(index: int, shape: tuple[int, ...]) -> tuple[int, ...]:
-    """Row-major multi-index of a flat index (np.unravel_index in plain ints)."""
-    out = []
-    for size in reversed(shape):
-        index, rem = divmod(index, size)
-        out.append(rem)
-    return tuple(reversed(out))
-
-
 def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingReport:
     """Check every proper party subset's marginal against complement settings.
 
@@ -373,10 +374,10 @@ def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingR
     for subset in subsets:
         sub_settings = tuple(box.settings[k] for k in subset)
         other_settings = tuple(box.settings[k] for k in range(n) if k not in subset)
+        n_other = math.prod(other_settings)
         # marginal over J's outcomes at every full setting tuple, as
         # [J settings, complement settings, J outcomes]
-        marg = _marginal(box.table, subset)
-        marg = marg.reshape(math.prod(sub_settings), math.prod(other_settings), -1)
+        marg = _marginal(box.table, subset).reshape(math.prod(sub_settings), n_other, -1)
         spread = marg.max(axis=1) - marg.min(axis=1)
         devs = spread.max(axis=1)
         worst = max(worst, float(devs.max()))
@@ -384,14 +385,10 @@ def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingR
             # the complement settings at the two extremes of the widest entry
             column = marg[i, :, spread[i].argmax()].tolist()
             a, b = sorted((column.index(min(column)), column.index(max(column))))
+            # one multi-index of (J's settings, complement settings a, complement settings b): n + n - |J| entries
+            at = np.unravel_index((i * n_other + a) * n_other + b, sub_settings + 2 * other_settings)
             violations.append(
-                SignallingViolation(
-                    subset,
-                    _unravel(i, sub_settings),
-                    _unravel(a, other_settings),
-                    _unravel(b, other_settings),
-                    float(devs[i]),
-                )
+                SignallingViolation(subset, at[: len(subset)], at[len(subset) : n], at[n:], float(devs[i]))
             )
     return NoSignallingReport(not violations, worst, tuple(violations))
 

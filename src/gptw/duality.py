@@ -123,10 +123,15 @@ def temporal_scenario(
     return TemporalScenario(ensemble, channel, povms, JointDistribution(axes, joint))
 
 
+def distribution_error(a: JointDistribution, b: JointDistribution) -> float:
+    """max |a - b| over the entries of two joint distributions of one shape."""
+    if a.probabilities.shape != b.probabilities.shape:
+        raise ArityError(f"distribution shapes differ: {a.probabilities.shape} vs {b.probabilities.shape}")
+    return float(np.max(np.abs(a.probabilities - b.probabilities)))
+
+
 def _check_match(got: JointDistribution, want: JointDistribution, tol: float, what: str) -> None:
-    if got.probabilities.shape != want.probabilities.shape:
-        raise ArityError(f"{what}: distribution shapes differ")
-    worst = float(np.max(np.abs(got.probabilities - want.probabilities)))
+    worst = distribution_error(got, want)
     if worst > tol:
         raise ValidationError(f"{what}: reconstruction off by {worst:.3e} (tol {tol:.1e})")
 
@@ -187,7 +192,4 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
 
 def verify_ocj(spatial: SpatialScenario, temporal: TemporalScenario, tol: float = CONSTRUCTION_TOL) -> bool:
     """Entrywise equality of the two scenarios' joint distributions."""
-    a, b = spatial.distribution.probabilities, temporal.distribution.probabilities
-    if a.shape != b.shape:
-        raise ArityError(f"distribution shapes differ: {a.shape} vs {b.shape}")
-    return float(np.max(np.abs(a - b))) <= tol
+    return distribution_error(spatial.distribution, temporal.distribution) <= tol

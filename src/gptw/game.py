@@ -33,14 +33,15 @@ from .quantum import (
 from .theory import (
     EnsemblePreparation,
     OperationalTheory,
+    _identity_statistics,
     affine_dimension,
     are_orthogonal,
-    outcome_distribution,
 )
 
 TSIRELSON_WIN = float(np.cos(np.pi / 8) ** 2)  # = (1 + 1/sqrt(2)) / 2
 FINEGRAINED_BOUND = float(1.0 + 1.0 / np.sqrt(2.0))
 BALANCE_TOL = 1e-6
+MAX_ROUNDS = 10**7  # `simulate_game` holds about 0.3 GB of sampling arrays at this many rounds
 
 
 @dataclass(frozen=True)
@@ -123,7 +124,7 @@ def simulate_game(
 
     Quantum strategies must have balanced Alice marginals (p(a|c) = 1/2
     within 1e-6); raw boxes are evaluated as-is, covering deterministic and
-    table-level strategies.
+    table-level strategies.  `rounds` runs from 1 to MAX_ROUNDS.
     """
     if isinstance(strategy, GameStrategy):
         box = strategy.box()
@@ -137,6 +138,8 @@ def simulate_game(
         box = strategy
     if rounds < 1:
         raise ValidationError("rounds must be positive")
+    if rounds > MAX_ROUNDS:
+        raise ValidationError(f"rounds must be at most {MAX_ROUNDS}, got {rounds}")
     exact = game_value(box)
 
     rng = np.random.default_rng(seed)
@@ -274,22 +277,15 @@ def check_finegrained(
         )
     if not are_orthogonal(theory, m1, m2):
         raise PreconditionError(f"measurements {m1!r}, {m2!r} are not orthogonal")
-    worst = -np.inf
-    worst_prep = theory.preparations[0]
-    worst_pair = (0, 0)
-    for p in theory.preparations:
-        row1 = outcome_distribution(theory, p, theory.identity, m1)
-        row2 = outcome_distribution(theory, p, theory.identity, m2)
-        for m in range(2):
-            for n in range(2):
-                s = float(row1[m] + row2[n])
-                if s > worst:
-                    worst, worst_prep, worst_pair = s, p, (m, n)
+    # sums[P, m, n] = p(M1^m|P) + p(M2^n|P); argmax keeps the first maximum in (P, m, n) order
+    sums = _identity_statistics(theory, m1)[:, :, None] + _identity_statistics(theory, m2)[:, None, :]
+    p, m, n = np.unravel_index(int(sums.argmax()), sums.shape)
+    worst = float(sums[p, m, n])
     return FineGrainedReport(
         bound=FINEGRAINED_BOUND,
         worst_sum=worst,
-        worst_prep=worst_prep,
-        worst_outcomes=worst_pair,
+        worst_prep=theory.preparations[p],
+        worst_outcomes=(int(m), int(n)),
         satisfied=bool(worst <= FINEGRAINED_BOUND + tol),
         saturated=bool(abs(worst - FINEGRAINED_BOUND) <= tol),
     )
@@ -302,10 +298,5 @@ def triples_from_theory(
     for m in (m1, m2, m3):
         if theory.arity(m) != 2:
             raise ArityError("triples need two-outcome measurements")
-    out = []
-    for p in theory.preparations:
-        i = float(outcome_distribution(theory, p, theory.identity, m1)[0])
-        j = float(outcome_distribution(theory, p, theory.identity, m2)[0])
-        k = float(outcome_distribution(theory, p, theory.identity, m3)[0])
-        out.append((p, UncertaintyTriple(i, j, k)))
-    return out
+    stats = np.stack([_identity_statistics(theory, m)[:, 0] for m in (m1, m2, m3)], axis=1)
+    return [(p, UncertaintyTriple(*t)) for p, t in zip(theory.preparations, stats.tolist())]

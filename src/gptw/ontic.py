@@ -29,9 +29,12 @@ the best CHSH witnesses are re-evaluated exactly, and if one has
 |B| > 2 + 16 tol the box has no local model within `tol` and no LP is
 solved.  This is sound because every local box q has |B(q)| <= 2 and B has
 sixteen +-1 coefficients, so |B(p) - B(q)| <= 16 max|p - q|.  A box the gate
-does not settle goes to the unchanged LP.  Every table entry and `tol` is a
-float, i.e. an integer over a power of two, so both exact checks run in
-integers over one common denominator (`correlations._dyadic`).
+does not settle goes to the unchanged LP.  The gate hands the witness
+search the threshold tolerance 16 tol, which is exact: scaling a float by a
+power of two only moves its exponent, and a product that overflows to inf
+sends the box to the LP.  Every table entry and `tol` is a float, i.e. an
+integer over a power of two, so both exact checks run in integers over one
+common denominator (`correlations._dyadic`).
 Factorizability is exactly what a preparation-noncontextual representation
 forces on the box, so this is the decidable endpoint of the
 noncontextuality-implies-locality chain;
@@ -232,16 +235,16 @@ def chsh_gate(box: CorrelationBox, tol: float) -> ChshRefutation | None:
     """A CHSH witness whose exact |B| exceeds 2 + 16 tol, if one exists; else None.
 
     Applies to bipartite two-outcome boxes with at least two settings per
-    party and a finite `tol`; any other box gets None and goes to the LP.
+    party and a finite `16 * tol`; any other box gets None and goes to the LP.
     The float-best witness is re-checked exactly first, then every other
     setting pair within rounding of the threshold
     (`correlations.exact_chsh_witness`).  A refuted box has no local box
     within `tol`: see the module docstring.
     """
-    if box.n_parties != 2 or box.outcomes != (2, 2) or min(box.settings) < 2 or not np.isfinite(tol):
+    if box.n_parties != 2 or box.outcomes != (2, 2) or min(box.settings) < 2 or not np.isfinite(16 * tol):
         return None
-    found = exact_chsh_witness(box, tol, tol_weight=16)
-    return None if found is None else ChshRefutation(*found)
+    witness, margin = exact_chsh_witness(box, 16 * tol)
+    return None if margin is None else ChshRefutation(witness, margin)
 
 
 @dataclass(frozen=True)
@@ -490,14 +493,10 @@ def certificate_to_ontic_model(box: CorrelationBox, cert: LocalModelCertificate)
     strategies = sorted(cert.weights)
     labels = ["".join(map(str, a)) + "|" + "".join(map(str, b)) for a, b in strategies]
     mu = {"source": np.array([cert.weights[s] for s in strategies])}
-    n_b = box.outcomes[1]
-    xi = {}
-    for x in range(box.settings[0]):
-        for y in range(box.settings[1]):
-            resp = np.zeros((box.outcomes[0] * n_b, len(strategies)))
-            for col, (a_map, b_map) in enumerate(strategies):
-                resp[a_map[x] * n_b + b_map[y], col] = 1.0
-            xi[f"s{x},{y}"] = resp
+    # responses[x, y, a * n_b + b, strategy]
+    responses = np.stack([strategy_table(box, s) for s in strategies], axis=-1)
+    responses = responses.reshape(box.settings + (-1, len(strategies)))
+    xi = {f"s{x},{y}": responses[x, y] for x, y in np.ndindex(*box.settings)}
     trans = {"I": np.eye(len(strategies))}
     return OnticModel(labels, mu, xi, trans)
 
@@ -516,12 +515,10 @@ class NoncontextualVerdict:
         return self.certificate is not None
 
 
-def noncontextual_chsh_bound(
-    box: CorrelationBox, lp_tol: float = LP_TOL, chsh_tol: float = LP_TOL
-) -> NoncontextualVerdict:
+def noncontextual_chsh_bound(box: CorrelationBox, tol: float = LP_TOL) -> NoncontextualVerdict:
     """Pair the LP verdict with the box's maximal |CHSH| and assert the implication."""
-    cert = find_local_model(box, lp_tol)
-    _, witness = is_bell_nonlocal(box, chsh_tol)
+    cert = find_local_model(box, tol)
+    _, witness = is_bell_nonlocal(box, tol)
     max_abs = abs(witness.value)
-    consistent = cert is None or max_abs <= 2.0 + chsh_tol
+    consistent = cert is None or max_abs <= 2.0 + tol
     return NoncontextualVerdict(cert, max_abs, witness, consistent)

@@ -309,6 +309,12 @@ def operationally_equivalent(
     return True
 
 
+def _identity_statistics(theory: OperationalTheory, meas: str) -> np.ndarray:
+    """p(M^x | P) of one measurement on the identity rows, as [preparation, outcome]."""
+    rows = [outcome_distribution(theory, p, theory.identity, meas) for p in theory.preparations]
+    return np.array(rows).reshape(len(rows), theory.arity(meas))
+
+
 def _affine_rank(points: np.ndarray, rtol: float = RANK_RTOL) -> int:
     """Affine rank of a set of row vectors: singular values of the centered matrix above rtol * the largest."""
     if points.shape[0] <= 1:
@@ -331,14 +337,9 @@ def affine_dimension(theory: OperationalTheory, rtol: float = RANK_RTOL) -> Subt
     """
     if not theory.preparations:
         raise ValidationError("theory has no preparations")
-    stacked = np.hstack(
-        [
-            np.stack(
-                [outcome_distribution(theory, p, theory.identity, m.id) for p in theory.preparations]
-            )
-            for m in theory.measurements
-        ]
-    )
+    if not theory.measurements:
+        raise ValidationError("theory has no measurements")
+    stacked = np.hstack([_identity_statistics(theory, m.id) for m in theory.measurements])
     count = _affine_rank(stacked, rtol)
     d = round((count + 1) ** 0.5)
     claimed = d if d >= 2 and d * d - 1 == count else None
@@ -355,13 +356,5 @@ def are_orthogonal(theory: OperationalTheory, m1: str, m2: str) -> bool:
     for m in (m1, m2):
         if theory.arity(m) != 2:
             raise ArityError(f"orthogonality requires two-outcome measurements, {m!r} has arity {theory.arity(m)}")
-    pts = np.stack(
-        [
-            [
-                outcome_distribution(theory, p, theory.identity, m1)[0],
-                outcome_distribution(theory, p, theory.identity, m2)[0],
-            ]
-            for p in theory.preparations
-        ]
-    )
+    pts = np.stack([_identity_statistics(theory, m)[:, 0] for m in (m1, m2)], axis=1)
     return _affine_rank(pts) == 2

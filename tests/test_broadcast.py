@@ -184,6 +184,15 @@ def test_local_box_rejected(isotropic_half):
         theorem1_construct(weaker)
 
 
+def test_signalling_box_rejected():
+    # a = y, b = a xor xy: |B| = 4, but Alice's outcome is Bob's setting
+    table = np.zeros((2, 2, 2, 2))
+    for x, y in np.ndindex(2, 2):
+        table[x, y, y, y ^ (x & y)] = 1.0
+    with pytest.raises(PreconditionError, match="signals.*1.000e\\+00"):
+        theorem1_construct(CorrelationBox((2, 2), (2, 2), table))
+
+
 def test_constructed_box_pair_marginals_match_input(singlet_optimal_box):
     result = theorem1_construct(singlet_optimal_box)
     ab = result.box.marginal((0, 1), (0,))

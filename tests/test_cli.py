@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,6 +17,8 @@ from test_game import full_qubit_theory
 from test_ontic import classical_bit_model
 from gptw.correlations import CorrelationBox, is_bell_nonlocal
 from gptw.theory import RANK_RTOL
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
 
 
 @pytest.fixture
@@ -207,6 +210,18 @@ def test_theorem1_demonstrates_violation(files, capsys):
     assert rep["pass"] is False
 
 
+def test_theorem1_needs_a_box_that_does_not_signal(capsys, tmp_path):
+    table = np.zeros((2, 2, 2, 2))
+    for x, y in np.ndindex(2, 2):
+        table[x, y, y, y ^ (x & y)] = 1.0  # a = y, b = a xor xy: |B| = 4
+    path = tmp_path / "signalling.json"
+    ser.save_box(CorrelationBox((2, 2), (2, 2), table), path)
+    assert "signals" in assert_input_error(capsys, ["theorem1", "--box", path])
+    # the no-signalling check runs at EPS_NORM, not at --tol: float rounding in the sample passes at tol 0
+    code, (rep,) = run(capsys, ["theorem1", "--box", SAMPLES / "singlet_opt_box.json", "--tol", "0"])
+    assert code == 1 and abs(rep["value"] - 16.0) < 1e-9
+
+
 def test_game_with_quantum_strategy(files, capsys):
     argv = [
         "game", "--state", files["singlet"],
@@ -229,7 +244,7 @@ def test_game_with_box(files, capsys):
     assert reports[0]["exact_rate"] == 1.0
 
 
-@pytest.mark.parametrize("rounds", ["0", "-5"])
+@pytest.mark.parametrize("rounds", ["0", "-5", "1000000000000", "100000000000000000000000"])
 def test_game_non_positive_rounds_exit_two(files, capsys, rounds):
     assert "rounds" in assert_input_error(capsys, ["game", "--box", files["pr"], "--rounds", rounds])
 
@@ -274,6 +289,13 @@ def test_dim(files, capsys):
     assert code == 0
     assert reports[0]["value"] == 3
     assert reports[0]["claimed_dimension"] == 2
+
+
+def test_dim_and_uncertainty_need_measurements(capsys, tmp_path):
+    path = tmp_path / "no_measurements.json"
+    path.write_text(json.dumps({"preparations": ["p"], "transformations": ["I"], "measurements": [], "table": []}))
+    for argv in (["dim"], ["uncertainty", "--m1", "X", "--m2", "Z"]):
+        assert "no measurements" in assert_input_error(capsys, [*argv, "--theory", path])
 
 
 def test_dim_tol_is_the_rank_threshold(capsys, tmp_path):

@@ -308,8 +308,10 @@ def fraction_chsh(e: dict, a_settings, b_settings) -> Fraction:
 def test_exact_witness_decides_in_rational_arithmetic(m, count):
     """The exact verdict matches rationals on local draws whose float |B| can exceed 2 by rounding.
 
-    At m = 3 many setting pairs tie at a float |B| of 2, and the first of
-    them is often not the one whose exact |B| exceeds 2.
+    There is always a witness: a refuting one with its exact margin, or else
+    `is_bell_nonlocal`'s with None.  At m = 3 many setting pairs tie at a
+    float |B| of 2, and the first of them is often not the one whose exact
+    |B| exceeds 2.
     """
     boxes = list(local_draws(count, m))
     if m == 2:
@@ -320,12 +322,13 @@ def test_exact_witness_decides_in_rational_arithmetic(m, count):
         e = fraction_correlators(box.table)
         best = max(fraction_chsh(e, a, b) for a, b in pairs)
         for tol in (0.0, 1e-12):
-            found = exact_chsh_witness(box, tol)
-            assert (found is not None) == (best > 2 + Fraction(tol))
+            witness, margin = exact_chsh_witness(box, tol)
+            assert (margin is not None) == (best > 2 + Fraction(tol))
             nonlocal_, first = is_bell_nonlocal(box, tol)
-            float_only += found is None and nonlocal_
-            if found is not None:
-                witness, margin = found
+            float_only += margin is None and nonlocal_
+            if margin is None:
+                assert witness == first
+            else:
                 exact = fraction_chsh(e, witness.a_settings, witness.b_settings) - 2 - Fraction(tol)
                 assert exact > 0 and margin == float(exact)
                 assert chsh_margin(box, witness, tol) == margin

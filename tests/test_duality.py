@@ -11,6 +11,7 @@ from gptw.duality import (
     CONSTRUCTION_TOL,
     _check_match,
     _live_branches,
+    distribution_error,
     spatial_scenario,
     spatial_to_temporal,
     temporal_scenario,
@@ -148,6 +149,16 @@ def test_verify_ocj_uniform_pair_trivially_equal():
     temporal = spatial_to_temporal(spatial)
     assert np.allclose(spatial.distribution.probabilities, uniform.probabilities, atol=1e-12)
     assert verify_ocj(spatial, temporal)
+
+
+def test_distribution_error_refuses_different_shapes():
+    # (2, 1) against (2, 2) would broadcast to an error of 0.25 without the shape check
+    column = JointDistribution([("a", 2), ("b", 1)], [[0.5], [0.5]])
+    square = JointDistribution([("a", 2), ("b", 2)], np.full((2, 2), 0.25))
+    with pytest.raises(ArityError, match=r"shapes differ: \(2, 1\) vs \(2, 2\)"):
+        distribution_error(column, square)
+    skewed = JointDistribution([("a", 2), ("b", 2)], [[0.5, 0.0], [0.25, 0.25]])
+    assert distribution_error(square, skewed) == distribution_error(skewed, square) == 0.25
 
 
 def test_verify_ocj_shape_mismatch():

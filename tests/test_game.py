@@ -19,7 +19,7 @@ from gptw.game import (
     triples_from_theory,
     win_probability,
 )
-from gptw.theory import Measurement, OperationalTheory
+from gptw.theory import Measurement, OperationalTheory, outcome_distribution
 
 from conftest import cardinal_qubit_states, singlet_optimal_settings, tomographic_povms
 
@@ -240,3 +240,54 @@ def test_harvested_triples_respect_game_cap():
     theory = q.born_table(states, tomographic_povms())
     for _, triple in triples_from_theory(theory, "X", "Z", "Y"):
         assert win_probability(triple) <= TSIRELSON_WIN + 1e-9
+
+
+def loop_finegrained(theory: OperationalTheory, m1: str, m2: str) -> tuple[float, str, tuple[int, int]]:
+    """The worst sum, preparation and outcome pair, by a loop over the rows (first maximum kept)."""
+    worst, worst_prep, worst_pair = -np.inf, theory.preparations[0], (0, 0)
+    for p in theory.preparations:
+        row1 = outcome_distribution(theory, p, theory.identity, m1)
+        row2 = outcome_distribution(theory, p, theory.identity, m2)
+        for m in range(2):
+            for n in range(2):
+                s = float(row1[m] + row2[n])
+                if s > worst:
+                    worst, worst_prep, worst_pair = s, p, (m, n)
+    return worst, worst_prep, worst_pair
+
+
+def loop_triples(theory: OperationalTheory, m1: str, m2: str, m3: str) -> list[tuple[str, UncertaintyTriple]]:
+    return [
+        (p, UncertaintyTriple(*(float(outcome_distribution(theory, p, theory.identity, m)[0]) for m in (m1, m2, m3))))
+        for p in theory.preparations
+    ]
+
+
+def tied_theory(rng: np.random.Generator) -> OperationalTheory:
+    """Outcome-0 probabilities on a grid of quarters, so sums tie exactly, and repeated preparations.
+
+    The six cardinal points keep the theory two-dimensional with X and Z orthogonal.
+    """
+    cardinal = [(1.0, 0.5, 0.5), (0.0, 0.5, 0.5), (0.5, 1.0, 0.5), (0.5, 0.0, 0.5), (0.5, 0.5, 1.0), (0.5, 0.5, 0.0)]
+    drawn = [tuple(rng.choice([0.0, 0.25, 0.5, 0.75, 1.0], 3).tolist()) for _ in range(rng.integers(1, 8))]
+    points = cardinal + drawn + drawn[:1]
+    points = [points[i] for i in rng.permutation(len(points))]
+    table = {(f"p{k}", "I", m): [v, 1.0 - v] for k, point in enumerate(points) for m, v in zip("XYZ", point)}
+    return OperationalTheory([f"p{k}" for k in range(len(points))], ["I"], [("X", 2), ("Y", 2), ("Z", 2)], table)
+
+
+def test_finegrained_and_triples_match_the_row_loops_on_ties():
+    rng = np.random.default_rng(64)
+    tied = crossed = 0
+    for _ in range(60):
+        theory = tied_theory(rng)
+        for m1, m2 in (("X", "Z"), ("Z", "X")):
+            report = check_finegrained(theory, m1, m2)
+            worst, prep, pair = loop_finegrained(theory, m1, m2)
+            assert (report.worst_sum, report.worst_prep, report.worst_outcomes) == (worst, prep, pair)
+            sums = [float(outcome_distribution(theory, p, "I", m1)[m] + outcome_distribution(theory, p, "I", m2)[n])
+                    for p in theory.preparations for m in range(2) for n in range(2)]
+            tied += sums.count(worst) > 1
+            crossed += pair[0] != pair[1]
+        assert triples_from_theory(theory, "X", "Z", "Y") == loop_triples(theory, "X", "Z", "Y")
+    assert tied >= 10 and crossed >= 10  # the first-maximum order and the (m, n) order both matter

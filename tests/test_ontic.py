@@ -20,6 +20,7 @@ from gptw import quantum as q
 from gptw.correlations import CorrelationBox, is_bell_nonlocal
 from gptw.errors import SizeLimitError, SolverError, UnknownIdError
 from gptw.ontic import (
+    LocalModelCertificate,
     OnticModel,
     certificate_to_ontic_model,
     find_local_model,
@@ -204,6 +205,25 @@ def test_certificate_reinterpreted_as_ontic_model(isotropic_half):
             assert np.max(np.abs(got - want)) < 1e-9
 
 
+def test_certificate_model_reads_each_party_own_outcome():
+    # three outcomes for Alice and two for Bob, with Alice's and Bob's maps unrelated
+    rng = np.random.default_rng(65)
+    strategies = sorted({(tuple(rng.integers(0, 3, 2).tolist()), tuple(rng.integers(0, 2, 3).tolist()))
+                         for _ in range(6)})
+    weights = rng.random(len(strategies))
+    cert = LocalModelCertificate(dict(zip(strategies, (weights / weights.sum()).tolist())), 0.0)
+    table = np.zeros((2, 3, 3, 2))
+    for (a_map, b_map), w in cert.weights.items():
+        for x, y in np.ndindex(2, 3):
+            table[x, y, a_map[x], b_map[y]] += w
+    box = CorrelationBox((2, 3), (3, 2), table)
+    model = certificate_to_ontic_model(box, cert)
+    assert validate_model(model) == []
+    for x, y in np.ndindex(2, 3):
+        got = predict(model, "source", "I", f"s{x},{y}")
+        assert np.max(np.abs(got - table[x, y].reshape(-1))) < 1e-12
+
+
 def test_strategy_cap():
     # 8 outcomes, 4 settings per side: 8^4 * 4 * 8 conditional weights in 2 * 4 fit rows each = 2^20 > 2^19
     table = np.full((4, 4, 8, 8), 1.0 / 64)
@@ -331,6 +351,20 @@ def test_chsh_gate_margin_is_exact():
             if refutation is not None:
                 assert refutation.margin == float(margin)
                 assert refutation.witness == is_bell_nonlocal(box)[1]
+
+
+def test_chsh_gate_scales_tol_by_sixteen_exactly(pr_box, deterministic_box):
+    # |B| = 2 + 32 t exactly at t = 2**-1074, the smallest subnormal: E(1, 1) = 1 - 32 t
+    t = 2.0**-1074
+    table = deterministic_box.table.copy()
+    table[1, 1, 0, 1] = 32 * t
+    box = CorrelationBox((2, 2), (2, 2), table)
+    assert abs(is_bell_nonlocal(box)[1].value) == 2.0  # the float |B| cannot tell
+    refutation = ontic.chsh_gate(box, t)
+    assert refutation.margin == float(fraction_chsh_margin(box, t)) == 16 * t
+    assert ontic.chsh_gate(box, 2 * t) is None  # a tie: |B| = 2 + 16 (2 t)
+    # 16 tol overflows to inf: the box goes to the LP, and no exact check sees an infinite tol
+    assert ontic.chsh_gate(pr_box, 1e308) is None
 
 
 def test_chsh_gate_leaves_other_boxes_to_the_lp(pr_box, deterministic_box):
