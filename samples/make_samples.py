@@ -4,6 +4,7 @@ Usage: python3 samples/make_samples.py
 """
 from __future__ import annotations
 
+import json
 from pathlib import Path
 
 import numpy as np
@@ -70,28 +71,33 @@ def classical_bit_model() -> OnticModel:
     )
 
 
-def main() -> None:
-    ser.save_box(pr_box(), HERE / "pr_box.json")
-    ser.save_box(isotropic_half_box(), HERE / "isotropic_half_box.json")
-    ser.save_box(singlet_optimal_box(), HERE / "singlet_opt_box.json")
-    ser.save_box(shared_bit_box(), HERE / "shared_bit_box.json")
-    ser.save_theory(qubit_theory(), HERE / "qubit_theory.json")
-    ser.save_model(classical_bit_model(), HERE / "classical_bit_model.json")
-
-    ser.save_state(q.singlet(), HERE / "singlet.json")
+def documents() -> dict[str, dict]:
+    """The JSON document of every sample file, by file name."""
     rng = np.random.default_rng(7)
-    ser.save_state(q.ginibre_state(4, rng, dims=(2, 2)), HERE / "random_two_qubit.json")
-    ser.save_povm(q.z_basis(), HERE / "z_basis.json")
-    ser.save_povm(q.x_basis(), HERE / "x_basis.json")
-    ser.save_povm(
-        q.povm_from_observable(-(q.PAULI_Z + q.PAULI_X) / np.sqrt(2)), HERE / "b0.json"
-    )
-    ser.save_povm(
-        q.povm_from_observable((q.PAULI_X - q.PAULI_Z) / np.sqrt(2)), HERE / "b1.json"
-    )
-    ser.save_state(q.DensityMatrix.pure(q.KET0), HERE / "state_zero.json")
-    ser.save_state(q.DensityMatrix.pure(q.KET_PLUS), HERE / "state_plus.json")
-    ser.save_state(q.DensityMatrix(np.diag([0.3, 0.7])), HERE / "state_diag.json")
+    return {
+        "pr_box.json": ser.box_to_json(pr_box()),
+        "isotropic_half_box.json": ser.box_to_json(isotropic_half_box()),
+        "singlet_opt_box.json": ser.box_to_json(singlet_optimal_box()),
+        "shared_bit_box.json": ser.box_to_json(shared_bit_box()),
+        "qubit_theory.json": ser.theory_to_json(qubit_theory()),
+        "classical_bit_model.json": ser.model_to_json(classical_bit_model()),
+        "singlet.json": ser.state_to_json(q.singlet()),
+        "random_two_qubit.json": ser.state_to_json(q.ginibre_state(4, rng, dims=(2, 2))),
+        "z_basis.json": ser.povm_to_json(q.z_basis()),
+        "x_basis.json": ser.povm_to_json(q.x_basis()),
+        "b0.json": ser.povm_to_json(q.povm_from_observable(-(q.PAULI_Z + q.PAULI_X) / np.sqrt(2))),
+        "b1.json": ser.povm_to_json(q.povm_from_observable((q.PAULI_X - q.PAULI_Z) / np.sqrt(2))),
+        "state_zero.json": ser.state_to_json(q.DensityMatrix.pure(q.KET0)),
+        "state_plus.json": ser.state_to_json(q.DensityMatrix.pure(q.KET_PLUS)),
+        "state_diag.json": ser.state_to_json(q.DensityMatrix(np.diag([0.3, 0.7]))),
+    }
+
+
+def main() -> None:
+    for name, doc in documents().items():
+        # as `gptw.serialize` saves them: states and POVMs on one line, tables one entry per line
+        one_line = "matrix" in doc or "elements" in doc
+        (HERE / name).write_text(json.dumps(doc, indent=None if one_line else 1))
     print(f"wrote samples into {HERE}")
 
 

@@ -125,7 +125,7 @@ def cmd_local_model(args, tol: float) -> Report:
     box = serialize.load_box(args.box)
     refutation = ontic.chsh_gate(box, tol)  # a refuted box needs no LP, so scipy is never imported
     if refutation is None:
-        cert = ontic.find_local_model(box, tol)
+        cert = ontic._fit_local_model(box, tol)  # `find_local_model` would run the gate again
         extra = {"method": "lp"}
     else:
         cert, witness = None, refutation.witness

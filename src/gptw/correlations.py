@@ -1,6 +1,6 @@
 """CHSH quantities, Bell nonlocality, no-signalling, and monogamy bounds.
 
-Works on n-party correlation boxes p(a_1..a_n | x_1..x_n) with n <= 3.
+Works on n-party correlation boxes p(a_1..a_n | x_1..x_n) with n <= MAX_PARTIES = 3.
 Outcomes are valued (-1)**a throughout; a box itself stays purely
 probabilistic.
 
@@ -32,9 +32,9 @@ exact arithmetic (`chsh_margin`): each table entry is a float, i.e. an
 integer over a power of two, so the 16-entry sum runs in integers over one
 common denominator (`_dyadic`).  It always returns a witness: the first
 whose exact |B| exceeds 2 + tol, with its exact margin, or else the
-float-best one, `is_bell_nonlocal`'s, with None, so one scan of the table
-serves both the verdict and the witness it reports.  `is_bell_nonlocal`
-stays a float search.
+float-best one with None, so one scan of the table serves both the verdict
+and the witness it reports.  `is_bell_nonlocal` returns that verdict and
+witness: every CHSH verdict in the package comes from this one function.
 """
 from __future__ import annotations
 
@@ -46,8 +46,9 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityError, ValidationError
-from .theory import EPS_NORM, EnsemblePreparation, OperationalTheory, outcome_distribution
+from .theory import EnsemblePreparation, OperationalTheory, outcome_distribution, probability_array
 
+MAX_PARTIES = 3  # the largest box every check here handles
 NS_MONOGAMY_BOUND = 4.0
 STRONG_MONOGAMY_BOUND = 8.0
 # A float |B| sums 16 entries in [0, 1] with 6 roundings, so it is within 2**-47 of the exact sum;
@@ -73,22 +74,12 @@ class CorrelationBox:
         if len(self.settings) != len(self.outcomes) or not self.settings:
             raise ValidationError("settings and outcomes must list one entry per party")
         self.n_parties = len(self.settings)
-        if self.n_parties > 3:
-            raise ValidationError("boxes with more than 3 parties are unsupported")
+        if self.n_parties > MAX_PARTIES:
+            raise ValidationError(f"at most {MAX_PARTIES} parties are supported, got {self.n_parties}")
         tab = np.asarray(table, dtype=float)
         if tab.shape != self.settings + self.outcomes:
-            raise ValidationError(
-                f"table shape {tab.shape} != settings+outcomes {self.settings + self.outcomes}"
-            )
-        # written so that NaN fails it: min and max propagate NaN
-        if not (tab.min() >= -EPS_NORM and tab.max() <= 1.0 + EPS_NORM):
-            raise ValidationError("box entries must be finite and in [0, 1]")
-        sums = tab.reshape(self.settings + (-1,)).sum(axis=-1)
-        if np.max(np.abs(sums - 1.0)) > EPS_NORM:
-            raise ValidationError("some setting slice does not sum to 1")
-        tab = np.clip(tab, 0.0, 1.0)
-        tab.flags.writeable = False
-        self.table = tab
+            raise ValidationError(f"table shape {tab.shape} != settings+outcomes {self.settings + self.outcomes}")
+        self.table = probability_array(tab, "box entries", self.n_parties)
 
     def prob(self, settings: Sequence[int]) -> np.ndarray:
         """Outcome distribution (shape = outcomes) for one setting tuple."""
@@ -256,17 +247,16 @@ def _witness(values: np.ndarray, a_pairs: np.ndarray, b_pairs: np.ndarray, k: in
 
 
 def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, ChshValue]:
-    """Search the box's own settings for a CHSH witness with |B| > 2 + tol.
+    """(verdict, witness): does a CHSH witness of the box's own settings have exact |B| > 2 + tol?
 
-    Returns the maximizing (in absolute value) ChshValue, the first in
-    (a0, a1, b0, b1) order on ties; ordered setting pairs cover all sign
-    placements and |.| covers outcome relabelings, so for two-setting
-    two-outcome boxes this decides membership of the local polytope
-    boundary exactly.
+    Both are `exact_chsh_witness`'s: its witness, and whether it has a
+    margin.  Ordered setting pairs cover all sign placements and |.| covers
+    outcome relabelings, so for two-setting two-outcome boxes this decides
+    membership of the local polytope exactly.  A `tol` of inf or NaN answers
+    False, and -inf True.
     """
-    table = _bipartite_chsh_table(box)
-    best = _witness(*table, int(np.abs(table[0]).argmax()))
-    return abs(best.value) > 2.0 + tol, best
+    witness, margin = exact_chsh_witness(box, tol)
+    return margin is not None, witness
 
 
 def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
@@ -304,20 +294,22 @@ def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float) -> float | 
 def exact_chsh_witness(box: CorrelationBox, tol: float) -> tuple[ChshValue, float | None]:
     """(witness, margin): a witness whose exact |B| exceeds 2 + tol and its `chsh_margin`, if any.
 
-    Otherwise the float-best witness, `is_bell_nonlocal`'s, with margin
-    None.  The float-best witness is re-checked exactly first.  Only if it
-    fails are the other ordered setting pairs whose float |B| exceeds the
-    threshold, or falls short of it by no more than the rounding slack,
-    re-checked, best float |B| first and in (a0, a1, b0, b1) order on ties.
-    Bipartite two-outcome boxes with a finite `tol`.
+    Otherwise the float-best witness with margin None.  The float-best
+    witness is re-checked exactly first.  Only if it fails are the other
+    ordered setting pairs whose float |B| exceeds the threshold, or falls
+    short of it by no more than the rounding slack, re-checked, best float
+    |B| first and in (a0, a1, b0, b1) order on ties.  Bipartite two-outcome
+    boxes; a `tol` of inf or NaN gives margin None, and -inf the margin inf.
     """
     table = _bipartite_chsh_table(box)
     size = np.abs(table[0]).reshape(-1)
     threshold = 2.0 + tol
     floor = threshold - CHSH_ROUNDING * max(1.0, abs(threshold))
     best = _witness(*table, int(size.argmax()))
-    if not abs(best.value) > floor:
+    if not abs(best.value) > floor:  # a tol of inf or NaN makes the floor NaN
         return best, None
+    if tol == -math.inf:  # every |B| exceeds it, and `chsh_margin` needs a finite tol
+        return best, math.inf
     margin = chsh_margin(box, best, tol)
     if margin is not None:
         return best, margin

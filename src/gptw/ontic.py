@@ -262,7 +262,7 @@ class LpResult:
 _LINPROG_STATUS = {"kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3}
 
 
-def linprog(*, c, A_ub, b_ub, A_eq, b_eq, bounds=(0, None), method="highs", options=None) -> LpResult:
+def linprog(*, c, A_ub, b_ub, A_eq, b_eq, options=None) -> LpResult:
     """min c x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0, by HiGHS's dual simplex as linprog runs it.
 
     HiGHS is called through scipy's bundled bindings (`scipy.optimize._highspy`),
@@ -283,8 +283,6 @@ def linprog(*, c, A_ub, b_ub, A_eq, b_eq, bounds=(0, None), method="highs", opti
     """
     from scipy.optimize._highspy import _core as highs
 
-    if method != "highs" or tuple(bounds) != (0, None):
-        raise ValueError("ontic.linprog solves method='highs' over x >= 0 only")
     c, b_ub, a_eq, b_eq = (np.asarray(v, dtype=float) for v in (c, b_ub, A_eq, b_eq))
     n_ub, n_cols = A_ub.shape
     # HiGHS reads each array up to the lengths it is given, so they are checked here
@@ -382,8 +380,7 @@ def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> dict:
     c = np.zeros(n_cols)
     c[-1] = 1.0
     b_ub = np.concatenate([target, -target, np.zeros(n_alpha * n_y)])
-    return dict(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], bounds=(0, None), method="highs",
-                options={"presolve": False})
+    return dict(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], options={"presolve": False})
 
 
 def _conditionals(x: np.ndarray, n_alpha: int, n_y: int, n_b: int) -> np.ndarray:
@@ -465,10 +462,15 @@ def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCert
     local box lies within `tol`.  The gate runs before the size cap, which
     bounds the LP's size measure at `MAX_LP_NONZEROS`.
     """
+    if chsh_gate(box, tol) is not None:  # a box that is not bipartite gets None here, and an error below
+        return None
+    return _fit_local_model(box, tol)
+
+
+def _fit_local_model(box: CorrelationBox, tol: float) -> LocalModelCertificate | None:
+    """`find_local_model` without its CHSH gate: arity check, size cap, LP and tight re-solve."""
     if box.n_parties != 2:
         raise ArityError("find_local_model expects a bipartite box")
-    if chsh_gate(box, tol) is not None:
-        return None
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     nnz = n_a**n_x * n_y * n_b * 2 * n_x
     if nnz > MAX_LP_NONZEROS:
@@ -508,7 +510,7 @@ class NoncontextualVerdict:
     certificate: LocalModelCertificate | None
     max_abs_chsh: float
     witness: ChshValue
-    consistent: bool  # certificate present implies max |CHSH| <= 2 + tol
+    consistent: bool  # certificate present implies `is_bell_nonlocal`'s verdict: no exact |B| above 2 + tol
 
     @property
     def local_model_exists(self) -> bool:
@@ -516,9 +518,7 @@ class NoncontextualVerdict:
 
 
 def noncontextual_chsh_bound(box: CorrelationBox, tol: float = LP_TOL) -> NoncontextualVerdict:
-    """Pair the LP verdict with the box's maximal |CHSH| and assert the implication."""
+    """Pair the LP verdict with the exact CHSH verdict and its witness's |B| (`is_bell_nonlocal`)."""
     cert = find_local_model(box, tol)
-    _, witness = is_bell_nonlocal(box, tol)
-    max_abs = abs(witness.value)
-    consistent = cert is None or max_abs <= 2.0 + tol
-    return NoncontextualVerdict(cert, max_abs, witness, consistent)
+    nonlocal_, witness = is_bell_nonlocal(box, tol)
+    return NoncontextualVerdict(cert, abs(witness.value), witness, cert is None or not nonlocal_)

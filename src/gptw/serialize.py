@@ -186,15 +186,15 @@ def box_to_json(box: CorrelationBox) -> dict:
 
 
 def box_from_json(data: Any, context: str = "box") -> CorrelationBox:
-    from .correlations import CorrelationBox
+    from .correlations import MAX_PARTIES, CorrelationBox
 
     parties = _int(_require(data, "parties", context), f"{context}: parties")
     settings = _int_list(_require(data, "settings", context), f"{context}: settings")
     outcomes = _int_list(_require(data, "outcomes", context), f"{context}: outcomes")
     if len(settings) != parties or len(outcomes) != parties:
         raise ParseError(f"{context}: settings/outcomes must list {parties} entries")
-    if parties > 16:  # two table axes per party, and numpy 1.x allows 32 axes
-        raise ParseError(f"{context}: at most 16 parties are supported, got {parties}")
+    if parties > MAX_PARTIES:  # before the rows are allocated
+        raise ParseError(f"{context}: at most {MAX_PARTIES} parties are supported, got {parties}")
     if min(settings + outcomes, default=0) < 1:
         raise ParseError(f"{context}: every party needs at least one setting and one outcome")
     raw = _require(data, "table", context, dict)

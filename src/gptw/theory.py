@@ -11,7 +11,8 @@ Conventions:
     `gptw.correlations` as the map a -> (-1)**a
   * rows for the identity transformation must exist for every
     (preparation, measurement) pair; other rows may be partial
-  * normalization and range checks use EPS_NORM = 1e-9
+  * normalization and range checks use EPS_NORM = 1e-9, in one place:
+    `probability_array`
 """
 from __future__ import annotations
 
@@ -25,6 +26,29 @@ from .errors import ArityError, UnknownIdError, ValidationError
 EPS_NORM = 1e-9
 EPS_BRANCH = 1e-12  # an ensemble branch of at most this weight never contributes
 RANK_RTOL = 1e-7  # relative singular-value threshold for affine ranks
+
+
+def probability_array(values: Any, what: str, conditions: int = 0) -> np.ndarray:
+    """`values` as a read-only array of distributions over the axes after the first `conditions`.
+
+    Entries must be finite and within EPS_NORM of [0, 1] (then clipped to it), each distribution must sum to
+    1 within EPS_NORM, and an empty array is refused.  `what` names the entries in the error message.
+    """
+    p = np.asarray(values, dtype=float)
+    if p.size == 0:
+        raise ValidationError(f"{what} are empty")
+    # written so that NaN fails it: min and max propagate NaN
+    if not (p.min() >= -EPS_NORM and p.max() <= 1.0 + EPS_NORM):
+        raise ValidationError(f"{what} must be finite and in [0, 1]")
+    sums = p.reshape(p.shape[:conditions] + (-1,)).sum(axis=-1)
+    error = np.abs(sums - 1.0)
+    if error.max() > EPS_NORM:
+        worst = np.unravel_index(error.argmax(), sums.shape)
+        at = f" at {tuple(map(int, worst))}" if conditions else ""
+        raise ValidationError(f"{what} sum to {sums[worst]}{at}, not 1")
+    p = np.clip(p, 0.0, 1.0)
+    p.flags.writeable = False
+    return p
 
 
 @dataclass(frozen=True)
@@ -93,13 +117,7 @@ class OperationalTheory:
             raise ValidationError(
                 f"row {key}: expected {self._arities[meas]} outcomes, got shape {row.shape}"
             )
-        if not (row.min() >= -EPS_NORM and row.max() <= 1.0 + EPS_NORM):
-            raise ValidationError(f"row {key}: probabilities must be finite and in [0, 1]")
-        if abs(row.sum() - 1.0) > EPS_NORM:
-            raise ValidationError(f"row {key}: outcomes sum to {row.sum()}, not 1")
-        row = np.clip(row, 0.0, 1.0)
-        row.flags.writeable = False
-        return row
+        return probability_array(row, f"row {key}: probabilities")
 
     # -- read-only views -------------------------------------------------
 
@@ -149,14 +167,9 @@ class EnsemblePreparation:
         b = tuple(branches)
         if w.ndim != 1 or not b or len(b) != w.size:
             raise ValidationError("one weight per branch required")
-        if not w.min() >= -EPS_NORM:
-            raise ValidationError("ensemble weights must be finite and non-negative")
-        if abs(w.sum() - 1.0) > EPS_NORM:
-            raise ValidationError(f"ensemble weights sum to {w.sum()}, not 1")
+        w = probability_array(w, "ensemble weights")
         if len(set(b)) != len(b):
             raise ValidationError("ensemble branches must be distinct")
-        w = np.clip(w, 0.0, None)
-        w.flags.writeable = False
         object.__setattr__(self, "weights", w)
         object.__setattr__(self, "branches", b)
 
@@ -176,14 +189,8 @@ class JointDistribution:
         p = np.asarray(probabilities, dtype=float)
         if p.shape != tuple(n for _, n in ax):
             raise ValidationError(f"probabilities shape {p.shape} != axis arities {ax}")
-        if not (p.min() >= -EPS_NORM and p.max() <= 1.0 + EPS_NORM):
-            raise ValidationError("joint distribution entries must be finite and in [0, 1]")
-        if abs(p.sum() - 1.0) > EPS_NORM:
-            raise ValidationError(f"joint distribution sums to {p.sum()}, not 1")
-        p = np.clip(p, 0.0, 1.0)
-        p.flags.writeable = False
         object.__setattr__(self, "axes", ax)
-        object.__setattr__(self, "probabilities", p)
+        object.__setattr__(self, "probabilities", probability_array(p, "joint distribution entries"))
 
 
 @dataclass(frozen=True)

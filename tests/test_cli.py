@@ -150,6 +150,18 @@ def test_local_model_reports_its_method(files, capsys, tmp_path):
     assert "margin" not in rep
 
 
+@pytest.mark.parametrize("sample, code", [("isotropic_half_box.json", 0), ("singlet_opt_box.json", 1)])
+def test_local_model_scans_the_chsh_table_once(monkeypatch, capsys, sample, code):
+    # the handler's CHSH gate is the only one: a box it does not refute goes straight to the LP
+    from gptw import correlations
+
+    builds = []
+    build = correlations._chsh_table
+    monkeypatch.setattr(correlations, "_chsh_table", lambda *args: builds.append(args) or build(*args))
+    assert run(capsys, ["local-model", "--box", str(SAMPLES / sample)])[0] == code
+    assert len(builds) == 1
+
+
 def test_verify_cj(files, capsys):
     code, reports = run(
         capsys, ["verify-cj", "--state", files["state"], "--povm", files["m"], "--povm", files["o"]]
@@ -314,8 +326,8 @@ def test_dim_tol_is_the_rank_threshold(capsys, tmp_path):
 
 def test_chsh_verdict_at_tol_zero_is_exact(capsys, tmp_path):
     box = list(local_draws(273))[272]
-    _, witness = is_bell_nonlocal(box, 0.0)
-    assert abs(witness.value) > 2.0  # the float search alone calls it a violation
+    nonlocal_, witness = is_bell_nonlocal(box, 0.0)
+    assert not nonlocal_ and abs(witness.value) > 2.0  # its float |B| reads above 2, its exact one does not
     path = tmp_path / "draw272.json"
     ser.save_box(box, path)
     settings = [f"--{k}" for k in ("a0", "a1", "b0", "b1")]

@@ -71,6 +71,19 @@ def test_box_rejects_non_finite_entry(bad):
         CorrelationBox((1, 1), (2, 2), t)
 
 
+def test_box_rejects_an_empty_table():
+    # unchecked, numpy's min raises "zero-size array to reduction operation minimum"
+    with pytest.raises(ValidationError, match="box entries are empty"):
+        CorrelationBox((1,), (0,), np.zeros((1, 0)))
+
+
+def test_box_reports_the_setting_tuple_that_does_not_sum_to_1():
+    t = np.full((2, 2, 2, 2), 0.25)
+    t[1, 0, 0, 0] = 0.5
+    with pytest.raises(ValidationError, match=r"box entries sum to 1.25 at \(1, 0\), not 1"):
+        CorrelationBox((2, 2), (2, 2), t)
+
+
 def test_box_rejects_too_many_parties():
     t = np.full((1, 1, 1, 1) + (2, 2, 2, 2), 1 / 16)
     with pytest.raises(ValidationError):
@@ -268,6 +281,14 @@ def test_anti_pr_box_caught_by_relabeling():
     assert nonlocal_ and abs(witness.value) == 4.0
 
 
+@pytest.mark.parametrize("tol, verdict", [(np.inf, False), (np.nan, False), (-np.inf, True)])
+def test_non_finite_tol_gets_a_verdict(pr_box, tol, verdict):
+    # an infinite float has no integer ratio (OverflowError), so -inf must not reach the exact sum
+    for box in (pr_box, CorrelationBox((2, 2), (2, 2), isotropic_table(0.5))):
+        assert is_bell_nonlocal(box, tol)[0] == verdict
+    assert exact_chsh_witness(pr_box, tol)[1] == (np.inf if verdict else None)
+
+
 def setting_pairs(n: int) -> list[tuple[int, int]]:
     return [(i, j) for i in range(n) for j in range(n) if i != j]
 
@@ -306,35 +327,42 @@ def fraction_chsh(e: dict, a_settings, b_settings) -> Fraction:
 
 @pytest.mark.parametrize("m, count", [(2, 1000), (3, 150)])
 def test_exact_witness_decides_in_rational_arithmetic(m, count):
-    """The exact verdict matches rationals on local draws whose float |B| can exceed 2 by rounding.
+    """The verdict matches rationals on local draws whose float |B| rounds to either side of 2.
 
-    There is always a witness: a refuting one with its exact margin, or else
-    `is_bell_nonlocal`'s with None.  At m = 3 many setting pairs tie at a
-    float |B| of 2, and the first of them is often not the one whose exact
-    |B| exceeds 2.
+    `is_bell_nonlocal` returns `exact_chsh_witness`'s verdict and witness on
+    every draw: a refuting witness with its exact margin, or else the
+    float-best one with None.  At m = 2 the float-best |B| is above the
+    threshold on some draws whose exact |B| is not, and below it on some
+    whose exact |B| is above.  At m = 3 many setting pairs tie at a float
+    |B| of 2, and the first of them is often not the one whose exact |B|
+    exceeds 2.
     """
     boxes = list(local_draws(count, m))
     if m == 2:
         boxes += [CorrelationBox((2, 2), (2, 2), isotropic_table(v)) for v in (0.5, 0.5 + 1e-16, 0.5 + 1e-12, 1.0)]
     pairs = list(product(permutations(range(m), 2), repeat=2))
-    float_only = later = 0
+    float_above = float_below = later = 0
     for box in boxes:
         e = fraction_correlators(box.table)
         best = max(fraction_chsh(e, a, b) for a, b in pairs)
+        float_best = max((chsh(box, *a, *b) for a, b in pairs), key=lambda w: abs(w.value))  # first on ties
         for tol in (0.0, 1e-12):
+            nonlocal_ = best > 2 + Fraction(tol)
             witness, margin = exact_chsh_witness(box, tol)
-            assert (margin is not None) == (best > 2 + Fraction(tol))
-            nonlocal_, first = is_bell_nonlocal(box, tol)
-            float_only += margin is None and nonlocal_
+            assert is_bell_nonlocal(box, tol) == (nonlocal_, witness)
+            assert (margin is not None) == nonlocal_
+            float_above += not nonlocal_ and abs(float_best.value) > 2 + tol
+            float_below += nonlocal_ and not abs(float_best.value) > 2 + tol
             if margin is None:
-                assert witness == first
+                assert witness == float_best
             else:
                 exact = fraction_chsh(e, witness.a_settings, witness.b_settings) - 2 - Fraction(tol)
                 assert exact > 0 and margin == float(exact)
                 assert chsh_margin(box, witness, tol) == margin
-                later += witness != first
-    # m = 2: draws 272 and 499 have a float |B| above 2 and an exact one of at most 2
-    assert float_only >= 2 if m == 2 else later >= 2
+                later += witness != float_best
+    # m = 2: draws 272 and 499 have a float |B| above 2 and an exact one of at most 2; 163 (draw, tol)
+    # pairs have the reverse, draw 0 the first of them
+    assert min(float_above, float_below) >= 2 if m == 2 else later >= 2
 
 
 def test_chsh_margin_on_a_tripartite_box_sums_the_spectator():

@@ -1,7 +1,9 @@
 """JSON round trips and loader re-validation."""
 from __future__ import annotations
 
+import importlib.util
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -9,6 +11,7 @@ import pytest
 
 from gptw import quantum as q
 from gptw import serialize as ser
+from gptw.correlations import MAX_PARTIES
 from gptw.errors import DimensionMismatchError, ValidationError
 from gptw.ontic import validate_model
 
@@ -203,12 +206,13 @@ def test_integer_field_takes_integral_floats_only(loader, make, path):
         load(2.5)
 
 
-@pytest.mark.parametrize("parties", [17, 40])
+@pytest.mark.parametrize("parties", [4, 17, 40])
 def test_box_with_more_axes_than_numpy_allows_is_refused(parties):
-    # a one-setting, one-outcome table of 40 parties has 80 axes: numpy raised ValueError
+    # a one-setting, one-outcome table of 40 parties has 80 axes: numpy raised ValueError; the file is
+    # refused at `CorrelationBox`'s party limit, before any row is read
     data = {"parties": parties, "settings": [1] * parties, "outcomes": [1] * parties,
             "table": {",".join(["0"] * parties): [1.0]}}
-    with pytest.raises(ser.ParseError, match="16 parties"):
+    with pytest.raises(ser.ParseError, match=f"at most {MAX_PARTIES} parties are supported, got {parties}"):
         ser.box_from_json(data)
 
 
@@ -218,3 +222,30 @@ def test_complex_matrix_encoding_is_re_im_pairs():
     assert encoded[0][0] == [1.0, 2.0]
     assert encoded[1][1] == [0.0, -1.0]
     assert np.allclose(ser.matrix_from_json(encoded), mat, atol=0)
+
+
+def assert_same_json(got, want, where: str) -> None:
+    """Keys, lengths, ids and integers exactly; floats within 4 ulp."""
+    if isinstance(want, float):
+        assert isinstance(got, float) and abs(got - want) <= 4 * math.ulp(max(abs(got), abs(want))), where
+    elif isinstance(want, dict):
+        assert isinstance(got, dict) and list(got) == list(want), where
+        for key in want:
+            assert_same_json(got[key], want[key], f"{where}: {key}")
+    elif isinstance(want, list):
+        assert isinstance(got, list) and len(got) == len(want), where
+        for k, (g, w) in enumerate(zip(got, want)):
+            assert_same_json(g, w, f"{where}[{k}]")
+    else:
+        assert (type(got), got) == (type(want), want), where
+
+
+def test_samples_regenerate_to_the_committed_files():
+    # BLAS rounding differs between builds: a regenerated singlet_opt_box.json can differ in the last digit
+    spec = importlib.util.spec_from_file_location("make_samples", SAMPLES / "make_samples.py")
+    make_samples = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(make_samples)
+    documents = make_samples.documents()
+    assert sorted(documents) == sorted(path.name for path in SAMPLES.glob("*.json"))
+    for name, doc in documents.items():
+        assert_same_json(json.loads(json.dumps(doc)), json.loads((SAMPLES / name).read_text()), name)

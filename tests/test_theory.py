@@ -72,6 +72,9 @@ def test_joint_distribution_validates():
         JointDistribution([("a", 2)], np.array([0.5, 0.5, 0.0]))
     with pytest.raises(ValidationError, match="finite"):
         JointDistribution([("a", 2)], np.array([np.nan, 1.0]))
+    # unchecked, numpy's min raises "zero-size array to reduction operation minimum"
+    with pytest.raises(ValidationError, match="joint distribution entries are empty"):
+        JointDistribution([("a", 0)], np.zeros(0))
 
 
 def test_ensemble_preparation_validates():
