@@ -27,14 +27,16 @@ and spectator settings gives the exact maximum.
 
 A float |B| can land on the wrong side of 2 + tol by rounding: a local box
 whose exact |B| is 2 can read 2.0000000000000004.  `exact_chsh_witness`
-re-checks every setting pair within the rounding bound of the threshold in
-exact arithmetic (`chsh_margin`): each table entry is a float, i.e. an
-integer over a power of two, so the 16-entry sum runs in integers over one
-common denominator (`_dyadic`).  It always returns a witness: the first
-whose exact |B| exceeds 2 + tol, with its exact margin, or else the
-float-best one with None, so one scan of the table serves both the verdict
-and the witness it reports.  `is_bell_nonlocal` returns that verdict and
-witness: every CHSH verdict in the package comes from this one function.
+re-checks every setting pair within the rounding bound of the threshold
+exactly (`chsh_margin`), with `math.fsum`, which returns the sum of its
+floats correctly rounded (Shewchuk's exact partials).  The exact sum of
+finite floats is a multiple of 2**-1074, so a nonzero sum never rounds to 0
+and the rounded sum has the sign of the exact one.  It always returns a
+witness: the first whose exact |B| exceeds 2 + tol, with its exact margin,
+or else the float-best one with None, so one scan of the table serves both
+the verdict and the witness it reports.  `is_bell_nonlocal` returns that
+verdict and witness: every CHSH verdict in the package comes from this one
+function.
 """
 from __future__ import annotations
 
@@ -259,36 +261,27 @@ def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, Chsh
     return margin is not None, witness
 
 
-def _dyadic(values: Sequence[float]) -> tuple[list[int], int]:
-    """Exact integers over one denominator: values[i] == nums[i] / 2**shift.
-
-    A finite float is n / d with d a power of two, so the largest d serves
-    every value.  Sums and differences of the numerators are exact, and an
-    int / int division at the end rounds correctly to the nearest float.
-    """
-    ratios = [v.as_integer_ratio() for v in values]
-    shift = max(d.bit_length() for _, d in ratios) - 1
-    return [n << (shift + 1 - d.bit_length()) for n, d in ratios], shift
-
-
 def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float) -> float | None:
     """Exact |B| - 2 - tol at the witness's settings, as the nearest float, if positive; else None.
 
     B is summed from the 16 table entries of parties 0 and 1, each with
     coefficient +-1 (a spectator's outcomes summed out at its setting 0, as
-    in `chsh`), and compared with the threshold in the same integers
-    (`_dyadic`).  A positive margin never rounds to 0.0: it is at least
-    2**-1074.  `tol` must be finite.
+    in `chsh`).  One `math.fsum` of the signed entries has the sign of the
+    exact B, and negating a float is exact, so a second `fsum` of the
+    entries signed for |B|, -2 and -tol is the exact margin correctly
+    rounded.  A positive margin never rounds to 0.0: it is at least
+    2**-1074.  Any float `tol` is taken: inf and NaN give None, -inf inf.
     """
     (a0, a1), (b0, b1) = witness.a_settings, witness.b_settings
     spectators = (0,) * (box.n_parties - 2)
     # the 16 entries in `_CHSH_SIGNS` order, each followed by the spectator's other outcomes
     cells = box.table[([a0, a0, a1, a1], [b0, b1, b0, b1]) + spectators].reshape(-1).tolist()
-    nums, shift = _dyadic(cells + [tol])
     per_entry = len(cells) // 16
-    value = abs(sum(_CHSH_SIGNS[k // per_entry] * n for k, n in enumerate(nums[:-1])))
-    margin = value - (2 << shift) - nums[-1]
-    return margin / (1 << shift) if margin > 0 else None
+    terms = [_CHSH_SIGNS[k // per_entry] * c for k, c in enumerate(cells)]
+    if math.fsum(terms) < 0:
+        terms = [-t for t in terms]
+    margin = math.fsum(terms + [-2.0, -tol])
+    return margin if margin > 0 else None
 
 
 def exact_chsh_witness(box: CorrelationBox, tol: float) -> tuple[ChshValue, float | None]:
@@ -308,8 +301,6 @@ def exact_chsh_witness(box: CorrelationBox, tol: float) -> tuple[ChshValue, floa
     best = _witness(*table, int(size.argmax()))
     if not abs(best.value) > floor:  # a tol of inf or NaN makes the floor NaN
         return best, None
-    if tol == -math.inf:  # every |B| exceeds it, and `chsh_margin` needs a finite tol
-        return best, math.inf
     margin = chsh_margin(box, best, tol)
     if margin is not None:
         return best, margin

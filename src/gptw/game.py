@@ -14,6 +14,7 @@ which `check_finegrained` verifies directly on a theory table.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -88,17 +89,16 @@ class GameStrategy:
 
 
 def game_value(box: CorrelationBox) -> float:
-    """Exact winning rate (1/4) sum_{c,d} sum_{a xor b = c.d} p(ab|cd)."""
+    """Exact winning rate (1/4) sum_{c,d} sum_{a xor b = c.d} p(ab|cd), as the nearest float.
+
+    The 8 winning entries are summed by `math.fsum`, correctly rounded, and
+    dividing by 4 keeps that, also where the quotient is subnormal (a sum
+    below 2**-1021 is exact).
+    """
     if box.settings != (2, 2) or box.outcomes != (2, 2):
         raise ArityError("the game needs a 2-setting 2-outcome bipartite box")
-    total = 0.0
-    for c in range(2):
-        for d in range(2):
-            p = box.prob((c, d))
-            for a in range(2):
-                b = a ^ (c & d)
-                total += float(p[a, b])
-    return total / 4.0
+    p = box.table.tolist()
+    return math.fsum(p[c][d][a][a ^ (c & d)] for c in range(2) for d in range(2) for a in range(2)) / 4.0
 
 
 @dataclass(frozen=True)

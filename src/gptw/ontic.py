@@ -32,9 +32,9 @@ sixteen +-1 coefficients, so |B(p) - B(q)| <= 16 max|p - q|.  A box the gate
 does not settle goes to the unchanged LP.  The gate hands the witness
 search the threshold tolerance 16 tol, which is exact: scaling a float by a
 power of two only moves its exponent, and a product that overflows to inf
-sends the box to the LP.  Every table entry and `tol` is a float, i.e. an
-integer over a power of two, so both exact checks run in integers over one
-common denominator (`correlations._dyadic`).
+sends the box to the LP.  Both exact checks are sums of floats, each one
+`math.fsum`, which rounds the exact sum once to the nearest float: its sign
+is exact, since a nonzero sum of finite floats is at least 2**-1074 in size.
 Factorizability is exactly what a preparation-noncontextual representation
 forces on the box, so this is the decidable endpoint of the
 noncontextuality-implies-locality chain;
@@ -42,12 +42,13 @@ noncontextuality-implies-locality chain;
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Mapping, Sequence
 
 import numpy as np
 
-from .correlations import ChshValue, CorrelationBox, _dyadic, exact_chsh_witness, is_bell_nonlocal
+from .correlations import ChshValue, CorrelationBox, exact_chsh_witness, is_bell_nonlocal
 from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, ValidationError
 from .theory import EPS_NORM
 
@@ -206,21 +207,23 @@ def _alice_maps(n_x: int, n_a: int) -> np.ndarray:
 
 
 def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> float:
-    """Max reconstruction error, exact, as the float nearest to the rational error."""
-    target = box.table.reshape(-1).tolist()
-    nums, shift = _dyadic(list(weights.values()) + target)
+    """Max reconstruction error, exact, as the float nearest to the rational error.
+
+    Each table cell's error is one `math.fsum` of its strategies' weights and
+    minus its entry, correctly rounded; rounding is monotone and symmetric,
+    so the largest rounded |error| is the rounded largest one.
+    """
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     a_maps = np.array([a for a, _ in weights], dtype=np.intp)
     b_maps = np.array([b for _, b in weights], dtype=np.intp)
     # flat table index of (x, y, a_map[x], b_map[y]), per strategy and (x, y)
     xy = np.arange(n_x)[:, None] * n_y + np.arange(n_y)
     cells = ((xy * n_a + a_maps[:, :, None]) * n_b + b_maps[:, None, :]).reshape(len(weights), -1)
-    recon = [0] * len(target)
-    for num, row in zip(nums, cells.tolist()):
+    terms = [[-t] for t in box.table.reshape(-1).tolist()]
+    for w, row in zip(weights.values(), cells.tolist()):
         for cell in row:
-            recon[cell] += num
-    worst = max(abs(r - t) for r, t in zip(recon, nums[len(weights):]))
-    return worst / (1 << shift)
+            terms[cell].append(w)
+    return max(abs(math.fsum(cell)) for cell in terms)
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,8 @@
 """CHSH, nonlocality, no-signalling, and monogamy checks on boxes."""
 from __future__ import annotations
 
+import math
+import sys
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -283,10 +285,12 @@ def test_anti_pr_box_caught_by_relabeling():
 
 @pytest.mark.parametrize("tol, verdict", [(np.inf, False), (np.nan, False), (-np.inf, True)])
 def test_non_finite_tol_gets_a_verdict(pr_box, tol, verdict):
-    # an infinite float has no integer ratio (OverflowError), so -inf must not reach the exact sum
+    # `chsh_margin`'s `math.fsum` carries a non-finite tol through: |B| - 2 - tol is -inf, NaN or inf
     for box in (pr_box, CorrelationBox((2, 2), (2, 2), isotropic_table(0.5))):
         assert is_bell_nonlocal(box, tol)[0] == verdict
-    assert exact_chsh_witness(pr_box, tol)[1] == (np.inf if verdict else None)
+    witness, margin = exact_chsh_witness(pr_box, tol)
+    assert margin == (np.inf if verdict else None)
+    assert chsh_margin(pr_box, witness, tol) == margin
 
 
 def setting_pairs(n: int) -> list[tuple[int, int]]:
@@ -325,6 +329,11 @@ def fraction_chsh(e: dict, a_settings, b_settings) -> Fraction:
     return abs(e[a0, b0] + e[a0, b1] + e[a1, b0] - e[a1, b1])
 
 
+# the smallest subnormal, the largest floats (`math.fsum` must not overflow), and the PR box's
+# (`isotropic_table(1.0)`) tie |B| = 2 + tol at 2.0 and its margin of one ulp just below it
+TOLS = (0.0, 1e-12, 5e-324, sys.float_info.max, -sys.float_info.max, 2.0, math.nextafter(2.0, 0.0))
+
+
 @pytest.mark.parametrize("m, count", [(2, 1000), (3, 150)])
 def test_exact_witness_decides_in_rational_arithmetic(m, count):
     """The verdict matches rationals on local draws whose float |B| rounds to either side of 2.
@@ -346,7 +355,7 @@ def test_exact_witness_decides_in_rational_arithmetic(m, count):
         e = fraction_correlators(box.table)
         best = max(fraction_chsh(e, a, b) for a, b in pairs)
         float_best = max((chsh(box, *a, *b) for a, b in pairs), key=lambda w: abs(w.value))  # first on ties
-        for tol in (0.0, 1e-12):
+        for tol in TOLS:
             nonlocal_ = best > 2 + Fraction(tol)
             witness, margin = exact_chsh_witness(box, tol)
             assert is_bell_nonlocal(box, tol) == (nonlocal_, witness)
@@ -360,8 +369,9 @@ def test_exact_witness_decides_in_rational_arithmetic(m, count):
                 assert exact > 0 and margin == float(exact)
                 assert chsh_margin(box, witness, tol) == margin
                 later += witness != float_best
-    # m = 2: draws 272 and 499 have a float |B| above 2 and an exact one of at most 2; 163 (draw, tol)
-    # pairs have the reverse, draw 0 the first of them
+    # m = 2, at tol 0 and at 5e-324: draws 272 and 499 have a float |B| above 2 and an exact one of at
+    # most 2; 163 draws have the reverse, draw 0 the first of them, and so does the PR box one ulp below
+    # its tie (4 - 2**-52 rounds to 4)
     assert min(float_above, float_below) >= 2 if m == 2 else later >= 2
 
 
@@ -377,6 +387,17 @@ def test_chsh_margin_on_a_tripartite_box_sums_the_spectator():
         for tol in (-1.0, float(exact) - 2 - 1e-9, float(exact) - 2 + 1e-9):
             margin = chsh_margin(box, witness, tol)
             assert (margin is not None) == (exact > 2 + Fraction(tol))
+
+
+def test_chsh_margin_takes_the_sign_of_the_exact_b():
+    # B = 1 + (2**-60 - 1) - 1 - (-1 + 2**-61) = 2**-61, but the entries added in order sum to -2**-61
+    t = np.zeros((2, 2, 2, 2))
+    t[0, 0, 0, 0] = t[0, 1, 0, 1] = t[1, 0, 0, 1] = t[1, 1, 0, 1] = 1.0
+    t[0, 1, 0, 0], t[1, 1, 1, 1] = 2.0**-60, 2.0**-61
+    box = CorrelationBox((2, 2), (2, 2), t)
+    witness, e = chsh(box), fraction_correlators(box.table)
+    assert fraction_chsh(e, witness.a_settings, witness.b_settings) == Fraction(1, 2**61)
+    assert chsh_margin(box, witness, -2.0) == 2.0**-61
 
 
 @pytest.mark.parametrize("settings", [(1, 2), (2, 1), (1, 2, 2), (2, 2, 1)])
