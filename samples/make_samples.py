@@ -31,6 +31,17 @@ def isotropic_half_box() -> CorrelationBox:
     return CorrelationBox((2, 2), (2, 2), 0.5 * pr_box().table + 0.125)
 
 
+def twelve_outcome_box() -> CorrelationBox:
+    """Alice's outcomes {1, 11} at x = 0 and {10, 0} at x = 1 of 12; Bob has one setting and one outcome.
+
+    Its local-model certificate holds the strategies (1, 10) and (11, 0), whose labels must differ.
+    """
+    t = np.zeros((2, 1, 12, 1))
+    t[0, 0, 1, 0], t[0, 0, 11, 0] = 0.6, 0.4
+    t[1, 0, 10, 0], t[1, 0, 0, 0] = 0.3, 0.7
+    return CorrelationBox((2, 1), (12, 1), t)
+
+
 def singlet_optimal_box() -> CorrelationBox:
     alice = [q.z_basis(), q.x_basis()]
     bob = [
@@ -78,6 +89,7 @@ def documents() -> dict[str, dict]:
         "pr_box.json": ser.box_to_json(pr_box()),
         "isotropic_half_box.json": ser.box_to_json(isotropic_half_box()),
         "singlet_opt_box.json": ser.box_to_json(singlet_optimal_box()),
+        "twelve_outcome_box.json": ser.box_to_json(twelve_outcome_box()),
         "shared_bit_box.json": ser.box_to_json(shared_bit_box()),
         "qubit_theory.json": ser.theory_to_json(qubit_theory()),
         "classical_bit_model.json": ser.model_to_json(classical_bit_model()),

@@ -18,11 +18,11 @@ six two-outcome settings per side it has 449 columns and one equality row.
 The returned certificate over strategy pairs is re-checked in exact
 arithmetic to guard against solver false positives; a solution that HiGHS
 places within `tol` but that fails the re-check is solved once more at
-tighter feasibility tolerances before the answer is None.  HiGHS's dual
-simplex runs through scipy's bundled bindings (`linprog`), on the model and
-options that `scipy.optimize.linprog(method="highs")` would hand it, so it
-takes the same pivots without that wrapper's per-call input checks and
-matrix conversions; linprog's post-solve feasibility check is kept.
+tighter feasibility tolerances before the answer is None.  `_local_lp`
+builds the LP in HiGHS's column-wise form, and `linprog` hands it unchanged
+to the dual simplex in scipy's HiGHS bindings with the options that
+`scipy.optimize.linprog(method="highs")` sets: the same pivots, and
+linprog's post-solve feasibility check kept.
 
 Before any LP is built, two-outcome boxes pass a CHSH gate (`chsh_gate`):
 the best CHSH witnesses are re-evaluated exactly, and if one has
@@ -44,7 +44,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +79,8 @@ class OnticModel:
         n = len(self.ontic_states)
         if n == 0:
             raise ValidationError("ontic-state space is empty")
+        if len(set(self.ontic_states)) != n:
+            raise ValidationError("repeated ontic-state labels")
         self.mu = {p: np.asarray(v, dtype=float) for p, v in mu.items()}
         self.xi = {m: np.asarray(v, dtype=float) for m, v in xi.items()}
         self.trans = {t: np.asarray(v, dtype=float) for t, v in trans.items()}
@@ -185,10 +187,14 @@ class LocalModelCertificate:
     residual: float
 
     def as_json_dict(self) -> dict[str, float]:
-        return {
-            "".join(map(str, a)) + "|" + "".join(map(str, b)): w
-            for (a, b), w in sorted(self.weights.items())
-        }
+        strategies = sorted(self.weights)
+        return dict(zip(_strategy_labels(strategies), (self.weights[s] for s in strategies)))
+
+
+def _strategy_labels(strategies: Sequence[Strategy]) -> list[str]:
+    """"a(0)a(1)..|b(0)b(1).." per strategy, the outcomes comma-separated once any has two digits."""
+    sep = "," if any(max(a + b) > 9 for a, b in strategies) else ""
+    return [sep.join(map(str, a)) + "|" + sep.join(map(str, b)) for a, b in strategies]
 
 
 def strategy_table(box: CorrelationBox, strategy: Strategy) -> np.ndarray:
@@ -250,6 +256,23 @@ def chsh_gate(box: CorrelationBox, tol: float) -> ChshRefutation | None:
     return None if margin is None else ChshRefutation(witness, margin)
 
 
+class ColumnMatrix(NamedTuple):
+    """Column j holds data[indptr[j]:indptr[j + 1]] in rows indices[indptr[j]:indptr[j + 1]] (HiGHS's format)."""
+
+    data: np.ndarray
+    indices: np.ndarray
+    indptr: np.ndarray
+
+
+class HighsLp(NamedTuple):
+    """min c x s.t. row_lower <= A x <= row_upper, x >= 0: the model `linprog` hands HiGHS."""
+
+    c: np.ndarray
+    A: ColumnMatrix
+    row_lower: np.ndarray
+    row_upper: np.ndarray
+
+
 @dataclass(frozen=True)
 class LpResult:
     """The fields of `scipy.optimize.linprog`'s result that `find_local_model` and its tracers read."""
@@ -263,58 +286,38 @@ class LpResult:
 
 # linprog's status code for each HiGHS model status that is not optimal; any other maps to 4
 _LINPROG_STATUS = {"kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUnbounded": 3}
+# linprog's settings (no log, dual simplex) with presolve off: on the local-model LP it costs more than it removes
+HIGHS_SETTINGS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1, "presolve": "off"}
 
 
-def linprog(*, c, A_ub, b_ub, A_eq, b_eq, options=None) -> LpResult:
-    """min c x s.t. A_ub x <= b_ub, A_eq x = b_eq, x >= 0, by HiGHS's dual simplex as linprog runs it.
+def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
+    """min c x s.t. row_lower <= A x <= row_upper, x >= 0, by HiGHS's dual simplex as linprog runs it.
 
-    HiGHS is called through scipy's bundled bindings (`scipy.optimize._highspy`),
+    The arguments, a `HighsLp`'s fields, go unchanged with `HIGHS_SETTINGS`
+    to HiGHS in scipy's bundled bindings (`scipy.optimize._highspy`),
     imported on the first solve: scipy.optimize takes most of a `gptw`
-    process's import time, and only the local-model LP needs it.  `A_ub` is
-    a CSC array with sorted row indices and `A_eq` one dense row, as
-    `_local_lp` builds them; the equality row is appended as the last row
-    of each column's entries, so HiGHS gets the matrix, bounds and options
-    that `linprog(method="highs")` hands it and takes the same pivots.
-    `options` are HiGHS option names; `presolve` is a bool, as in linprog.
-    A name or value HiGHS rejects raises ValueError.
-
-    The optimum passes linprog's post-solve check, at tolerance
-    10 sqrt(1e-9): x >= -tol, every inequality's slack >= -tol, the
-    equality residual within tol and no NaN; a solution that fails it gets
+    process's import time, and only the local-model LP needs it.  `options`
+    adds HiGHS options; a name or value HiGHS rejects raises ValueError.
+    The optimum passes linprog's post-solve check at tolerance 10 sqrt(1e-9),
+    x >= -tol and every row within tol of its bounds with no NaN, or gets
     status 4.  `find_local_model` looks this name up at call time, so it
     can be replaced on the module (a test fake, a tracing wrapper).
     """
     from scipy.optimize._highspy import _core as highs
 
-    c, b_ub, a_eq, b_eq = (np.asarray(v, dtype=float) for v in (c, b_ub, A_eq, b_eq))
-    n_ub, n_cols = A_ub.shape
+    n_rows, n_cols = len(row_lower), len(c)
     # HiGHS reads each array up to the lengths it is given, so they are checked here
-    shapes = (c.shape, b_ub.shape, a_eq.shape, b_eq.shape)
-    if getattr(A_ub, "format", None) != "csc" or shapes != ((n_cols,), (n_ub,), (1, n_cols), (1,)):
-        raise ValueError("ontic.linprog takes a CSC A_ub, one equality row and arrays of matching lengths")
-    a_eq = a_eq[0]
-    eq = np.flatnonzero(a_eq)
-    ends = A_ub.indptr[1:][eq]
-    start = A_ub.indptr + np.concatenate([[0], np.cumsum(a_eq != 0)])
-    index = np.insert(A_ub.indices, ends, n_ub)
-    value = np.insert(A_ub.data, ends, a_eq[eq])
-    row_lower = np.concatenate([np.full(n_ub, -np.inf), b_eq])
-    row_upper = np.concatenate([b_ub, b_eq])
-
+    if (len(row_upper), len(A.indptr), len(A.indices)) != (n_rows, n_cols + 1, len(A.data)):
+        raise ValueError("ontic.linprog takes arrays of matching lengths")
     solver = highs._Highs()
-    # linprog's settings: no log, dual simplex (strategy 1), presolve on unless turned off
-    settings = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1, **(options or {})}
-    presolve = settings.get("presolve", True)
-    settings["presolve"] = ("on" if presolve else "off") if isinstance(presolve, bool) else presolve
-    for name, setting in settings.items():
+    for name, setting in {**HIGHS_SETTINGS, **(options or {})}.items():
         if solver.setOptionValue(name, setting) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects the option {name}={setting!r}")
-    passed = solver.passModel(
-        n_cols, n_ub + 1, len(index), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
+    if solver.passModel(
+        n_cols, n_rows, len(A.data), highs.MatrixFormat.kColwise, highs.ObjSense.kMinimize, 0.0,
         c, np.zeros(n_cols), np.full(n_cols, np.inf), row_lower, row_upper,
-        start, index, value, np.zeros(n_cols, dtype=np.int32),
-    )
-    if passed == highs.HighsStatus.kError:
+        A.indptr, A.indices, A.data, np.zeros(n_cols, dtype=np.int32),
+    ) == highs.HighsStatus.kError:
         raise ValueError("HiGHS rejects the LP's matrix")
     solver.run()
     model_status = solver.getModelStatus()
@@ -327,14 +330,13 @@ def linprog(*, c, A_ub, b_ub, A_eq, b_eq, options=None) -> LpResult:
     x, row = np.array(solution.col_value), np.array(solution.row_value)
     fun = info.objective_function_value
     tol = 10 * np.sqrt(1e-9)  # linprog's post-solve check; a NaN fails every comparison
-    slack, residual = b_ub - row[:n_ub], b_eq - row[n_ub:]
-    if not (fun == fun and (x >= -tol).all() and (slack >= -tol).all() and (np.abs(residual) <= tol).all()):
+    if not (fun == fun and (x >= -tol).all() and (row - row_upper <= tol).all() and (row_lower - row <= tol).all()):
         return LpResult(4, f"{message}, but the solution misses the constraints by more than {tol:.2e}", x, fun, nit)
     return LpResult(0, message, x, fun, nit)
 
 
-def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> dict:
-    """`linprog` arguments of the sup-norm fit over Alice's strategies alpha.
+def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> HighsLp:
+    """The sup-norm fit over Alice's strategies alpha, as the `HighsLp` that `linprog` solves.
 
     Variables z[alpha, y, b] for b < n_b - 1 (flat, alpha-major), the masses
     w[alpha], and t.  Bob's conditional under alpha is q[alpha, y, b] =
@@ -343,16 +345,15 @@ def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> dict:
     w[alpha] by construction.  The fit rows |sum_{alpha(x)=a} q[alpha, y, b]
     - p(ab|xy)| <= t follow the flat table, upper block then lower block; the
     rows sum_b z[alpha, y, b] <= w[alpha] (alpha-major, then y) keep the last
-    weight nonnegative, and the one equality row sums the masses to 1.
-    HiGHS runs without presolve: on this LP it costs more than it removes.
+    weight nonnegative, and the last row, an equality, sums the masses to 1.
+    Each column's row indices are sorted.
     """
-    from scipy.sparse import csc_array
-
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     n_alpha = len(a_maps)
     n_z = n_alpha * n_y * (n_b - 1)
     target = box.table.reshape(-1)
     n_fit = target.size
+    mass_row = 2 * n_fit + n_alpha * n_y
 
     # rows[alpha, y, b, x]: the upper fit row of (x, y, alpha(x), b)
     rows = (
@@ -367,23 +368,20 @@ def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> dict:
     z_rows = np.concatenate([fit, fit + n_fit, np.repeat(bound.reshape(-1, 1), n_b - 1, axis=0)], axis=1)
     z_data = np.tile(np.concatenate([np.tile([1.0, -1.0], n_x), np.tile([-1.0, 1.0], n_x), [1.0]]), n_z)
     # column w[alpha]: +1 in the last outcome's fit row of every (x, y), upper block (the lower
-    # block negated), and -1 in alpha's bound rows; column t: -1 in every fit row
+    # block negated), -1 in alpha's bound rows and +1 in the mass row; column t: -1 in every fit row
     w_fit = last.transpose(0, 2, 1).reshape(n_alpha, n_x * n_y)
-    w_rows = np.concatenate([w_fit, w_fit + n_fit, bound], axis=1)
-    w_data = np.tile(np.repeat([1.0, -1.0, -1.0], [n_x * n_y, n_x * n_y, n_y]), n_alpha)
+    w_rows = np.concatenate([w_fit, w_fit + n_fit, bound, np.full((n_alpha, 1), mass_row)], axis=1)
+    w_data = np.tile(np.repeat([1.0, -1.0, -1.0, 1.0], [n_x * n_y, n_x * n_y, n_y, 1]), n_alpha)
     indices = np.concatenate([z_rows.ravel(), w_rows.ravel(), np.arange(2 * n_fit)])
     data = np.concatenate([z_data, w_data, np.full(2 * n_fit, -1.0)])
-    counts = np.repeat([4 * n_x + 1, 2 * n_x * n_y + n_y, 2 * n_fit], [n_z, n_alpha, 1])
+    counts = np.repeat([4 * n_x + 1, 2 * n_x * n_y + n_y + 1, 2 * n_fit], [n_z, n_alpha, 1])
     indptr = np.concatenate([[0], np.cumsum(counts)])
-    n_cols = n_z + n_alpha + 1
-    a_ub = csc_array((data, indices, indptr), shape=(2 * n_fit + n_alpha * n_y, n_cols))
 
-    a_eq = np.zeros((1, n_cols))
-    a_eq[0, n_z:-1] = 1.0
-    c = np.zeros(n_cols)
+    c = np.zeros(n_z + n_alpha + 1)
     c[-1] = 1.0
-    b_ub = np.concatenate([target, -target, np.zeros(n_alpha * n_y)])
-    return dict(c=c, A_ub=a_ub, b_ub=b_ub, A_eq=a_eq, b_eq=[1.0], options={"presolve": False})
+    row_lower = np.concatenate([np.full(mass_row, -np.inf), [1.0]])
+    row_upper = np.concatenate([target, -target, np.zeros(n_alpha * n_y), [1.0]])
+    return HighsLp(c, ColumnMatrix(data, indices.astype(np.int32), indptr.astype(np.int32)), row_lower, row_upper)
 
 
 def _conditionals(x: np.ndarray, n_alpha: int, n_y: int, n_b: int) -> np.ndarray:
@@ -416,8 +414,8 @@ def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 TIGHT_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
-def _solve(lp: dict):
-    res = linprog(**lp)
+def _solve(lp: HighsLp, options: dict | None = None) -> LpResult:
+    res = linprog(*lp, options=options)
     if res.status != 0:
         raise SolverError(f"LP solver failed: {res.message}")
     return res
@@ -483,7 +481,7 @@ def _fit_local_model(box: CorrelationBox, tol: float) -> LocalModelCertificate |
     res = _solve(lp)
     cert = _certificate(box, a_maps, res.x, tol)
     if cert is None and res.fun <= tol:
-        res = _solve({**lp, "options": {**lp["options"], **TIGHT_TOLERANCES}})
+        res = _solve(lp, TIGHT_TOLERANCES)
         cert = _certificate(box, a_maps, res.x, tol)
     return cert
 
@@ -496,7 +494,7 @@ def certificate_to_ontic_model(box: CorrelationBox, cert: LocalModelCertificate)
     becomes a composite measurement with outcome index a * n_b + b.
     """
     strategies = sorted(cert.weights)
-    labels = ["".join(map(str, a)) + "|" + "".join(map(str, b)) for a, b in strategies]
+    labels = _strategy_labels(strategies)
     mu = {"source": np.array([cert.weights[s] for s in strategies])}
     # responses[x, y, a * n_b + b, strategy]
     responses = np.stack([strategy_table(box, s) for s in strategies], axis=-1)

@@ -460,6 +460,8 @@ CONSTRUCTOR_ERRORS = [
                  id="theory-row-sums-to-1.4"),
     pytest.param("model", _set(["ontic_states"], ["l0"]), ["validate-model", "--model", "{}"],
                  id="model-one-ontic-state"),
+    pytest.param("model", _set(["ontic_states"], ["l0", "l0"]), ["validate-model", "--model", "{}"],
+                 id="model-repeated-ontic-state"),
 ]
 
 

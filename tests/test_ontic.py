@@ -138,7 +138,7 @@ def test_isotropic_half_feasible(isotropic_half):
 
 @pytest.mark.parametrize("module", ["gptw", "gptw.cli"])
 def test_import_leaves_scipy_optimize_unloaded(module):
-    # the LP solver and its sparse matrices load on the first solve; the other checks never pay for them
+    # the LP solver loads on the first solve; the other checks never pay for it
     src = str(Path(gptw.__file__).resolve().parents[1])
     code = f"import sys, {module}; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     out = subprocess.run(
@@ -222,6 +222,25 @@ def test_certificate_model_reads_each_party_own_outcome():
     for x, y in np.ndindex(2, 3):
         got = predict(model, "source", "I", f"s{x},{y}")
         assert np.max(np.abs(got - table[x, y].reshape(-1))) < 1e-12
+
+
+def test_certificate_labels_stay_distinct_past_ten_outcomes():
+    # strategies (1, 10) and (11, 0) joined digit by digit would both read "110"
+    table = np.zeros((2, 1, 12, 1))
+    table[0, 0, 1, 0], table[0, 0, 11, 0] = 0.6, 0.4
+    table[1, 0, 10, 0], table[1, 0, 0, 0] = 0.3, 0.7
+    box = CorrelationBox((2, 1), (12, 1), table)
+    cert = find_local_model(box)
+    assert {((1, 10), (0,)), ((11, 0), (0,))} <= set(cert.weights)
+    assert abs(sum(cert.as_json_dict().values()) - 1.0) <= 1e-12
+    labels = certificate_to_ontic_model(box, cert).ontic_states
+    assert len(set(labels)) == len(labels) == len(cert.weights)
+    assert "1,10|0" in labels and "11,0|0" in labels
+
+
+def test_single_digit_certificate_labels_join_the_digits(isotropic_half):
+    cert = find_local_model(isotropic_half)
+    assert set(cert.as_json_dict()) == {"".join(map(str, a)) + "|" + "".join(map(str, b)) for a, b in cert.weights}
 
 
 def test_strategy_cap():
@@ -439,10 +458,11 @@ def test_local_lp_has_one_mass_column_per_alice_strategy(settings, outcomes):
     lp = ontic._local_lp(box, ontic._alice_maps(n_x, n_a))
     n_alpha, n_fit = n_a**n_x, box.table.size
     n_cols = n_alpha * (1 + n_y * (n_b - 1)) + 1
+    n_ub = 2 * n_fit + n_alpha * n_y
     assert n_cols == 449 or settings != (6, 6)
-    assert lp["c"].shape == (n_cols,) and lp["A_eq"].shape == (1, n_cols)
-    assert lp["A_ub"].shape == (2 * n_fit + n_alpha * n_y, n_cols)
-    assert lp["options"] == {"presolve": False}
+    assert lp_matrix(lp).has_canonical_format  # sorted row indices: the entry order scipy's linprog passes
+    assert lp.c.shape == (n_cols,) and lp.row_lower.shape == lp.row_upper.shape == (n_ub + 1,)
+    assert lp.c[-1] == 1.0 and not lp.c[:-1].any()
     # a random point: masses w and Bob's conditionals q[alpha, y, :] of mass w[alpha]
     w = rng.dirichlet(np.ones(n_alpha))
     q = w[:, None, None] * rng.dirichlet(np.ones(n_b), size=(n_alpha, n_y))
@@ -451,11 +471,13 @@ def test_local_lp_has_one_mass_column_per_alice_strategy(settings, outcomes):
         for x, y in np.ndindex(n_x, n_y):
             model[x, y, a_map[x]] += q[alpha, y]
     x = np.concatenate([q[:, :, :-1].ravel(), w, [0.25]])
-    rows = lp["A_ub"] @ x
+    rows = lp_matrix(lp) @ x
     assert np.allclose(rows[:n_fit], model.ravel() - 0.25) and np.allclose(rows[n_fit:2 * n_fit], -model.ravel() - 0.25)
-    assert np.allclose(rows[2 * n_fit:], -q[:, :, -1].ravel())  # sum_b z - w = -(last weight)
-    assert np.allclose(lp["b_ub"], np.concatenate([box.table.ravel(), -box.table.ravel(), np.zeros(n_alpha * n_y)]))
-    assert np.allclose(lp["A_eq"] @ x, 1.0)
+    assert np.allclose(rows[2 * n_fit:n_ub], -q[:, :, -1].ravel())  # sum_b z - w = -(last weight)
+    assert np.allclose(rows[n_ub], 1.0)  # the masses, in the equality row
+    b_ub = np.concatenate([box.table.ravel(), -box.table.ravel(), np.zeros(n_alpha * n_y)])
+    assert np.array_equal(lp.row_upper, np.concatenate([b_ub, [1.0]]))
+    assert np.array_equal(lp.row_lower, np.concatenate([np.full(n_ub, -np.inf), [1.0]]))
 
 
 def test_highs_options_are_recognised():
@@ -466,8 +488,8 @@ def test_highs_options_are_recognised():
     lp = ontic._local_lp(box, ontic._alice_maps(2, 2))
     with warnings.catch_warnings():
         warnings.simplefilter("error", OptimizeWarning)
-        for options in (lp["options"], {**lp["options"], **ontic.TIGHT_TOLERANCES}):
-            assert ontic.linprog(**{**lp, "options": options}).status == 0
+        for options in (None, ontic.TIGHT_TOLERANCES):
+            assert ontic.linprog(*lp, options=options).status == 0
 
 
 def test_boxes_within_tol_get_a_certificate(monkeypatch):
@@ -479,7 +501,7 @@ def test_boxes_within_tol_get_a_certificate(monkeypatch):
     solve = ontic.linprog
 
     def recording(*args, **kwargs):
-        options.append(kwargs["options"])
+        options.append(kwargs["options"] or {})  # the first solve passes none
         return solve(*args, **kwargs)
 
     monkeypatch.setattr(ontic, "linprog", recording)
@@ -573,7 +595,7 @@ def test_lp_matches_reference_lp(settings, outcomes):
             cert = find_local_model(box)
             want, reference = reference_local_model(box)
             # the one-party LP itself, solved even where the CHSH gate skips it
-            assert abs(ontic.linprog(**ontic._local_lp(box, a_maps)).fun - want) <= 1e-9, kind
+            assert abs(ontic.linprog(*ontic._local_lp(box, a_maps)).fun - want) <= 1e-9, kind
             assert (cert is None) == (reference is None), kind
             if kind != "noisy":
                 assert (cert is None) == (kind == "signalling"), kind
@@ -604,6 +626,18 @@ def test_exact_residual_equals_fraction_residual():
 # -- `ontic.linprog` on HiGHS against `scipy.optimize.linprog` --------------------------
 
 
+def lp_matrix(lp: ontic.HighsLp) -> csc_array:
+    return csc_array(tuple(lp.A), shape=(len(lp.row_lower), len(lp.c)))
+
+
+def scipy_linprog_args(lp: ontic.HighsLp, options: dict | None) -> dict:
+    """`scipy.optimize.linprog` arguments of a `HighsLp` whose rows are <= rows, then one equality row."""
+    assert (lp.row_lower[:-1] == -np.inf).all() and lp.row_lower[-1] == lp.row_upper[-1]
+    matrix = lp_matrix(lp)
+    return dict(c=lp.c, A_ub=matrix[:-1], b_ub=lp.row_upper[:-1], A_eq=matrix[[-1]].toarray(),
+                b_eq=lp.row_upper[-1:], options={"presolve": False, **(options or {})}, method="highs")
+
+
 @pytest.mark.parametrize("settings, outcomes", LP_SHAPES)
 def test_linprog_matches_scipy_linprog_bit_for_bit(settings, outcomes):
     # the same HiGHS model and options as `scipy.optimize.linprog(method="highs")`, so the same pivots
@@ -613,10 +647,9 @@ def test_linprog_matches_scipy_linprog_bit_for_bit(settings, outcomes):
     a_maps = ontic._alice_maps(settings[0], outcomes[0])
     for kind, box in seeded_boxes(settings, outcomes, rng):
         lp = ontic._local_lp(box, a_maps)
-        assert lp["A_ub"].has_canonical_format  # sorted row indices: `linprog` appends the equality row last
-        for options in (lp["options"], {**lp["options"], **ontic.TIGHT_TOLERANCES}):
-            got = ontic.linprog(**{**lp, "options": options})
-            want = linprog(**{**lp, "options": options}, method="highs")
+        for options in (None, ontic.TIGHT_TOLERANCES):
+            got = ontic.linprog(*lp, options=options)
+            want = linprog(**scipy_linprog_args(lp, options))
             assert (got.status, got.fun, got.nit) == (want.status, want.fun, want.nit), kind
             assert np.array_equal(got.x, want.x), kind
 
@@ -624,17 +657,17 @@ def test_linprog_matches_scipy_linprog_bit_for_bit(settings, outcomes):
 def test_linprog_reports_highs_status_on_an_iteration_limit():
     box = CorrelationBox((3, 3), (2, 2), np.full((3, 3, 2, 2), 0.25))
     lp = ontic._local_lp(box, ontic._alice_maps(3, 2))
-    lp["options"] = {**lp["options"], "simplex_iteration_limit": 1}
-    res = ontic.linprog(**lp)
+    options = {"simplex_iteration_limit": 1}
+    res = ontic.linprog(*lp, options=options)
     assert (res.status, res.x, res.nit) == (1, None, 1)
     with pytest.raises(SolverError, match="HiGHS model status 14: Iteration limit reached"):
-        ontic._solve(lp)
+        ontic._solve(lp, options)
 
 
-def tiny_lp(options: dict) -> dict:
-    """min x0 s.t. -x0 <= -0.01, x0 + x1 = 1, x >= 0, in `_local_lp`'s argument layout."""
-    return dict(c=np.array([1.0, 0.0]), A_ub=csc_array(np.array([[-1.0, 0.0]])), b_ub=np.array([-0.01]),
-                A_eq=np.array([[1.0, 1.0]]), b_eq=[1.0], options=options)
+def tiny_lp() -> ontic.HighsLp:
+    """min x0 s.t. -x0 <= -0.01, x0 + x1 = 1, x >= 0, in `_local_lp`'s layout."""
+    a = ontic.ColumnMatrix(np.array([-1.0, 1.0, 1.0]), np.array([0, 1, 1]), np.array([0, 2, 3]))
+    return ontic.HighsLp(np.array([1.0, 0.0]), a, np.array([-np.inf, 1.0]), np.array([-0.01, 1.0]))
 
 
 @pytest.mark.parametrize("feasibility, status", [(1e-3, 0), (0.05, 4)])
@@ -642,33 +675,37 @@ def test_linprog_post_solve_check(feasibility, status):
     # at a 0.05 feasibility tolerance HiGHS calls x = (0, 1) optimal; its slack of -0.01 misses 10 sqrt(1e-9)
     from scipy.optimize import linprog
 
-    lp = tiny_lp({"presolve": False, "primal_feasibility_tolerance": feasibility})
-    res, want = ontic.linprog(**lp), linprog(**lp, method="highs")
+    lp, options = tiny_lp(), {"primal_feasibility_tolerance": feasibility}
+    res, want = ontic.linprog(*lp, options=options), linprog(**scipy_linprog_args(lp, options))
     assert (res.status, res.fun, res.nit) == (want.status, want.fun, want.nit) and res.status == status
     assert np.array_equal(res.x, want.x)
     if status:
         with pytest.raises(SolverError, match="misses the constraints"):
-            ontic._solve(lp)
+            ontic._solve(lp, options)
 
 
 @pytest.mark.parametrize("options", [{"no_such_option": 1}, {"presolve": "sometimes"}, {"time_limit": "soon"}])
 def test_linprog_rejects_options_highs_does_not_know(options):
     # `scipy.optimize.linprog` drops such an option with only an OptimizeWarning
     with pytest.raises(ValueError, match="HiGHS rejects the option"):
-        ontic.linprog(**tiny_lp(options))
+        ontic.linprog(*tiny_lp(), options=options)
 
 
 @pytest.mark.parametrize("name, value, message", [
     ("c", np.zeros(3), "matching lengths"),
-    ("b_ub", np.zeros(2), "matching lengths"),
-    ("A_eq", np.ones((2, 2)), "matching lengths"),
-    ("A_ub", np.array([[-1.0, 0.0]]), "CSC"),
-    ("A_ub", csc_array((np.array([1.0]), np.array([5]), np.array([0, 1, 1])), shape=(1, 2)), "LP's matrix"),
+    pytest.param("row_upper", np.zeros(3), "matching lengths", id="row_upper-length"),
+    pytest.param("row_lower", np.zeros(1), "matching lengths", id="row_lower-length"),
+    pytest.param("A", ontic.ColumnMatrix(np.array([-1.0, 1.0]), np.array([0, 1, 1]), np.array([0, 2, 3])),
+                 "matching lengths", id="data-shorter-than-indices"),
+    pytest.param("A", ontic.ColumnMatrix(np.array([-1.0, 1.0, 1.0]), np.array([0, 1, 1]), np.array([0, 3])),
+                 "matching lengths", id="indptr-length"),
+    pytest.param("A", ontic.ColumnMatrix(np.array([-1.0, 1.0, 1.0]), np.array([0, 5, 1]), np.array([0, 2, 3])),
+                 "LP's matrix", id="row-index-out-of-range"),
 ])
 def test_linprog_checks_arrays_before_handing_them_to_highs(name, value, message):
     # HiGHS reads each array up to the lengths it is given, and rejects a row index outside the matrix
     with pytest.raises(ValueError, match=message):
-        ontic.linprog(**{**tiny_lp({}), name: value})
+        ontic.linprog(*tiny_lp()._replace(**{name: value}))
 
 
 # -- noncontextual_chsh_bound ----------------------------------------------------------
