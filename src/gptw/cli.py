@@ -123,7 +123,7 @@ def cmd_monogamy(args, tol: float) -> Report:
 def cmd_local_model(args, tol: float) -> Report:
     from . import ontic
     box = serialize.load_box(args.box)
-    refutation = ontic.chsh_gate(box, tol)  # a refuted box needs no LP, so scipy is never imported
+    refutation = ontic.chsh_gate(box, tol)  # a refuted box needs no LP, so HiGHS is never loaded
     if refutation is None:
         cert = ontic._fit_local_model(box, tol)  # `find_local_model` would run the gate again
         extra = {"method": "lp"}

@@ -42,7 +42,12 @@ noncontextuality-implies-locality chain;
 """
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+import threading
 from dataclasses import dataclass
 from typing import Mapping, NamedTuple, Sequence
 
@@ -289,22 +294,62 @@ _LINPROG_STATUS = {"kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUn
 # linprog's settings (no log, dual simplex) with presolve off: on the local-model LP it costs more than it removes
 HIGHS_SETTINGS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1, "presolve": "off"}
 
+HIGHS_CORE = "scipy.optimize._highspy._core"
+# the names of HIGHS_CORE that `linprog` uses
+_HIGHS_NAMES = ("_Highs", "HighsStatus", "MatrixFormat", "ObjSense", "HighsModelStatus")
+_HIGHS_LOCK = threading.Lock()  # one load per process, when threads solve their first LPs at once
+
+
+def _highs_core_file() -> str | None:
+    """The path of scipy's HIGHS_CORE extension, found without running any scipy `__init__`."""
+    spec = importlib.util.find_spec("scipy")
+    for folder in (spec and spec.submodule_search_locations) or ():
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES:
+            path = os.path.join(folder, "optimize", "_highspy", "_core" + suffix)
+            if os.path.isfile(path):
+                return path
+    return None
+
+
+def _highs_core():
+    """scipy's HiGHS bindings, loaded from their file so that scipy.optimize's package init never runs.
+
+    The module is registered in `sys.modules` under HIGHS_CORE, so a later
+    `import scipy.optimize` reuses it rather than loading the extension a
+    second time.  When the file is missing or lacks a name `linprog` uses,
+    the package import loads it instead.
+    """
+    with _HIGHS_LOCK:
+        if HIGHS_CORE in sys.modules:
+            return sys.modules[HIGHS_CORE]
+        path = _highs_core_file()
+        if path is not None:
+            spec = importlib.util.spec_from_file_location(HIGHS_CORE, path)
+            core = importlib.util.module_from_spec(spec)
+            spec.loader.exec_module(core)
+            if all(hasattr(core, name) for name in _HIGHS_NAMES):
+                sys.modules[HIGHS_CORE] = core
+                return core
+        from scipy.optimize._highspy import _core
+
+        return _core
+
 
 def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     """min c x s.t. row_lower <= A x <= row_upper, x >= 0, by HiGHS's dual simplex as linprog runs it.
 
     The arguments, a `HighsLp`'s fields, go unchanged with `HIGHS_SETTINGS`
-    to HiGHS in scipy's bundled bindings (`scipy.optimize._highspy`),
-    imported on the first solve: scipy.optimize takes most of a `gptw`
-    process's import time, and only the local-model LP needs it.  `options`
-    adds HiGHS options; a name or value HiGHS rejects raises ValueError.
+    to HiGHS in scipy's bundled bindings (`scipy.optimize._highspy._core`),
+    loaded by file location on the first solve (`_highs_core`).  That takes
+    about 0.01 s and 3 MB, where importing the scipy.optimize package took
+    0.4-0.8 s and 45 MB on a 2-vCPU VM.  `options` adds HiGHS options; a
+    name or value HiGHS rejects raises ValueError.
     The optimum passes linprog's post-solve check at tolerance 10 sqrt(1e-9),
     x >= -tol and every row within tol of its bounds with no NaN, or gets
     status 4.  `find_local_model` looks this name up at call time, so it
     can be replaced on the module (a test fake, a tracing wrapper).
     """
-    from scipy.optimize._highspy import _core as highs
-
+    highs = _highs_core()
     n_rows, n_cols = len(row_lower), len(c)
     # HiGHS reads each array up to the lengths it is given, so they are checked here
     if (len(row_upper), len(A.indptr), len(A.indices)) != (n_rows, n_cols + 1, len(A.data)):
@@ -346,21 +391,23 @@ def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> HighsLp:
     - p(ab|xy)| <= t follow the flat table, upper block then lower block; the
     rows sum_b z[alpha, y, b] <= w[alpha] (alpha-major, then y) keep the last
     weight nonnegative, and the last row, an equality, sums the masses to 1.
-    Each column's row indices are sorted.
+    With one Bob outcome there is no z, so those rows would only restate
+    w >= 0 and are left out.  Each column's row indices are sorted.
     """
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     n_alpha = len(a_maps)
     n_z = n_alpha * n_y * (n_b - 1)
     target = box.table.reshape(-1)
     n_fit = target.size
-    mass_row = 2 * n_fit + n_alpha * n_y
+    n_yb = n_y if n_b > 1 else 0  # bound rows per alpha
+    mass_row = 2 * n_fit + n_alpha * n_yb
 
     # rows[alpha, y, b, x]: the upper fit row of (x, y, alpha(x), b)
     rows = (
         (np.arange(n_x) * n_y + np.arange(n_y)[:, None, None]) * n_a + a_maps[:, None, None, :]
     ) * n_b + np.arange(n_b)[:, None]
     last = rows[:, :, -1]
-    bound = 2 * n_fit + np.arange(n_alpha * n_y).reshape(n_alpha, n_y)
+    bound = 2 * n_fit + np.arange(n_alpha * n_yb).reshape(n_alpha, n_yb)
     # column z[alpha, y, b]: per x, +1 in the fit row of b and -1 in that of the last outcome
     # (upper block; the lower block negated), and +1 in the bound row of (alpha, y)
     fit = np.stack([rows[:, :, :-1], np.broadcast_to(last[:, :, None], rows[:, :, :-1].shape)], axis=4)
@@ -371,16 +418,16 @@ def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> HighsLp:
     # block negated), -1 in alpha's bound rows and +1 in the mass row; column t: -1 in every fit row
     w_fit = last.transpose(0, 2, 1).reshape(n_alpha, n_x * n_y)
     w_rows = np.concatenate([w_fit, w_fit + n_fit, bound, np.full((n_alpha, 1), mass_row)], axis=1)
-    w_data = np.tile(np.repeat([1.0, -1.0, -1.0, 1.0], [n_x * n_y, n_x * n_y, n_y, 1]), n_alpha)
+    w_data = np.tile(np.repeat([1.0, -1.0, -1.0, 1.0], [n_x * n_y, n_x * n_y, n_yb, 1]), n_alpha)
     indices = np.concatenate([z_rows.ravel(), w_rows.ravel(), np.arange(2 * n_fit)])
     data = np.concatenate([z_data, w_data, np.full(2 * n_fit, -1.0)])
-    counts = np.repeat([4 * n_x + 1, 2 * n_x * n_y + n_y + 1, 2 * n_fit], [n_z, n_alpha, 1])
+    counts = np.repeat([4 * n_x + 1, 2 * n_x * n_y + n_yb + 1, 2 * n_fit], [n_z, n_alpha, 1])
     indptr = np.concatenate([[0], np.cumsum(counts)])
 
     c = np.zeros(n_z + n_alpha + 1)
     c[-1] = 1.0
     row_lower = np.concatenate([np.full(mass_row, -np.inf), [1.0]])
-    row_upper = np.concatenate([target, -target, np.zeros(n_alpha * n_y), [1.0]])
+    row_upper = np.concatenate([target, -target, np.zeros(n_alpha * n_yb), [1.0]])
     return HighsLp(c, ColumnMatrix(data, indices.astype(np.int32), indptr.astype(np.int32)), row_lower, row_upper)
 
 

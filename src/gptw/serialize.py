@@ -20,7 +20,8 @@ Formats (all plain JSON, probabilities as decimal doubles):
 
 Complex matrices M are arrays of rows, each row an array of [re, im] pairs
 (row-major).  Loaders re-validate all invariants of the objects they build,
-and every `load_*` goes through `_load`, so each error names its file.
+and every `load_*` goes through `_load`, so each error names its file.  A
+key repeated within one JSON object is an error, not a silent overwrite.
 """
 from __future__ import annotations
 
@@ -50,8 +51,18 @@ def _read_json(path: str | Path) -> Any:
         text = path.read_text()
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}") from None
+
+    def unique_keys(pairs: list[tuple[str, Any]]) -> dict:
+        # `json.loads` alone keeps the last of a repeated key and drops the others unread
+        obj = {}
+        for key, value in pairs:
+            if key in obj:
+                raise ParseError(f"{path}: repeated key {key!r}")
+            obj[key] = value
+        return obj
+
     try:
-        return json.loads(text)
+        return json.loads(text, object_pairs_hook=unique_keys)
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno} column {exc.colno}: {exc.msg}") from None
 

@@ -1,11 +1,32 @@
 """Shared fixtures: canonical boxes, measurement settings, and theories."""
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+import gptw
 from gptw import quantum as q
 from gptw.correlations import CorrelationBox
+
+SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+
+
+def run_src(code: str, *args: str) -> list[str]:
+    """stdout lines of `python -c code args...` with this checkout's gptw on the path."""
+    out = subprocess.run(
+        [sys.executable, "-c", code, *args],
+        env=dict(os.environ, PYTHONPATH=str(Path(gptw.__file__).resolve().parents[1])),
+        capture_output=True,
+        text=True,
+        timeout=120,
+        check=True,
+    )
+    return out.stdout.splitlines()
 
 
 def pr_table() -> np.ndarray:

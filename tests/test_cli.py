@@ -405,6 +405,17 @@ def _one_row_box(n_settings):
     return mutate
 
 
+def _repeated_key(key, first_value):
+    """Write `key` twice in its object: first with `first_value`, then with the file's own value."""
+
+    def mutate(data):
+        text, field = json.dumps(data), json.dumps(key) + ": "
+        assert text.count(field) == 1
+        return text.replace(field, f"{field}{json.dumps(first_value)}, {field}")
+
+    return mutate
+
+
 MALFORMED = [
     pytest.param("pr", _set(["settings"], ["two", 2]), id="settings-string"),
     pytest.param("pr", _set(["settings"], [None, 2]), id="settings-null"),
@@ -427,6 +438,9 @@ MALFORMED = [
     pytest.param("zero", _set(["dims"], [3, 6148914691236517206]), id="state-dims-int64-wrap"),
     pytest.param("zero", _set(["dims"], [-1, -2]), id="state-dims-negative"),
     pytest.param("o", _set(["elements", 0, 0, 0, 0], float("inf")), id="povm-inf"),
+    # json.loads would keep the last of a repeated key: the real PR-box row, or a valid preparation
+    pytest.param("pr", _repeated_key("0,0", [0.25, 0.25, 0.25, 0.25]), id="box-repeated-row"),
+    pytest.param("model", _repeated_key("p0", [0.5, 0.5]), id="model-repeated-preparation"),
 ]
 COMMANDS = {
     "pr": ["chsh", "--box", "{}"],
@@ -440,9 +454,9 @@ COMMANDS = {
 @pytest.mark.parametrize("name, mutate", MALFORMED)
 def test_malformed_input_exits_two(files, capsys, tmp_path, name, mutate):
     data = json.loads(files[name].read_text())
-    mutate(data)
+    text = mutate(data)  # a mutation that cannot be made on a dict returns the file's text
     bad = tmp_path / "malformed.json"
-    bad.write_text(json.dumps(data))
+    bad.write_text(json.dumps(data) if text is None else text)
     argv = [a.format(bad, **files) for a in COMMANDS[name]]
     assert_input_error(capsys, argv)
 

@@ -3,17 +3,12 @@ from __future__ import annotations
 
 import importlib
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
 import gptw
 
-SRC = str(Path(gptw.__file__).resolve().parents[1])
-SAMPLES = Path(__file__).resolve().parents[1] / "samples"
+from conftest import SAMPLES, run_src
 
 # every name `gptw/__init__.py` exported when it imported all of its modules
 # eagerly; a name dropped from the lazy table must fail here
@@ -61,26 +56,13 @@ def test_unknown_name_raises_attribute_error():
     assert gptw.__version__ == "0.1.0"
 
 
-def _run(code: str, *args: str) -> list[str]:
-    """stdout lines of `python -c code args...` with this checkout's gptw on the path."""
-    out = subprocess.run(
-        [sys.executable, "-c", code, *args],
-        env=dict(os.environ, PYTHONPATH=SRC),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    return out.stdout.splitlines()
-
-
 def test_import_gptw_loads_no_submodule():
     code = (
         "import json, sys, gptw; loaded = sorted(m for m in sys.modules if m.startswith('gptw.')); "
         "print(json.dumps(loaded)); "
         "print(gptw.quantum.DensityMatrix is gptw.DensityMatrix, 'gptw.quantum' in sys.modules)"
     )
-    loaded, resolved = _run(code)
+    loaded, resolved = run_src(code)
     assert json.loads(loaded) == []
     assert resolved == "True True"
 
@@ -112,6 +94,6 @@ def test_subcommand_loads_only_its_modules(argv, absent):
         "with contextlib.redirect_stdout(io.StringIO()): code = main(sys.argv[1:])\n"
         "print(code); print(json.dumps(sorted(m[5:] for m in sys.modules if m.startswith('gptw.'))))"
     )
-    code_line, loaded = _run(code, *argv)
+    code_line, loaded = run_src(code, *argv)
     assert code_line in ("0", "1")  # the check ran to a verdict, not to an input error
     assert not absent & set(json.loads(loaded))

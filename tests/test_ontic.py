@@ -1,20 +1,17 @@
 """Ontological-model validity, prediction, and the local-model LP."""
 from __future__ import annotations
 
+import json
 import math
-import os
-import subprocess
 import sys
 import warnings
 from fractions import Fraction
 from itertools import product
-from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.sparse import csc_array
 
-import gptw
 from gptw import ontic
 from gptw import quantum as q
 from gptw.correlations import CorrelationBox, is_bell_nonlocal
@@ -29,9 +26,10 @@ from gptw.ontic import (
     validate_model,
     strategy_table,
 )
+from gptw.serialize import load_box
 from gptw.theory import outcome_distribution
 
-from conftest import isotropic_table, singlet_optimal_settings
+from conftest import SAMPLES, isotropic_table, run_src, singlet_optimal_settings
 
 
 def classical_bit_model() -> OnticModel:
@@ -139,39 +137,89 @@ def test_isotropic_half_feasible(isotropic_half):
 @pytest.mark.parametrize("module", ["gptw", "gptw.cli"])
 def test_import_leaves_scipy_optimize_unloaded(module):
     # the LP solver loads on the first solve; the other checks never pay for it
-    src = str(Path(gptw.__file__).resolve().parents[1])
     code = f"import sys, {module}; print(any(m.split('.')[0] == 'scipy' for m in sys.modules))"
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    assert out.stdout.strip() == "False"
+    assert run_src(code) == ["False"]
 
 
 def test_chsh_refuted_local_model_leaves_scipy_unloaded():
     # the CHSH gate settles the singlet sample, so a `gptw local-model` process never imports scipy
-    src = str(Path(gptw.__file__).resolve().parents[1])
-    sample = str(Path(__file__).resolve().parents[1] / "samples" / "singlet_opt_box.json")
     code = (
         "import sys; from gptw.cli import main; "
-        f"code = main(['local-model', '--box', {sample!r}]); "
+        "code = main(['local-model', '--box', sys.argv[1]]); "
         "print(code, any(m.split('.')[0] == 'scipy' for m in sys.modules))"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code],
-        env=dict(os.environ, PYTHONPATH=src),
-        capture_output=True,
-        text=True,
-        timeout=120,
-        check=True,
-    )
-    report, verdict = out.stdout.strip().splitlines()
+    report, verdict = run_src(code, str(SAMPLES / "singlet_opt_box.json"))
     assert '"method": "chsh"' in report
     assert verdict == "1 False"
+
+
+ISOTROPIC_HALF = str(SAMPLES / "isotropic_half_box.json")
+
+
+def test_lp_solving_local_model_leaves_scipy_optimize_unloaded():
+    # HiGHS's extension is loaded from its file, so scipy.optimize's package init never runs
+    code = (
+        "import sys; from gptw import ontic; from gptw.cli import main; "
+        "code = main(['local-model', '--box', sys.argv[1]]); "
+        "print(code, 'scipy.optimize' in sys.modules, ontic.HIGHS_CORE in sys.modules)"
+    )
+    report, verdict = run_src(code, ISOTROPIC_HALF)
+    assert '"method": "lp"' in report
+    assert verdict == "0 False True"
+
+
+def test_highs_core_falls_back_to_the_package_import(monkeypatch, isotropic_half):
+    lp = ontic._local_lp(isotropic_half, ontic._alice_maps(2, 2))
+    want = ontic.linprog(*lp)
+    lookups = []
+
+    def no_file():
+        lookups.append(True)
+        return None
+
+    monkeypatch.setattr(ontic, "_highs_core_file", no_file)
+    monkeypatch.delitem(sys.modules, ontic.HIGHS_CORE)
+    got = ontic.linprog(*lp)
+    assert lookups and ontic.HIGHS_CORE in sys.modules  # the package import registered the module
+    assert (got.status, got.fun, got.nit) == (want.status, want.fun, want.nit)
+    assert np.array_equal(got.x, want.x)
+
+
+def test_highs_core_falls_back_when_the_file_lacks_a_name(isotropic_half):
+    lp = ontic._local_lp(isotropic_half, ontic._alice_maps(2, 2))
+    want = ontic.linprog(*lp)
+    code = (
+        "import json, sys; from gptw import ontic, serialize; ontic._HIGHS_NAMES += ('no_such_name',); "
+        "got = ontic.linprog(*ontic._local_lp(serialize.load_box(sys.argv[1]), ontic._alice_maps(2, 2))); "
+        "print(json.dumps([got.x.tolist(), got.fun, got.nit, 'scipy.optimize' in sys.modules]))"
+    )
+    x, fun, nit, package_imported = json.loads(run_src(code, ISOTROPIC_HALF)[0])
+    assert package_imported
+    assert (x, fun, nit) == (want.x.tolist(), want.fun, want.nit)
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_linprog_matches_scipy_linprog_in_either_import_order(order):
+    # `import scipy.optimize` before the first solve, or after it: one `_core` module, the same pivots
+    code = """
+import json, sys
+from gptw import ontic, serialize
+lp = ontic._local_lp(serialize.load_box(sys.argv[2]), ontic._alice_maps(2, 2))
+if sys.argv[1] == "before":
+    import scipy.optimize
+got = ontic.linprog(*lp)
+core = sys.modules[ontic.HIGHS_CORE]
+from scipy.optimize import linprog
+from scipy.optimize._highspy import _core
+from scipy.sparse import csc_array
+A = csc_array(tuple(lp.A), shape=(len(lp.row_lower), len(lp.c)))
+want = linprog(lp.c, A_ub=A[:-1], b_ub=lp.row_upper[:-1], A_eq=A[[-1]].toarray(), b_eq=lp.row_upper[-1:],
+               options={"presolve": False}, method="highs")
+print(json.dumps([[got.x.tolist(), got.fun, got.nit], [want.x.tolist(), want.fun, want.nit], core is _core]))
+"""
+    got, want, one_module = json.loads(run_src(code, order, ISOTROPIC_HALF)[0])
+    assert got == want
+    assert one_module
 
 
 def test_find_local_model_looks_up_linprog_at_call_time(monkeypatch, isotropic_half):
@@ -449,16 +497,18 @@ def test_chsh_gate_agrees_with_the_lp_only_path(monkeypatch):
     assert {("threshold", True), ("threshold", False), ("tsirelson", True), ("local", False)} <= seen
 
 
-@pytest.mark.parametrize("settings, outcomes", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((6, 6), (2, 2))])
+@pytest.mark.parametrize("settings, outcomes", [((2, 2), (2, 2)), ((3, 3), (3, 3)), ((6, 6), (2, 2)), ((2, 2), (3, 1))])
 def test_local_lp_has_one_mass_column_per_alice_strategy(settings, outcomes):
     # columns z[alpha, y, b < n_b - 1], w[alpha], t; one equality row; rows: two fit blocks, then z <= w
+    # (left out when Bob has one outcome: there is no z, and the rows would only restate w >= 0)
     (n_x, n_y), (n_a, n_b) = settings, outcomes
     rng = np.random.default_rng(n_x * 10 + n_a)
     box = next(seeded_boxes(settings, outcomes, rng))[1]
     lp = ontic._local_lp(box, ontic._alice_maps(n_x, n_a))
     n_alpha, n_fit = n_a**n_x, box.table.size
     n_cols = n_alpha * (1 + n_y * (n_b - 1)) + 1
-    n_ub = 2 * n_fit + n_alpha * n_y
+    n_bound = n_alpha * n_y if n_b > 1 else 0
+    n_ub = 2 * n_fit + n_bound
     assert n_cols == 449 or settings != (6, 6)
     assert lp_matrix(lp).has_canonical_format  # sorted row indices: the entry order scipy's linprog passes
     assert lp.c.shape == (n_cols,) and lp.row_lower.shape == lp.row_upper.shape == (n_ub + 1,)
@@ -473,9 +523,10 @@ def test_local_lp_has_one_mass_column_per_alice_strategy(settings, outcomes):
     x = np.concatenate([q[:, :, :-1].ravel(), w, [0.25]])
     rows = lp_matrix(lp) @ x
     assert np.allclose(rows[:n_fit], model.ravel() - 0.25) and np.allclose(rows[n_fit:2 * n_fit], -model.ravel() - 0.25)
-    assert np.allclose(rows[2 * n_fit:n_ub], -q[:, :, -1].ravel())  # sum_b z - w = -(last weight)
+    if n_bound:
+        assert np.allclose(rows[2 * n_fit:n_ub], -q[:, :, -1].ravel())  # sum_b z - w = -(last weight)
     assert np.allclose(rows[n_ub], 1.0)  # the masses, in the equality row
-    b_ub = np.concatenate([box.table.ravel(), -box.table.ravel(), np.zeros(n_alpha * n_y)])
+    b_ub = np.concatenate([box.table.ravel(), -box.table.ravel(), np.zeros(n_bound)])
     assert np.array_equal(lp.row_upper, np.concatenate([b_ub, [1.0]]))
     assert np.array_equal(lp.row_lower, np.concatenate([np.full(n_ub, -np.inf), [1.0]]))
 
@@ -516,6 +567,14 @@ def test_boxes_within_tol_get_a_certificate(monkeypatch):
                 assert find_local_model(box, tol) is not None, kind
     assert near == 71
     assert any("primal_feasibility_tolerance" in o for o in options)
+
+
+def test_local_lp_of_the_twelve_outcome_sample():
+    # 2 x 12 x 2 fit rows and the mass row: none of the 144 bound rows of a one-outcome Bob
+    box = load_box(SAMPLES / "twelve_outcome_box.json")
+    lp = ontic._local_lp(box, ontic._alice_maps(2, 12))
+    assert (len(lp.row_lower), len(lp.c)) == (49, 145)
+    assert ontic.linprog(*lp).fun == 0.0
 
 
 # -- the one-column-per-strategy LP as the reference ---------------------------------
@@ -583,7 +642,8 @@ def seeded_boxes(settings, outcomes, rng):
     yield "noisy", CorrelationBox(settings, outcomes, v * corr + (1 - v) / (n_a * n_b))
 
 
-LP_SHAPES = [((2, 2), (2, 2)), ((2, 3), (2, 2)), ((3, 2), (2, 3)), ((3, 3), (3, 3)), ((4, 4), (2, 2)), ((6, 6), (2, 2))]
+LP_SHAPES = [((2, 2), (2, 2)), ((2, 3), (2, 2)), ((3, 2), (2, 3)), ((3, 3), (3, 3)), ((4, 4), (2, 2)), ((6, 6), (2, 2)),
+             ((2, 2), (3, 1)), ((3, 2), (4, 1))]  # one Bob outcome: no z columns and no bound rows
 
 
 @pytest.mark.parametrize("settings, outcomes", LP_SHAPES)

@@ -79,6 +79,18 @@ def test_parse_error_carries_position(tmp_path):
         ser.load_box(path)
 
 
+@pytest.mark.parametrize("text, key", [
+    ('{"parties": 2, "parties": 2}', "parties"),
+    ('{"parties": 2, "settings": [2, 2], "outcomes": [1, 1], "table": {"0,0": [1.0], "0,0": [1.0]}}', "0,0"),
+])
+def test_repeated_key_names_the_file_and_the_key(tmp_path, text, key):
+    path = tmp_path / "repeated.json"
+    path.write_text(text)
+    with pytest.raises(ser.ParseError) as info:
+        ser.load_box(path)
+    assert str(info.value) == f"{path}: repeated key {key!r}"
+
+
 def test_loader_revalidates_normalization(tmp_path):
     path = tmp_path / "bad_theory.json"
     data = ser.theory_to_json(small_theory())
