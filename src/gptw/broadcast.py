@@ -38,6 +38,7 @@ if TYPE_CHECKING:  # only broadcast_commuting needs quantum; it imports it when 
 
 COMMUTE_TOL = 1e-9
 EIGENBASIS_SEED = 7  # the random combinations `_common_eigenbasis` diagonalizes are drawn from this seed
+EIGEN_GAP = 1e-7  # `_common_eigenbasis`: eigenvalues closer than this, relative to the spectrum, share a block
 
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
@@ -63,15 +64,13 @@ def pairwise_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL
 def interference_flag(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL) -> bool:
     """True iff the family is non-commuting at `tol` (so no commutative representation exists).
 
-    Always the negation of `pairwise_commuting(states, tol)` for two or more states.
+    Always the negation of `pairwise_commuting(states, tol)`, which is True for fewer than two states.
     """
-    if len(states) < 2:
-        return False
     return not pairwise_commuting(states, tol)
 
 
 def _common_eigenbasis(
-    mats: list[np.ndarray], rng: np.random.Generator, gap: float = 1e-7, depth: int = 16
+    mats: list[np.ndarray], rng: np.random.Generator, depth: int = 16
 ) -> np.ndarray:
     """Orthonormal basis simultaneously diagonalizing a commuting Hermitian family.
 
@@ -94,7 +93,7 @@ def _common_eigenbasis(
     columns: list[np.ndarray] = []
     start = 0
     for stop in range(1, d + 1):
-        if stop < d and vals[stop] - vals[stop - 1] <= gap * scale:
+        if stop < d and vals[stop] - vals[stop - 1] <= EIGEN_GAP * scale:
             continue
         block = vecs[:, start:stop]
         width = stop - start
@@ -103,12 +102,12 @@ def _common_eigenbasis(
         else:
             projected = [block.conj().T @ m @ block for m in mats]
             if all(
-                np.max(np.abs(p - np.trace(p) / width * np.eye(width))) <= gap * scale
+                np.max(np.abs(p - np.trace(p) / width * np.eye(width))) <= EIGEN_GAP * scale
                 for p in projected
             ):
                 columns.extend(block.T)  # all scalar here: any orthonormal basis works
             else:
-                sub = _common_eigenbasis(projected, rng, gap, depth - 1)
+                sub = _common_eigenbasis(projected, rng, depth - 1)
                 columns.extend((block @ sub).T)
         start = stop
     return np.stack(columns, axis=1)
@@ -133,11 +132,6 @@ def broadcast_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TO
         raise PreconditionError("empty state family")
     if not pairwise_commuting(states, tol):
         raise PreconditionError("states do not commute pairwise; broadcasting impossible")
-    return _measure_and_reprepare(states)
-
-
-def _measure_and_reprepare(states: Sequence[DensityMatrix]) -> tuple[Channel, BroadcastCheck]:
-    """`broadcast_commuting` for a non-empty family whose commutation the caller already tested."""
     from .quantum import Channel, partial_trace, trace_distance
 
     d = states[0].dim
@@ -188,7 +182,8 @@ def theorem1_construct(box2: CorrelationBox, tol: float = 1e-6) -> Theorem1Resul
         raise PreconditionError(f"no CHSH witness >= 2 (best |B| = {v:.6f})")
     xs = witness.a_settings
     ys = witness.b_settings
-    alice = box2.table[np.ix_(xs, ys)].sum(axis=3)  # p(a | x, y) at the witness settings
+    pair = box2.table[np.ix_(xs, ys)]  # p(a, b | x, y) at the witness settings
+    alice = pair.sum(axis=3)  # p(a | x, y)
     drift = float(np.max(np.abs(alice[:, 0] - alice[:, 1])))
     if drift > EPS_NORM:
         raise PreconditionError(
@@ -196,23 +191,9 @@ def theorem1_construct(box2: CorrelationBox, tol: float = 1e-6) -> Theorem1Resul
             f"between Bob's settings {list(ys)}"
         )
 
-    table = np.zeros((2, 2, 2, 2, 2, 2))
-    for x in range(2):
-        # branch distribution read off the y = ys[0] slice (exact for NS input)
-        slice0 = box2.table[xs[x], ys[0]]
-        p_branch = slice0.sum(axis=1)
-        for y in range(2):
-            pab = box2.table[xs[x], ys[y]]
-            marg_y = pab.sum(axis=1)
-            for z in range(2):
-                pac = box2.table[xs[x], ys[z]]
-                marg_z = pac.sum(axis=1)
-                for a in range(2):
-                    if p_branch[a] <= 0 or marg_y[a] <= 0 or marg_z[a] <= 0:
-                        continue
-                    cond_b = pab[a] / marg_y[a]
-                    cond_c = pac[a] / marg_z[a]
-                    table[x, y, z, a] = p_branch[a] * np.outer(cond_b, cond_c)
+    cond = np.divide(pair, alice[..., None], out=np.zeros_like(pair), where=alice[..., None] > 0)  # p(b | a, x, y)
+    # axes [x, y, z, a, b, c]: p(a | x) read off Bob's first witness setting, times p(b | a, x, y) p(c | a, x, z)
+    table = alice[:, 0, None, None, :, None, None] * (cond[:, :, None, :, :, None] * cond[:, None, :, :, None, :])
     box3 = CorrelationBox((2, 2, 2), (2, 2, 2), table)
     value_ab = chsh(box3, parties=(0, 1)).value
     value_ac = chsh(box3, parties=(0, 2)).value

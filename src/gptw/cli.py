@@ -173,10 +173,10 @@ def cmd_broadcast(args, tol: float) -> Report:
     from . import broadcast as bc
     states = [serialize.load_state(p) for p in args.state]
     commuting = bc.pairwise_commuting(states, tol)
-    # commutation is tested once, at `tol`: interference is two or more states that do not commute
+    # `broadcast_commuting` re-tests commutation at the same `tol`, so it never refuses a commuting family here
     extra = {"commuting": commuting, "interference": not commuting}
     if commuting:
-        _, check = bc._measure_and_reprepare(states)
+        _, check = bc.broadcast_commuting(states, tol)
         value = check.max_error
         extra["marginal_errors"] = list(check.errors)
     else:

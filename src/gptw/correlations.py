@@ -140,6 +140,7 @@ class ChshValue:
     a_settings: tuple[int, int]
     b_settings: tuple[int, int]
     parties: tuple[int, int] = (0, 1)
+    spectator_settings: tuple[int, ...] = ()  # the other parties' settings, in party order
 
 
 def correlator(box: CorrelationBox, x: int, y: int) -> float:
@@ -164,7 +165,8 @@ def chsh(
     """CHSH quantity E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1).
 
     For boxes with more than two parties the pair marginal is taken first
-    (spectators at `spectator_settings`).
+    (spectators at `spectator_settings`, default 0 each), and the value
+    records the spectator settings used.
     """
     two = box if box.n_parties == 2 and parties == (0, 1) else box.marginal(parties, spectator_settings)
     value = (
@@ -173,7 +175,8 @@ def chsh(
         + correlator(two, a1, b0)
         - correlator(two, a1, b1)
     )
-    return ChshValue(value, (a0, a1), (b0, b1), parties)
+    spectators = (0,) * (box.n_parties - 2) if spectator_settings is None else tuple(spectator_settings)
+    return ChshValue(value, (a0, a1), (b0, b1), parties, spectators)
 
 
 def chsh_prepare_measure(
@@ -264,18 +267,23 @@ def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, Chsh
 def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float) -> float | None:
     """Exact |B| - 2 - tol at the witness's settings, as the nearest float, if positive; else None.
 
-    B is summed from the 16 table entries of parties 0 and 1, each with
-    coefficient +-1 (a spectator's outcomes summed out at its setting 0, as
-    in `chsh`).  One `math.fsum` of the signed entries has the sign of the
-    exact B, and negating a float is exact, so a second `fsum` of the
-    entries signed for |B|, -2 and -tol is the exact margin correctly
-    rounded.  A positive margin never rounds to 0.0: it is at least
-    2**-1074.  Any float `tol` is taken: inf and NaN give None, -inf inf.
+    B is summed from the 16 table entries of the witness's parties, each
+    with coefficient +-1 (a spectator's outcomes summed out at the witness's
+    spectator setting, 0 if it records none, as in `chsh`).  One `math.fsum`
+    of the signed entries has the sign of the exact B, and negating a float
+    is exact, so a second `fsum` of the entries signed for |B|, -2 and -tol
+    is the exact margin correctly rounded.  A positive margin never rounds
+    to 0.0: it is at least 2**-1074.  Any float `tol` is taken: inf and NaN
+    give None, -inf inf.
     """
     (a0, a1), (b0, b1) = witness.a_settings, witness.b_settings
-    spectators = (0,) * (box.n_parties - 2)
-    # the 16 entries in `_CHSH_SIGNS` order, each followed by the spectator's other outcomes
-    cells = box.table[([a0, a0, a1, a1], [b0, b1, b0, b1]) + spectators].reshape(-1).tolist()
+    table = box.table
+    if witness.parties != (0, 1):  # the pair's axes first, then the spectator's, settings before outcomes
+        order = [*witness.parties, *(k for k in range(box.n_parties) if k not in witness.parties)]
+        table = table.transpose(order + [box.n_parties + k for k in order])
+    spectators = witness.spectator_settings or (0,) * (box.n_parties - 2)
+    # the 16 entries in `_CHSH_SIGNS` order, each followed by the spectator's outcomes
+    cells = table[([a0, a0, a1, a1], [b0, b1, b0, b1]) + spectators].reshape(-1).tolist()
     per_entry = len(cells) // 16
     terms = [_CHSH_SIGNS[k // per_entry] * c for k, c in enumerate(cells)]
     if math.fsum(terms) < 0:

@@ -295,8 +295,6 @@ _LINPROG_STATUS = {"kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUn
 HIGHS_SETTINGS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1, "presolve": "off"}
 
 HIGHS_CORE = "scipy.optimize._highspy._core"
-# the names of HIGHS_CORE that `linprog` uses
-_HIGHS_NAMES = ("_Highs", "HighsStatus", "MatrixFormat", "ObjSense", "HighsModelStatus")
 _HIGHS_LOCK = threading.Lock()  # one load per process, when threads solve their first LPs at once
 
 
@@ -316,8 +314,11 @@ def _highs_core():
 
     The module is registered in `sys.modules` under HIGHS_CORE, so a later
     `import scipy.optimize` reuses it rather than loading the extension a
-    second time.  When the file is missing or lacks a name `linprog` uses,
-    the package import loads it instead.
+    second time.  When the file is missing, the package import loads it
+    instead.  The parent package, imported later, never gets the `_core`
+    attribute: the attribute path `scipy.optimize._highspy._core` then
+    raises AttributeError, while `from scipy.optimize._highspy import _core`
+    and `import scipy.optimize._highspy._core as core` work.
     """
     with _HIGHS_LOCK:
         if HIGHS_CORE in sys.modules:
@@ -327,9 +328,8 @@ def _highs_core():
             spec = importlib.util.spec_from_file_location(HIGHS_CORE, path)
             core = importlib.util.module_from_spec(spec)
             spec.loader.exec_module(core)
-            if all(hasattr(core, name) for name in _HIGHS_NAMES):
-                sys.modules[HIGHS_CORE] = core
-                return core
+            sys.modules[HIGHS_CORE] = core
+            return core
         from scipy.optimize._highspy import _core
 
         return _core

@@ -299,11 +299,10 @@ def born_table(
     states: Mapping[str, DensityMatrix],
     povms: Mapping[str, Povm],
     channels: Mapping[str, Channel] | None = None,
-    identity: str = "I",
 ) -> OperationalTheory:
     """Tabulate p(M^x | P, T) = Tr(M_x T(rho_P)) into an operational theory.
 
-    The identity channel is always included under the id `identity`; explicit
+    The identity channel is always included under the id "I"; explicit
     channels must preserve the system dimension so every POVM applies after
     every channel.
     """
@@ -316,10 +315,10 @@ def born_table(
     for name, povm in povms.items():
         if povm.dim != dim:
             raise DimensionMismatchError(f"POVM {name!r} has dim {povm.dim}, expected {dim}")
-    chans: dict[str, Channel] = {identity: Channel.identity(dim)}
+    chans: dict[str, Channel] = {"I": Channel.identity(dim)}
     for name, chan in (channels or {}).items():
-        if name == identity:
-            raise ValidationError(f"channel id {identity!r} is reserved for the identity")
+        if name == "I":
+            raise ValidationError("channel id 'I' is reserved for the identity")
         if chan.dim_in != dim or chan.dim_out != dim:
             raise DimensionMismatchError(
                 f"channel {name!r} must be {dim}->{dim} to share the theory's measurements"
@@ -335,9 +334,7 @@ def born_table(
             rows = np.split(_born(chan.apply(rho.matrix), (dim,), [stack])[0], ends)
             table.update(((p_id, t_id, m_id), row) for m_id, row in zip(povms, rows))
     measurements = [Measurement(m_id, len(povm)) for m_id, povm in povms.items()]
-    return OperationalTheory(
-        list(states), list(chans), measurements, table, identity=identity
-    )
+    return OperationalTheory(list(states), list(chans), measurements, table)
 
 
 def multipartite_box(state: DensityMatrix, povms_per_party: Sequence[Sequence[Povm]]) -> CorrelationBox:

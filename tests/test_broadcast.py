@@ -12,10 +12,10 @@ from gptw.broadcast import (
     pairwise_commuting,
     theorem1_construct,
 )
-from gptw.correlations import CorrelationBox
+from gptw.correlations import CorrelationBox, is_bell_nonlocal
 from gptw.errors import PreconditionError
 
-from conftest import pr_table
+from conftest import pr_table, singlet_optimal_settings
 
 
 def ket_dm(vec) -> q.DensityMatrix:
@@ -208,3 +208,72 @@ def test_constructed_box_signals_between_wings(singlet_optimal_box):
     report = check_no_signalling(result.box)
     assert not report.satisfied
     assert any(v.subset == (1, 2) for v in report.violations)
+
+
+def loop_theorem1_box(box2: CorrelationBox) -> CorrelationBox:
+    """Theorem 1's box built entry by entry, each zero marginal skipped (so left at 0)."""
+    _, witness = is_bell_nonlocal(box2)
+    xs, ys = witness.a_settings, witness.b_settings
+    table = np.zeros((2, 2, 2, 2, 2, 2))
+    for x in range(2):
+        p_branch = box2.table[xs[x], ys[0]].sum(axis=1)
+        for y in range(2):
+            pab = box2.table[xs[x], ys[y]]
+            marg_y = pab.sum(axis=1)
+            for z in range(2):
+                pac = box2.table[xs[x], ys[z]]
+                marg_z = pac.sum(axis=1)
+                for a in range(2):
+                    if p_branch[a] <= 0 or marg_y[a] <= 0 or marg_z[a] <= 0:
+                        continue
+                    table[x, y, z, a] = p_branch[a] * np.outer(pab[a] / marg_y[a], pac[a] / marg_z[a])
+    return CorrelationBox((2, 2, 2), (2, 2, 2), table)
+
+
+def theorem1_boxes(rng):
+    """Seeded tables on 2 or 3 settings per party, most with a CHSH witness of at least 2.
+
+    Deterministic boxes and boxes whose Alice answers deterministically
+    while Bob does at one setting only (|B| = 2, with zero marginals), PR
+    boxes mixed with a deterministic box, and noisy singlet boxes.
+    """
+    alice, bob = singlet_optimal_settings()
+    for n_x, n_y in ((2, 2), (2, 3), (3, 2), (3, 3)):
+        for _ in range(12):
+            f, g = rng.integers(0, 2, n_x), rng.integers(0, 2, n_y)
+            det = np.zeros((n_x, n_y, 2, 2))
+            det[np.arange(n_x)[:, None], np.arange(n_y), f[:, None], g] = 1.0
+            yield det
+            bob_mixed = det.copy()
+            bob_mixed[:, 1:] = 0.0
+            bob_mixed[np.arange(n_x)[:, None], np.arange(1, n_y), f[:, None]] = rng.dirichlet((1, 1), n_y - 1)
+            yield bob_mixed
+            pr = np.zeros((n_x, n_y, 2, 2))
+            pr[:2, :2] = pr_table()
+            pr[2:, :, :, 0], pr[:, 2:, :, 0] = 0.5, 0.5  # extra settings: a uniform, b = 0
+            w = rng.uniform(0.0, 1.0)
+            yield w * pr + (1 - w) * det
+            singlet = q.bipartite_box(
+                q.singlet(),
+                alice + [q.random_projective_qubit(rng) for _ in range(n_x - 2)],
+                bob + [q.random_projective_qubit(rng) for _ in range(n_y - 2)],
+            )
+            v = rng.uniform(0.75, 1.0)
+            yield v * singlet.table + (1 - v) / 4
+
+
+def test_product_construction_matches_the_entrywise_loops():
+    built = zero_marginal = y_z_asymmetric = 0
+    for table in theorem1_boxes(np.random.default_rng(19)):
+        box2 = CorrelationBox(table.shape[:2], (2, 2), table)
+        try:
+            result = theorem1_construct(box2)
+        except PreconditionError:
+            continue
+        want = loop_theorem1_box(box2).table
+        assert result.box.table.tobytes() == want.tobytes()
+        built += 1
+        zero_marginal += bool((want.sum(axis=(4, 5)) == 0).any())
+        y_z_asymmetric += not np.array_equal(want, want.swapaxes(1, 2))
+    # the zero marginals take the loops' skip branches; a y/z mix-up changes every asymmetric table
+    assert built >= 150 and zero_marginal >= 50 and y_z_asymmetric >= 50, (built, zero_marginal, y_z_asymmetric)

@@ -314,13 +314,17 @@ def test_bell_search_matches_per_pair_loop(m):
         assert verdict == (abs(best.value) > 2.0 + 1e-9)
 
 
-def fraction_correlators(table: np.ndarray) -> dict:
-    """E(x, y) of parties 0 and 1 in rational arithmetic, spectators' outcomes summed at setting 0."""
-    spectators = (0,) * (table.ndim // 2 - 2)
+def fraction_correlators(table: np.ndarray, parties=(0, 1), spectator_setting=0) -> dict:
+    """E(x, y) of a party pair in rational arithmetic, a spectator's outcomes summed at its setting."""
+    n = table.ndim // 2
+    first, second = parties
     correlators = {}
-    for x, y in np.ndindex(*table.shape[:2]):
-        p = table[(x, y) + spectators].reshape(2, 2, -1)
-        correlators[x, y] = sum((-1) ** (a + b) * sum(map(Fraction, p[a, b].tolist())) for a, b in np.ndindex(2, 2))
+    for index, p in np.ndenumerate(table):
+        settings, outcomes = index[:n], index[n:]
+        if any(settings[k] != spectator_setting for k in range(n) if k not in parties):
+            continue
+        key = settings[first], settings[second]
+        correlators[key] = correlators.get(key, 0) + (-1) ** (outcomes[first] + outcomes[second]) * Fraction(p)
     return correlators
 
 
@@ -376,17 +380,22 @@ def test_exact_witness_decides_in_rational_arithmetic(m, count):
 
 
 def test_chsh_margin_on_a_tripartite_box_sums_the_spectator():
+    # a random box signals, so each pair's marginal moves with the spectator's setting
     rng = np.random.default_rng(70)
     table = rng.random((2, 2, 2, 2, 2, 2))
     box = CorrelationBox((2, 2, 2), (2, 2, 2), table / table.sum(axis=(3, 4, 5), keepdims=True))
-    e = fraction_correlators(box.table)
-    for a, b in product(permutations(range(2)), repeat=2):
-        witness = chsh(box, *a, *b)
-        exact = fraction_chsh(e, a, b)
-        assert abs(abs(witness.value) - float(exact)) < 1e-15
-        for tol in (-1.0, float(exact) - 2 - 1e-9, float(exact) - 2 + 1e-9):
-            margin = chsh_margin(box, witness, tol)
-            assert (margin is not None) == (exact > 2 + Fraction(tol))
+    for parties, z in product(permutations(range(3), 2), range(2)):
+        e = fraction_correlators(box.table, parties, z)
+        for a, b in product(permutations(range(2)), repeat=2):
+            witness = chsh(box, *a, *b, parties=parties, spectator_settings=(z,))
+            assert (witness.parties, witness.spectator_settings) == (parties, (z,))
+            if z == 0:  # the default spectator setting, recorded
+                assert chsh(box, *a, *b, parties=parties) == witness
+            exact = fraction_chsh(e, a, b)
+            assert abs(abs(witness.value) - float(exact)) < 1e-15
+            for tol in (-1.0, float(exact) - 2 - 1e-9, float(exact) - 2 + 1e-9):
+                margin = chsh_margin(box, witness, tol)
+                assert (margin is not None) == (exact > 2 + Fraction(tol)), (parties, z, a, b, tol)
 
 
 def test_chsh_margin_takes_the_sign_of_the_exact_b():

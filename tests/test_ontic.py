@@ -185,19 +185,6 @@ def test_highs_core_falls_back_to_the_package_import(monkeypatch, isotropic_half
     assert np.array_equal(got.x, want.x)
 
 
-def test_highs_core_falls_back_when_the_file_lacks_a_name(isotropic_half):
-    lp = ontic._local_lp(isotropic_half, ontic._alice_maps(2, 2))
-    want = ontic.linprog(*lp)
-    code = (
-        "import json, sys; from gptw import ontic, serialize; ontic._HIGHS_NAMES += ('no_such_name',); "
-        "got = ontic.linprog(*ontic._local_lp(serialize.load_box(sys.argv[1]), ontic._alice_maps(2, 2))); "
-        "print(json.dumps([got.x.tolist(), got.fun, got.nit, 'scipy.optimize' in sys.modules]))"
-    )
-    x, fun, nit, package_imported = json.loads(run_src(code, ISOTROPIC_HALF)[0])
-    assert package_imported
-    assert (x, fun, nit) == (want.x.tolist(), want.fun, want.nit)
-
-
 @pytest.mark.parametrize("order", ["before", "after"])
 def test_linprog_matches_scipy_linprog_in_either_import_order(order):
     # `import scipy.optimize` before the first solve, or after it: one `_core` module, the same pivots
@@ -623,8 +610,11 @@ def reference_local_model(box: CorrelationBox, tol: float = ontic.LP_TOL):
 
 
 def seeded_boxes(settings, outcomes, rng):
-    """(kind, box): a mixture of 4 deterministic strategies, a random signalling box and a
-    noisy correlated box, b = a + x y (mod k) on k = min(n_a, n_b) outcomes under white noise."""
+    """(kind, box): a mixture of 4 deterministic strategies, a random box and a noisy correlated
+    box, b = a + x y (mod k) on k = min(n_a, n_b) outcomes under white noise.
+
+    The random box is "signalling" where the shape lets a marginal move, Alice's with y or Bob's
+    with x; otherwise it is "random", and local like every box of that shape."""
     (n_x, n_y), (n_a, n_b) = settings, outcomes
     shape = settings + outcomes
     local = np.zeros(shape)
@@ -633,7 +623,8 @@ def seeded_boxes(settings, outcomes, rng):
         local[np.arange(n_x)[:, None], np.arange(n_y), a_map[:, None], b_map] += w
     yield "local", CorrelationBox(settings, outcomes, local)
     raw = rng.random(shape)
-    yield "signalling", CorrelationBox(settings, outcomes, raw / raw.sum(axis=(2, 3), keepdims=True))
+    kind = "signalling" if (n_y >= 2 and n_a >= 2) or (n_x >= 2 and n_b >= 2) else "random"
+    yield kind, CorrelationBox(settings, outcomes, raw / raw.sum(axis=(2, 3), keepdims=True))
     k = min(n_a, n_b)
     corr = np.zeros(shape)
     for x, y, a in np.ndindex(n_x, n_y, k):
@@ -643,7 +634,7 @@ def seeded_boxes(settings, outcomes, rng):
 
 
 LP_SHAPES = [((2, 2), (2, 2)), ((2, 3), (2, 2)), ((3, 2), (2, 3)), ((3, 3), (3, 3)), ((4, 4), (2, 2)), ((6, 6), (2, 2)),
-             ((2, 2), (3, 1)), ((3, 2), (4, 1))]  # one Bob outcome: no z columns and no bound rows
+             ((2, 2), (3, 1)), ((3, 2), (4, 1)), ((2, 1), (12, 1))]  # one Bob outcome: no z columns and no bound rows
 
 
 @pytest.mark.parametrize("settings, outcomes", LP_SHAPES)
