@@ -376,8 +376,10 @@ def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingR
             # the complement settings at the two extremes of the widest entry
             column = marg[i, :, spread[i].argmax()].tolist()
             a, b = sorted((column.index(min(column)), column.index(max(column))))
-            # one multi-index of (J's settings, complement settings a, complement settings b): n + n - |J| entries
-            at = np.unravel_index((i * n_other + a) * n_other + b, sub_settings + 2 * other_settings)
+            # one multi-index of (J's settings, complement settings a, complement settings b): n + n - |J| entries,
+            # as Python ints, which the CLI report prints as JSON
+            k = (i * n_other + a) * n_other + b
+            at = tuple(map(int, np.unravel_index(k, sub_settings + 2 * other_settings)))
             violations.append(
                 SignallingViolation(subset, at[: len(subset)], at[len(subset) : n], at[n:], float(devs[i]))
             )

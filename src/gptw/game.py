@@ -149,8 +149,6 @@ def simulate_game(
     for c in range(2):
         for d in range(2):
             n = int(np.sum((cs == c) & (ds == d)))
-            if n == 0:
-                continue
             flat = box.prob((c, d)).reshape(-1)
             flat = flat / flat.sum()
             draws = rng.choice(4, size=n, p=flat)

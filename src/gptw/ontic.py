@@ -103,10 +103,6 @@ class OnticModel:
                 if not np.isfinite(v).all():
                     raise ValidationError(f"{name}[{key!r}] has a non-finite entry")
 
-    @property
-    def n_states(self) -> int:
-        return len(self.ontic_states)
-
 
 @dataclass(frozen=True)
 class ConditionViolation:

@@ -244,7 +244,6 @@ def _psd_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def _inv_sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """`_psd_inv_sqrt` of the matrix with this `eigh` decomposition."""
-    vals = np.clip(vals, 0.0, None)
     on = vals > ATOL
     inv = np.where(on, 1.0 / np.sqrt(np.where(on, vals, 1.0)), 0.0)
     support = (vecs * on.astype(float)) @ vecs.conj().T

@@ -7,24 +7,10 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Any, Mapping
 
-import numpy as np
-
 
 def file_digest(path: str | Path) -> str:
     """sha256 of the input file bytes; stable across runs for identical inputs."""
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
-
-
-def _json_default(obj: Any) -> Any:
-    if isinstance(obj, np.bool_):
-        return bool(obj)
-    if isinstance(obj, np.integer):
-        return int(obj)
-    if isinstance(obj, np.floating):
-        return float(obj)
-    if isinstance(obj, np.ndarray):
-        return obj.tolist()
-    raise TypeError(f"not JSON serializable: {type(obj).__name__}")
 
 
 @dataclass
@@ -61,7 +47,7 @@ class Report:
         return out
 
     def to_json_line(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=False, default=_json_default)
+        return json.dumps(self.to_dict(), sort_keys=False)
 
     def pretty(self) -> str:
         verdict = "PASS" if self.passed else "FAIL"

@@ -328,8 +328,6 @@ def _affine_rank(points: np.ndarray, rtol: float = RANK_RTOL) -> int:
         return 0
     centered = points - points.mean(axis=0)
     svals = np.linalg.svd(centered, compute_uv=False)
-    if svals.size == 0 or svals[0] == 0.0:
-        return 0
     return int(np.sum(svals > rtol * svals[0]))
 
 

@@ -6,6 +6,8 @@ import pytest
 
 from gptw import quantum as q
 from gptw.broadcast import (
+    COMMUTE_TOL,
+    _common_eigenbasis,
     broadcast_commuting,
     commutator_norm,
     interference_flag,
@@ -13,7 +15,7 @@ from gptw.broadcast import (
     theorem1_construct,
 )
 from gptw.correlations import CorrelationBox, is_bell_nonlocal
-from gptw.errors import PreconditionError
+from gptw.errors import PreconditionError, ValidationError
 
 from conftest import pr_table, singlet_optimal_settings
 
@@ -95,6 +97,46 @@ def test_qutrit_commuting_family():
     other = np.diag([0.2, 0.2, 0.6])
     _, check = broadcast_commuting([q.DensityMatrix(base), q.DensityMatrix(other)])
     assert check.max_error <= 1e-9
+
+
+@pytest.mark.parametrize(
+    "diagonals",
+    [pytest.param([[1 / 3] * 3, [0.5, 0.25, 0.25]], id="qutrit-pair"), pytest.param([[0.25] * 4], id="I/4")],
+)
+def test_shared_degenerate_eigenspace_is_one_block(diagonals):
+    # every combination of the family repeats an eigenvalue: `_common_eigenbasis` projects onto that block
+    u = q.haar_unitary(len(diagonals[0]), np.random.default_rng(16))
+    states = [q.DensityMatrix(u @ np.diag(d) @ u.conj().T) for d in diagonals]
+    channel, check = broadcast_commuting(states)
+    assert max(check.errors) <= COMMUTE_TOL
+    for s in states:
+        assert marginal_errors(channel, s) <= COMMUTE_TOL
+
+
+class FixedWeights:
+    """Stands in for `_common_eigenbasis`'s generator: each `normal` call returns the next weights."""
+
+    def __init__(self, *weights):
+        self.weights = iter(weights)
+
+    def normal(self, size):
+        return np.array(next(self.weights), dtype=float)
+
+
+def test_common_eigenbasis_recursion_depth_guard_and_empty_family():
+    # weights (1, 1) give diag(1, 1, 0): one block of width 2, on which neither operator is scalar
+    mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]
+    basis = _common_eigenbasis(mats, FixedWeights((1, 1), (1, 2)))
+    assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
+    for m in mats:
+        rotated = basis.conj().T @ m @ basis
+        assert np.allclose(rotated, np.diag(np.diag(rotated)), atol=1e-12)
+    with pytest.raises(ValidationError, match="did not converge"):  # weights that never split the block
+        _common_eigenbasis(mats, FixedWeights((1, 1), (1, 1)), depth=2)
+    with pytest.raises(PreconditionError):
+        _common_eigenbasis([], FixedWeights())
+    with pytest.raises(PreconditionError):
+        broadcast_commuting([])
 
 
 def test_non_commuting_family_rejected():

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -13,9 +14,10 @@ from gptw.cli import DEFAULT_TOLS, main
 from gptw.reports import file_digest
 
 from conftest import isotropic_table, local_draws, pr_table, shared_bit_table, singlet_optimal_settings
+from test_correlations import random_signalling_box
 from test_game import full_qubit_theory
 from test_ontic import classical_bit_model
-from gptw.correlations import CorrelationBox, is_bell_nonlocal
+from gptw.correlations import CorrelationBox, check_no_signalling, is_bell_nonlocal
 from gptw.theory import RANK_RTOL
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -63,6 +65,19 @@ def files(tmp_path):
     ser.save_state(q.DensityMatrix.pure(q.KET_PLUS), paths["plus"])
     paths["diag"] = tmp_path / "diag.json"
     ser.save_state(q.DensityMatrix(np.diag([0.3, 0.7])), paths["diag"])
+    paths["qutrit"] = tmp_path / "qutrit.json"
+    ser.save_state(q.DensityMatrix.maximally_mixed(3), paths["qutrit"])
+    paths["qutrit_povm"] = tmp_path / "qutrit_povm.json"
+    ser.save_povm(q.Povm([np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 1.0])]), paths["qutrit_povm"])
+    paths["one_outcome"] = tmp_path / "one_outcome.json"
+    ser.save_povm(q.Povm([np.eye(2)]), paths["one_outcome"])
+    paths["box3x2"] = tmp_path / "box3x2.json"
+    ser.save_box(CorrelationBox((3, 2), (2, 2), np.full((3, 2, 2, 2), 0.25)), paths["box3x2"])
+    for name, n in (("ternary", 2), ("ternary3", 3)):  # three outcomes for the first party, two for the others
+        paths[name] = tmp_path / f"{name}.json"
+        outcomes = (3,) + (2,) * (n - 1)
+        ser.save_box(CorrelationBox((2,) * n, outcomes, np.full((2,) * n + outcomes, 1 / math.prod(outcomes))),
+                     paths[name])
 
     paths["channel"] = tmp_path / "channel.json"
     ser.save_channel(q.random_channel(2, 2, 2, np.random.default_rng(3)), paths["channel"])
@@ -112,6 +127,21 @@ def test_nosignal(files, capsys):
     assert reports[0]["pass"] is True
 
 
+def test_nosignal_fails_on_a_signalling_box_with_int_settings(capsys, tmp_path):
+    box = random_signalling_box((2, 3, 2), np.random.default_rng(0))
+    path = tmp_path / "signalling.json"
+    ser.save_box(box, path)
+    code, (rep,) = run(capsys, ["nosignal", "--box", path])
+    assert (code, rep["pass"]) == (1, False)
+    # the report prints the witnesses' settings with no JSON fallback, so they must be Python ints
+    settings = [v.subset_settings + v.complement_settings_a + v.complement_settings_b
+                for v in check_no_signalling(box).violations]
+    assert settings and all(type(s) is int for row in settings for s in row)
+    printed = [w["subset_settings"] + w["complement_settings"][0] + w["complement_settings"][1]
+               for w in rep["violations"]]
+    assert printed == [list(row) for row in settings[:8]]
+
+
 def test_monogamy_strong_shared_bit(files, capsys):
     code, reports = run(capsys, ["monogamy", "strong", "--box", files["shared_bit"]])
     assert code == 0
@@ -148,6 +178,13 @@ def test_local_model_reports_its_method(files, capsys, tmp_path):
     (rep,) = reports
     assert code == 0 and rep["method"] == "lp" and rep["value"] <= 1e-7
     assert "margin" not in rep
+
+
+def test_local_model_certificate_of_the_twelve_outcome_sample_sums_to_one(capsys):
+    # two-digit outcomes: one certificate key per strategy, so no weight is lost to a repeated key
+    code, (rep,) = run(capsys, ["local-model", "--box", SAMPLES / "twelve_outcome_box.json"])
+    assert (code, rep["method"]) == (0, "lp")
+    assert abs(sum(rep["certificate"].values()) - 1) <= 1e-12
 
 
 @pytest.mark.parametrize("sample, code", [("isotropic_half_box.json", 0), ("singlet_opt_box.json", 1)])
@@ -296,6 +333,17 @@ def test_validate_model_good_and_bad(files, capsys):
     assert reports[0]["violations"][0]["condition"] == 5
 
 
+def test_validate_model_names_a_negative_transformation_entry(capsys, tmp_path):
+    model = classical_bit_model()
+    model.trans["flip"] = np.array([[1.5, 1.0], [-0.5, 0.0]])  # columns still sum to 1
+    path = tmp_path / "negative.json"
+    ser.save_model(model, path)
+    code, (rep,) = run(capsys, ["validate-model", "--model", path])
+    assert (code, rep["value"]) == (1, 1)
+    (violation,) = rep["violations"]
+    assert (violation["condition"], violation["where"]) == (5, [["flip", "negative entry"]])
+
+
 def test_dim(files, capsys):
     code, reports = run(capsys, ["dim", "--theory", files["theory"]])
     assert code == 0
@@ -405,6 +453,20 @@ def _one_row_box(n_settings):
     return mutate
 
 
+def _rename_row(old, new):
+    """Move a box's setting row to a key that names no setting tuple."""
+
+    def mutate(data):
+        data["table"][new] = data["table"].pop(old)
+
+    return mutate
+
+
+def _repeat_first(key):
+    """Append a copy of the first entry of the list `key`."""
+    return lambda data: data[key].append(data[key][0])
+
+
 def _repeated_key(key, first_value):
     """Write `key` twice in its object: first with `first_value`, then with the file's own value."""
 
@@ -438,6 +500,11 @@ MALFORMED = [
     pytest.param("zero", _set(["dims"], [3, 6148914691236517206]), id="state-dims-int64-wrap"),
     pytest.param("zero", _set(["dims"], [-1, -2]), id="state-dims-negative"),
     pytest.param("o", _set(["elements", 0, 0, 0, 0], float("inf")), id="povm-inf"),
+    pytest.param("pr", _set(["settings"], [2, 2, 2]), id="box-three-settings-two-parties"),
+    pytest.param("pr", _set(["outcomes"], [2]), id="box-one-outcome-entry-two-parties"),
+    pytest.param("pr", _rename_row("1,1", "2,2"), id="box-missing-setting-row"),
+    pytest.param("channel", _set(["kraus", 0], [[1.0, 0.0], [0.0, 0.0]]), id="channel-kraus-not-matrix"),
+    pytest.param("theory", lambda data: data.update(preparations=[], table=[]), id="theory-no-preparations"),
     # json.loads would keep the last of a repeated key: the real PR-box row, or a valid preparation
     pytest.param("pr", _repeated_key("0,0", [0.25, 0.25, 0.25, 0.25]), id="box-repeated-row"),
     pytest.param("model", _repeated_key("p0", [0.5, 0.5]), id="model-repeated-preparation"),
@@ -448,6 +515,7 @@ COMMANDS = {
     "theory": ["dim", "--theory", "{}"],
     "zero": ["broadcast", "--state", "{}", "--state", "{diag}"],
     "o": ["verify-cj", "--state", "{state}", "--povm", "{}", "--povm", "{m}"],
+    "channel": ["verify-cj", "--state", "{zero}", "--povm", "{m}", "--povm", "{o}", "--channel", "{}"],
 }
 
 
@@ -476,6 +544,25 @@ CONSTRUCTOR_ERRORS = [
                  id="model-one-ontic-state"),
     pytest.param("model", _set(["ontic_states"], ["l0", "l0"]), ["validate-model", "--model", "{}"],
                  id="model-repeated-ontic-state"),
+    pytest.param("model", _set(["ontic_states"], []), ["validate-model", "--model", "{}"],
+                 id="model-no-ontic-states"),
+    pytest.param("model", _set(["measurements", "read"], [[1.0, 0.0, 0.0]]), ["validate-model", "--model", "{}"],
+                 id="model-xi-wrong-shape"),
+    pytest.param("model", _set(["transformations", "flip"], [[0.0, 1.0]]), ["validate-model", "--model", "{}"],
+                 id="model-trans-wrong-shape"),
+    pytest.param("theory", _repeat_first("preparations"), ["dim", "--theory", "{}"], id="theory-repeated-preparation"),
+    pytest.param("theory", _repeat_first("transformations"), ["dim", "--theory", "{}"],
+                 id="theory-repeated-transformation"),
+    pytest.param("theory", _repeat_first("measurements"), ["dim", "--theory", "{}"], id="theory-repeated-measurement"),
+    pytest.param("theory", _set(["table", 0, "trans"], "T"), ["dim", "--theory", "{}"],
+                 id="theory-row-unknown-transformation"),
+    pytest.param("theory", _set(["table", 0, "meas"], "Q"), ["dim", "--theory", "{}"],
+                 id="theory-row-unknown-measurement"),
+    pytest.param("theory", _set(["table", 0, "probs"], [0.5, 0.5, 0.0]), ["dim", "--theory", "{}"],
+                 id="theory-row-wrong-arity"),
+    pytest.param("o", _set(["elements"], []), ["verify-cj", "--state", "{state}", "--povm", "{}", "--povm", "{m}"],
+                 id="povm-no-elements"),
+    pytest.param("channel", _set(["kraus"], []), COMMANDS["channel"], id="channel-no-kraus"),
 ]
 
 
@@ -503,6 +590,62 @@ def test_one_setting_box_exits_two(capsys, tmp_path, settings, command):
     path = tmp_path / "one_setting.json"
     ser.save_box(CorrelationBox(settings, (2,) * n, np.full(settings + (2,) * n, 0.5**n)), path)
     assert "two settings" in assert_input_error(capsys, [*command, "--box", path])
+
+
+# a usage the handler or the check refuses; each file of the `files` fixture is valid on its own
+GAME_NEEDS = "game needs --box, or --state plus four --povm files (S0 S1 M1 M2)"
+USAGE_ERRORS = [
+    pytest.param("chsh --box {pr} --a0 0 --a1 1", "give all of --a0 --a1 --b0 --b1 or none",
+                 id="chsh-partial-settings"),
+    pytest.param("chsh --box {shared_bit}", "nonlocality search expects a bipartite box", id="chsh-tripartite"),
+    pytest.param("local-model --box {shared_bit}", "find_local_model expects a bipartite box",
+                 id="local-model-tripartite"),
+    pytest.param("theorem1 --box {shared_bit}", "nonlocality search expects a bipartite box", id="theorem1-tripartite"),
+    pytest.param("chsh --box {ternary}", "nonlocality search needs two-outcome parties", id="chsh-three-outcomes"),
+    pytest.param("monogamy ns --box {pr}", "monogamy checks need a tripartite box", id="monogamy-bipartite"),
+    pytest.param("monogamy strong --box {ternary3}", "monogamy checks need two-outcome parties",
+                 id="monogamy-three-outcomes"),
+    pytest.param("verify-cj --state {state} --povm {m}", "verify-cj needs 2 or 3 --povm files (one per party)",
+                 id="verify-cj-one-povm"),
+    pytest.param("verify-cj --state {state} --povm {m} --povm {o} --povm {o}", "one POVM per party required",
+                 id="verify-cj-three-povms-two-parties"),
+    pytest.param("verify-cj --state {zero} --povm {m} --povm {o} --povm {o} --channel {channel}",
+                 "one output --povm per channel output factor required after the first",
+                 id="verify-cj-channel-povm-count"),
+    pytest.param("verify-cj --state {state} --povm {qutrit_povm} --povm {o}", "party 0: POVM dim 3 != system dim 2",
+                 id="verify-cj-povm-dim"),
+    pytest.param("verify-cj --state {zero} --povm {qutrit_povm} --povm {o} --channel {channel}",
+                 "state and POVM dimensions differ", id="verify-cj-channel-first-povm-dim"),
+    pytest.param("verify-cj --state {zero} --povm {m} --povm {qutrit_povm} --channel {channel}",
+                 "output 0: POVM dim 3 != factor dim 2", id="verify-cj-channel-output-povm-dim"),
+    pytest.param("verify-cj --state {qutrit} --povm {qutrit_povm} --povm {o} --channel {channel}",
+                 "branch state does not match channel input", id="verify-cj-channel-input-dim"),
+    pytest.param("game", GAME_NEEDS, id="game-no-strategy"),
+    pytest.param("game --state {singlet} --povm {s0}", GAME_NEEDS, id="game-one-povm"),
+    pytest.param("game --box {box3x2}", "the game needs a 2-setting 2-outcome bipartite box", id="game-box-3x2"),
+    pytest.param("game --state {zero} --povm {s0} --povm {s1} --povm {b0} --povm {b1}",
+                 "bipartite_box needs a state with dims = (d_A, d_B)", id="game-one-factor-state"),
+    pytest.param("game --state {singlet} --povm {s0} --povm {one_outcome} --povm {b0} --povm {b1}",
+                 "party 0: settings must share one outcome arity", id="game-mixed-arity"),
+    pytest.param("game --state {singlet} --povm {s0} --povm {s1} --povm {qutrit_povm} --povm {b1}",
+                 "party 1: POVM dim 3 != system dim 2", id="game-povm-dim"),
+    # UnknownIdError is a KeyError, whose str() would quote the message
+    pytest.param("uncertainty --theory {theory} --m1 Q --m2 Z", "unknown measurement 'Q'",
+                 id="uncertainty-unknown-measurement"),
+    pytest.param("broadcast --state {zero} --state {qutrit}", "states have mixed dimensions",
+                 id="broadcast-mixed-dimensions"),
+]
+
+
+@pytest.mark.parametrize("command, message", USAGE_ERRORS)
+def test_usage_error_exits_two(files, capsys, command, message):
+    assert assert_input_error(capsys, [a.format(**files) for a in command.split()]) == f"error: {message}"
+
+
+def test_non_numeric_env_tolerance_exits_two(files, capsys, monkeypatch):
+    monkeypatch.setenv("GPTW_DEFAULT_TOL", "abc")
+    line = assert_input_error(capsys, ["chsh", "--box", files["pr"]])
+    assert line == "error: GPTW_DEFAULT_TOL='abc' is not a number"
 
 
 def test_missing_file_exits_two(capsys, tmp_path):

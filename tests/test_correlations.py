@@ -424,6 +424,15 @@ def test_pr_box_no_signalling(pr_box):
     assert check_no_signalling(pr_box).satisfied
 
 
+def test_reports_are_truthy_iff_satisfied(pr_box):
+    # a PR box between parties 0 and 1 beside a fair coin: |B_AB| + |B_BC| = 4, but B_AB^2 + B_BC^2 = 16
+    pr_and_coin = CorrelationBox((2, 2, 2), (2, 2, 2), np.einsum("xyab,zc->xyzabc", pr_box.table, np.full((2, 2), 0.5)))
+    signalling = random_signalling_box((2, 2), np.random.default_rng(0))
+    reports = [check_no_signalling(pr_box), check_no_signalling(signalling),
+               check_ns_monogamy(pr_and_coin), check_strong_monogamy(pr_and_coin)]
+    assert [bool(r) for r in reports] == [True, False, True, False]
+
+
 def test_explicit_signalling_box_detected():
     t = np.zeros((2, 2, 2, 2))
     for x in range(2):

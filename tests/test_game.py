@@ -116,6 +116,28 @@ def test_empirical_tracks_exact_across_seeds(singlet_optimal_box):
         assert rep.sampling_consistent
 
 
+def sampled_rate_skipping_empty_cells(box, seed: int, rounds: int) -> float:
+    """`simulate_game`'s empirical rate, drawing outcomes only for the input cells that occur."""
+    rng = np.random.default_rng(seed)
+    cs, ds = rng.integers(0, 2, size=rounds), rng.integers(0, 2, size=rounds)
+    wins = 0
+    for c, d in np.ndindex(2, 2):
+        n = int(np.sum((cs == c) & (ds == d)))
+        if n:
+            p = box.prob((c, d)).reshape(-1)
+            draws = rng.choice(4, size=n, p=p / p.sum())
+            wins += int(np.sum((draws // 2 ^ draws % 2) == (c & d)))
+    return wins / rounds
+
+
+@pytest.mark.parametrize("rounds", [1, 2, 3])
+def test_few_rounds_leave_input_cells_empty(singlet_optimal_box, rounds):
+    # at most 3 rounds fill at most 3 of the 4 cells; an empty cell must leave the draws of the next ones alone
+    for seed in range(20):
+        rep = simulate_game(singlet_optimal_box, seed=seed, rounds=rounds)
+        assert rep.empirical_rate == sampled_rate_skipping_empty_cells(singlet_optimal_box, seed, rounds)
+
+
 def test_seeded_reproducibility(pr_box):
     r1 = simulate_game(pr_box, seed=42, rounds=500)
     r2 = simulate_game(pr_box, seed=42, rounds=500)

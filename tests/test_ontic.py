@@ -1,6 +1,7 @@
 """Ontological-model validity, prediction, and the local-model LP."""
 from __future__ import annotations
 
+import importlib.machinery
 import json
 import math
 import sys
@@ -183,6 +184,12 @@ def test_highs_core_falls_back_to_the_package_import(monkeypatch, isotropic_half
     assert lookups and ontic.HIGHS_CORE in sys.modules  # the package import registered the module
     assert (got.status, got.fun, got.nit) == (want.status, want.fun, want.nit)
     assert np.array_equal(got.x, want.x)
+
+
+def test_highs_core_file_is_none_without_a_matching_extension(monkeypatch):
+    assert ontic._highs_core_file() is not None
+    monkeypatch.setattr(importlib.machinery, "EXTENSION_SUFFIXES", [".absent"])
+    assert ontic._highs_core_file() is None
 
 
 @pytest.mark.parametrize("order", ["before", "after"])

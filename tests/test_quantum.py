@@ -413,6 +413,8 @@ def test_marginal_channel_matches_partial_trace():
             rho = q.ginibre_state(2, rng).matrix
             direct = q.partial_trace(chan.apply(rho), (2, 3), keep=(keep,))
             assert np.max(np.abs(marg.apply(rho) - direct)) < 1e-12
+    single = q.Channel(chan.kraus)
+    assert q.marginal_channel(single, 0) is single  # one output factor: nothing to trace out
 
 
 def test_marginal_of_recovered_copy_channel():

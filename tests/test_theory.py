@@ -11,6 +11,7 @@ from gptw.theory import (
     JointDistribution,
     Measurement,
     OperationalTheory,
+    RANK_RTOL,
     SubtheoryDimension,
     absorb_transformation,
     affine_dimension,
@@ -312,6 +313,15 @@ def test_affine_dimension_invariant_under_duplication(qubit_theory):
     povms["Z2"] = q.z_basis()
     doubled = q.born_table(states, povms)
     assert affine_dimension(doubled) == base
+
+
+def test_identical_preparations_have_a_zero_spectrum():
+    # two copies of one state: the centered statistics are exactly zero, and so is every singular value
+    states = {"zero": q.DensityMatrix.pure(q.KET0), "zero_copy": q.DensityMatrix.pure(q.KET0)}
+    theory = q.born_table(states, tomographic_povms())
+    for rtol in (RANK_RTOL, 0.0):
+        assert affine_dimension(theory, rtol) == SubtheoryDimension(0, None)
+    assert not are_orthogonal(theory, "X", "Z")
 
 
 # -- orthogonality ---------------------------------------------------------------
