@@ -239,9 +239,9 @@ def _chsh_table(box: CorrelationBox, first: int, second: int) -> tuple[np.ndarra
 def _bipartite_chsh_table(box: CorrelationBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`_chsh_table` of a bipartite two-outcome box, the only boxes the witness searches take."""
     if box.n_parties != 2:
-        raise ArityError("nonlocality search expects a bipartite box")
+        raise ArityError(f"the CHSH witness search needs a bipartite box, got {box.n_parties} parties")
     if box.outcomes != (2, 2):
-        raise ArityError("nonlocality search needs two-outcome parties")
+        raise ArityError(f"the CHSH witness search needs two-outcome parties, got outcomes {box.outcomes}")
     return _chsh_table(box, 0, 1)
 
 

@@ -514,7 +514,7 @@ def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCert
 def _fit_local_model(box: CorrelationBox, tol: float) -> LocalModelCertificate | None:
     """`find_local_model` without its CHSH gate: arity check, size cap, LP and tight re-solve."""
     if box.n_parties != 2:
-        raise ArityError("find_local_model expects a bipartite box")
+        raise ArityError(f"the local-model LP needs a bipartite box, got {box.n_parties} parties")
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     nnz = n_a**n_x * n_y * n_b * 2 * n_x
     if nnz > MAX_LP_NONZEROS:

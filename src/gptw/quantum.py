@@ -7,6 +7,11 @@ decomposition of a state induced by a POVM (weights Tr(rho M_i), states
 sqrt(rho) M_i sqrt(rho) / Tr(M_i rho)) and the conditional channel recovered
 from a bipartite state.
 
+Every Born table (`bipartite_box`, `multipartite_box`, `born_table` and the
+duality layer's joint distributions) comes from one kernel, `_born`: per
+party, `np.tensordot`'s transposes, reshapes and one `np.dot`, written out.
+The results are tensordot's to the bit, without its per-call overhead.
+
 The duality layer decomposes each marginal once: `_transposed_state` runs
 one `eigh` of rho^T, and that spectrum serves the PSD checks of rho and of
 rho^T, `mat_sqrt`'s check and square root (`_sqrt_from`), and the inverse
@@ -289,8 +294,14 @@ def _born(matrix: np.ndarray, dims: Sequence[int], stacks: Sequence[np.ndarray])
     for k, stack in enumerate(stacks):
         # Tr(E rho) = sum_ij E[i, j] rho[j, i].  Earlier parties are contracted
         # away, so party k's row and column axes are b and b + n - k; its
-        # (x, a) axes are appended at the end
-        tensor = np.tensordot(tensor, stack, axes=([b, b + n - k], [3, 2]))
+        # (x, a) axes are appended at the end.  np.tensordot's transposes and
+        # one np.dot, written out: the same bits without its argument handling
+        row, col = b, b + n - k
+        rest = [i for i in range(tensor.ndim) if i != row and i != col]
+        kept = [tensor.shape[i] for i in rest]
+        flat = tensor.transpose(rest + [row, col]).reshape(math.prod(kept), -1)
+        effects = stack.transpose(3, 2, 0, 1).reshape(flat.shape[1], -1)
+        tensor = np.dot(flat, effects).reshape(kept + list(stack.shape[:2]))
     return tensor.transpose([*range(b), *range(b, b + 2 * n, 2), *range(b + 1, b + 2 * n, 2)]).real
 
 
@@ -370,7 +381,7 @@ def multipartite_box(state: DensityMatrix, povms_per_party: Sequence[Sequence[Po
 def bipartite_box(state: DensityMatrix, povms_a: Sequence[Povm], povms_b: Sequence[Povm]) -> CorrelationBox:
     """Two-party Born-rule box; the state's dims must be a 2-factor split."""
     if len(state.dims) != 2:
-        raise DimensionMismatchError("bipartite_box needs a state with dims = (d_A, d_B)")
+        raise DimensionMismatchError(f"a two-party box needs a state with two factors, got dims {state.dims}")
     return multipartite_box(state, [povms_a, povms_b])
 
 

@@ -46,7 +46,7 @@ def probability_array(values: Any, what: str, conditions: int = 0) -> np.ndarray
         worst = np.unravel_index(error.argmax(), sums.shape)
         at = f" at {tuple(map(int, worst))}" if conditions else ""
         raise ValidationError(f"{what} sum to {sums[worst]}{at}, not 1")
-    p = np.clip(p, 0.0, 1.0)
+    p = p.clip(0.0, 1.0)  # the method skips np.clip's wrapper; both keep -0.0
     p.flags.writeable = False
     return p
 

@@ -1,4 +1,4 @@
-"""The Born kernel against the per-outcome-tuple kron + trace loop it replaced."""
+"""The Born kernel against the per-outcome-tuple kron + trace loop it replaced, and against np.tensordot."""
 from __future__ import annotations
 
 import numpy as np
@@ -6,7 +6,7 @@ import pytest
 
 from gptw import quantum as q
 from gptw.duality import spatial_scenario, temporal_scenario
-from gptw.theory import EPS_BRANCH, EnsemblePreparation, outcome_distribution
+from gptw.theory import EPS_BRANCH, EnsemblePreparation, outcome_distribution, probability_array
 
 ATOL = 1e-12
 
@@ -95,3 +95,55 @@ def test_born_table_with_channel_matches_loop():
                 want = loop_probs(chan.apply(rho.matrix), [povm])
                 got = outcome_distribution(theory, p, t, m)
                 assert np.max(np.abs(got - want)) <= ATOL
+
+
+def tensordot_born(matrix: np.ndarray, dims, stacks) -> np.ndarray:
+    """`q._born` as one np.tensordot per party: its written-out contraction must match this to the bit."""
+    n, b = len(dims), matrix.ndim - 2
+    tensor = matrix.reshape(matrix.shape[:b] + tuple(dims) * 2)
+    for k, stack in enumerate(stacks):
+        tensor = np.tensordot(tensor, stack, axes=([b, b + n - k], [3, 2]))
+    return tensor.transpose([*range(b), *range(b, b + 2 * n, 2), *range(b + 1, b + 2 * n, 2)]).real
+
+
+def random_stacks(dims, settings, outcomes, rng) -> list[np.ndarray]:
+    return [
+        np.array([q.random_povm(d, k, rng).element_stack for _ in range(m)])
+        for d, m, k in zip(dims, settings, outcomes)
+    ]
+
+
+def assert_same_bits(matrix: np.ndarray, dims, stacks) -> None:
+    got, want = q._born(matrix, dims, stacks), tensordot_born(matrix, dims, stacks)
+    assert got.shape == want.shape
+    assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("dims, settings, outcomes", BOX_CASES)
+def test_born_is_tensordot_to_the_bit_on_box_shapes(dims, settings, outcomes):
+    rng = np.random.default_rng(sum(dims) * 100 + len(dims) + 1)
+    state = q.ginibre_state(int(np.prod(dims)), rng, dims=dims)
+    assert_same_bits(state.matrix, dims, random_stacks(dims, settings, outcomes, rng))
+
+
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_born_is_tensordot_to_the_bit_on_bipartite_sizes(d, m):
+    rng = np.random.default_rng(10 * d + m)
+    state = q.ginibre_state(d * d, rng, dims=(d, d))
+    assert_same_bits(state.matrix, (d, d), random_stacks((d, d), (m, m), (2, 3), rng))
+
+
+@pytest.mark.parametrize("dims", [(3,), (2, 3), (3, 2, 2)])
+def test_born_is_tensordot_to_the_bit_on_a_batch(dims):
+    # one POVM per factor behind a setting axis of length 1, over a stack of states, as `duality._joint` passes
+    rng = np.random.default_rng(len(dims))
+    batch = np.array([q.ginibre_state(int(np.prod(dims)), rng).matrix for _ in range(4)])
+    assert_same_bits(batch, dims, random_stacks(dims, (1,) * len(dims), [d + 1 for d in dims], rng))
+
+
+def test_probability_array_keeps_negative_zero_and_clips_rounding():
+    p = probability_array([[-0.0, 1.0], [-1e-12, 1 + 1e-12]], "entries", 1)
+    assert np.signbit(p[0, 0]) and p[0, 0] == 0.0
+    assert p[1].tolist() == [0.0, 1.0] and not np.signbit(p[1, 0])
+    assert not p.flags.writeable

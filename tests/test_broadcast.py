@@ -82,8 +82,9 @@ def test_single_pure_state_broadcast_exact():
     assert check.max_error <= 1e-9
 
 
-def test_degenerate_family_uses_recursion():
-    # I/2 commutes with everything; the basis must still diagonalize the partner
+def test_maximally_mixed_member_beside_a_nondegenerate_partner():
+    # I/2 commutes with everything; the basis must still diagonalize the partner.  The partner's two
+    # distinct eigenvalues keep every block of `_common_eigenbasis` one wide: no recursion runs here
     rng = np.random.default_rng(15)
     u = q.haar_unitary(2, rng)
     partner = q.DensityMatrix(u @ np.diag([0.9, 0.1]) @ u.conj().T)

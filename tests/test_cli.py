@@ -597,11 +597,14 @@ GAME_NEEDS = "game needs --box, or --state plus four --povm files (S0 S1 M1 M2)"
 USAGE_ERRORS = [
     pytest.param("chsh --box {pr} --a0 0 --a1 1", "give all of --a0 --a1 --b0 --b1 or none",
                  id="chsh-partial-settings"),
-    pytest.param("chsh --box {shared_bit}", "nonlocality search expects a bipartite box", id="chsh-tripartite"),
-    pytest.param("local-model --box {shared_bit}", "find_local_model expects a bipartite box",
+    pytest.param("chsh --box {shared_bit}", "the CHSH witness search needs a bipartite box, got 3 parties",
+                 id="chsh-tripartite"),
+    pytest.param("local-model --box {shared_bit}", "the local-model LP needs a bipartite box, got 3 parties",
                  id="local-model-tripartite"),
-    pytest.param("theorem1 --box {shared_bit}", "nonlocality search expects a bipartite box", id="theorem1-tripartite"),
-    pytest.param("chsh --box {ternary}", "nonlocality search needs two-outcome parties", id="chsh-three-outcomes"),
+    pytest.param("theorem1 --box {shared_bit}", "the CHSH witness search needs a bipartite box, got 3 parties",
+                 id="theorem1-tripartite"),
+    pytest.param("chsh --box {ternary}", "the CHSH witness search needs two-outcome parties, got outcomes (3, 2)",
+                 id="chsh-three-outcomes"),
     pytest.param("monogamy ns --box {pr}", "monogamy checks need a tripartite box", id="monogamy-bipartite"),
     pytest.param("monogamy strong --box {ternary3}", "monogamy checks need two-outcome parties",
                  id="monogamy-three-outcomes"),
@@ -624,7 +627,7 @@ USAGE_ERRORS = [
     pytest.param("game --state {singlet} --povm {s0}", GAME_NEEDS, id="game-one-povm"),
     pytest.param("game --box {box3x2}", "the game needs a 2-setting 2-outcome bipartite box", id="game-box-3x2"),
     pytest.param("game --state {zero} --povm {s0} --povm {s1} --povm {b0} --povm {b1}",
-                 "bipartite_box needs a state with dims = (d_A, d_B)", id="game-one-factor-state"),
+                 "a two-party box needs a state with two factors, got dims (2,)", id="game-one-factor-state"),
     pytest.param("game --state {singlet} --povm {s0} --povm {one_outcome} --povm {b0} --povm {b1}",
                  "party 0: settings must share one outcome arity", id="game-mixed-arity"),
     pytest.param("game --state {singlet} --povm {s0} --povm {s1} --povm {qutrit_povm} --povm {b1}",
