@@ -17,9 +17,9 @@ _EXPORTS = {
         interference_flag pairwise_commuting theorem1_construct""",
     "correlations": """ChshValue CorrelationBox MonogamyReport NoSignallingReport
         check_no_signalling check_ns_monogamy check_strong_monogamy chsh chsh_margin
-        chsh_prepare_measure correlator exact_chsh_witness is_bell_nonlocal""",
+        correlator exact_chsh_witness is_bell_nonlocal""",
     "duality": """SpatialScenario TemporalScenario distribution_error spatial_scenario
-        spatial_to_temporal temporal_scenario temporal_to_spatial verify_ocj""",
+        spatial_to_temporal temporal_scenario temporal_to_spatial""",
     "errors": """ArityError DimensionMismatchError GptwError PreconditionError SizeLimitError
         SolverError UnknownIdError ValidationError""",
     "game": """FineGrainedReport GameReport GameStrategy UncertaintyTriple a3_strategy
@@ -29,9 +29,8 @@ _EXPORTS = {
         OnticModel certificate_to_ontic_model chsh_gate find_local_model
         noncontextual_chsh_bound predict validate_model""",
     "quantum": """Channel ChoiState DensityMatrix Povm bipartite_box born_table choi_of_channel
-        conditional_channel ginibre_state kraus_from_choi leifer_ensemble marginal_channel
-        multipartite_box partial_trace random_povm random_projective_qubit trace_distance
-        transpose_povm transpose_state""",
+        conditional_channel ginibre_state leifer_ensemble multipartite_box partial_trace random_povm
+        random_projective_qubit trace_distance transpose_povm transpose_state""",
     "theory": """EnsemblePreparation JointDistribution Measurement OperationalTheory
         SubtheoryDimension absorb_transformation affine_dimension are_orthogonal
         ensemble_joint operationally_equivalent outcome_distribution""",

@@ -47,10 +47,12 @@ from typing import Sequence
 
 import numpy as np
 
-from .errors import ArityError, ValidationError
-from .theory import EnsemblePreparation, OperationalTheory, outcome_distribution, probability_array
+from .errors import ArityError, SizeLimitError, ValidationError
+from .theory import probability_array
 
 MAX_PARTIES = 3  # the largest box every check here handles
+# the most B values one CHSH table holds: square binary boxes up to 64 settings, tripartite up to 28
+MAX_CHSH_ENTRIES = 2**24
 NS_MONOGAMY_BOUND = 4.0
 STRONG_MONOGAMY_BOUND = 8.0
 # A float |B| sums 16 entries in [0, 1] with 6 roundings, so it is within 2**-47 of the exact sum;
@@ -179,37 +181,6 @@ def chsh(
     return ChshValue(value, (a0, a1), (b0, b1), parties, spectators)
 
 
-def chsh_prepare_measure(
-    theory: OperationalTheory,
-    ens0: EnsemblePreparation,
-    ens1: EnsemblePreparation,
-    trans: str,
-    m0: str,
-    m1: str,
-) -> ChshValue:
-    """CHSH with the A-side variable replaced by an ensemble's branch index.
-
-    The experimenter picks ensemble x, applies the fixed transformation, and
-    measures m_y; both the branch index and the outcome are valued (-1)**v.
-    """
-    for ens in (ens0, ens1):
-        if len(ens) != 2:
-            raise ArityError("prepare-measure CHSH needs binary ensembles")
-    for m in (m0, m1):
-        if theory.arity(m) != 2:
-            raise ArityError("prepare-measure CHSH needs two-outcome measurements")
-
-    def expect(ens: EnsemblePreparation, meas: str) -> float:
-        total = 0.0
-        for i, (w, q) in enumerate(zip(ens.weights, ens.branches)):
-            row = outcome_distribution(theory, q, trans, meas)
-            total += w * (1 if i == 0 else -1) * (row[0] - row[1])
-        return total
-
-    value = expect(ens0, m0) + expect(ens0, m1) + expect(ens1, m0) - expect(ens1, m1)
-    return ChshValue(value, (0, 1), (0, 1))
-
-
 @cache
 def _setting_pairs(n: int) -> np.ndarray:
     """Ordered pairs (i, j), i != j, of n settings as rows, i-major (read-only, shared)."""
@@ -225,8 +196,12 @@ def _chsh_table(box: CorrelationBox, first: int, second: int) -> tuple[np.ndarra
     `first_pairs[p]`, `second_pairs[q]` and the spectator's setting z (no z
     axis for a bipartite box), the spectator's outcome summed out.  The
     correlators are spelled out as in `correlator`, so every value equals
-    the one `chsh` computes.
+    the one `chsh` computes.  A table over `MAX_CHSH_ENTRIES` is refused
+    before anything is allocated.
     """
+    size = math.prod(box.settings) * (box.settings[first] - 1) * (box.settings[second] - 1)
+    if size > MAX_CHSH_ENTRIES:
+        raise SizeLimitError(f"the CHSH table's {size} entries exceed the {MAX_CHSH_ENTRIES} cap")
     p = _marginal(box.table, (first, second))
     e = p[..., 0, 0] - p[..., 0, 1] - p[..., 1, 0] + p[..., 1, 1]
     if min(e.shape[:2]) < 2:

@@ -188,8 +188,3 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     spatial = spatial_scenario(joint_state, (first_meas,) + temporal.povms)
     _check_match(spatial.distribution, temporal.distribution, tol, "temporal_to_spatial")
     return spatial
-
-
-def verify_ocj(spatial: SpatialScenario, temporal: TemporalScenario, tol: float = CONSTRUCTION_TOL) -> bool:
-    """Entrywise equality of the two scenarios' joint distributions."""
-    return distribution_error(spatial.distribution, temporal.distribution) <= tol

@@ -246,6 +246,8 @@ def chsh_gate(box: CorrelationBox, tol: float) -> ChshRefutation | None:
 
     Applies to bipartite two-outcome boxes with at least two settings per
     party and a finite `16 * tol`; any other box gets None and goes to the LP.
+    A box whose CHSH table exceeds `correlations.MAX_CHSH_ENTRIES` raises
+    SizeLimitError instead.
     The float-best witness is re-checked exactly first, then every other
     setting pair within rounding of the threshold
     (`correlations.exact_chsh_witness`).  A refuted box has no local box

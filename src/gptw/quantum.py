@@ -413,36 +413,6 @@ def _kraus_from_in_out(j_mat: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
     return blocks.transpose(0, 2, 1)  # K = block^T, so that eps(Y) = sum K Y K^dagger
 
 
-def kraus_from_choi(choi: ChoiState) -> Channel:
-    """Recover Kraus operators from a Choi state (inverse of choi_of_channel)."""
-    d_in, d_out = choi.input_dim, choi.output_dim
-    mat = choi.state.matrix.reshape(d_out, d_in, d_out, d_in)
-    j_mat = d_in * mat.transpose(1, 0, 3, 2).reshape(d_in * d_out, d_in * d_out)
-    return Channel(_kraus_from_in_out(j_mat, d_in, d_out), output_dims=(d_out,))
-
-
-def marginal_channel(chan: Channel, keep: int) -> Channel:
-    """The single-output view of a multi-output channel: trace out the other factors.
-
-    Kraus operators of the marginal are the blocks (<j| on the dropped
-    factors x I on the kept one) K, one per Kraus K and dropped basis index j.
-    """
-    dims = chan.output_dims
-    if not 0 <= keep < len(dims):
-        raise DimensionMismatchError(f"no output factor {keep} in {dims}")
-    if len(dims) == 1:
-        return chan
-    kraus = []
-    kept_dim = dims[keep]
-    drop_dims = [d for i, d in enumerate(dims) if i != keep]
-    for k in chan.kraus:
-        tensor = k.reshape(tuple(dims) + (chan.dim_in,))
-        moved = np.moveaxis(tensor, keep, 0).reshape(kept_dim, -1, chan.dim_in)
-        for j in range(int(np.prod(drop_dims))):
-            kraus.append(moved[:, j, :])
-    return Channel(kraus, output_dims=(kept_dim,))
-
-
 def conditional_channel(state: DensityMatrix) -> Channel:
     """Channel recovered from a bipartite state, normalized against its first marginal.
 

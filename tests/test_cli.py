@@ -17,7 +17,7 @@ from conftest import isotropic_table, local_draws, pr_table, shared_bit_table, s
 from test_correlations import random_signalling_box
 from test_game import full_qubit_theory
 from test_ontic import classical_bit_model
-from gptw.correlations import CorrelationBox, check_no_signalling, is_bell_nonlocal
+from gptw.correlations import MAX_CHSH_ENTRIES, CorrelationBox, check_no_signalling, is_bell_nonlocal
 from gptw.theory import RANK_RTOL
 
 SAMPLES = Path(__file__).resolve().parents[1] / "samples"
@@ -643,6 +643,31 @@ USAGE_ERRORS = [
 @pytest.mark.parametrize("command, message", USAGE_ERRORS)
 def test_usage_error_exits_two(files, capsys, command, message):
     assert assert_input_error(capsys, [a.format(**files) for a in command.split()]) == f"error: {message}"
+
+
+@pytest.fixture
+def over_cap(tmp_path):
+    """Boxes under 1 MB on file whose CHSH tables exceed `MAX_CHSH_ENTRIES`."""
+    paths = {}
+    for name, settings in (("wide", (2, 4097)), ("wide3", (2, 2, 2049))):
+        outcomes = (2,) * len(settings)
+        paths[name] = tmp_path / f"{name}.json"
+        ser.save_box(CorrelationBox(settings, outcomes, np.full(settings + outcomes, 0.5 ** len(settings))),
+                     paths[name])
+    return paths
+
+
+@pytest.mark.parametrize("command, entries", [
+    pytest.param("chsh --box {wide}", 2 * 4097 * 4096, id="chsh"),
+    # the CHSH gate refuses it before the LP is built
+    pytest.param("local-model --box {wide}", 2 * 4097 * 4096, id="local-model"),
+    pytest.param("theorem1 --box {wide}", 2 * 4097 * 4096, id="theorem1"),
+    pytest.param("monogamy ns --box {wide3}", 2 * 2 * 2049 * 2048, id="monogamy-ns"),  # middle party 0, wing 2
+    pytest.param("monogamy strong --box {wide3}", 2 * 2 * 2049 * 2048, id="monogamy-strong"),
+])
+def test_chsh_table_over_the_cap_exits_two(over_cap, capsys, command, entries):
+    line = assert_input_error(capsys, [a.format(**over_cap) for a in command.split()])
+    assert line == f"error: the CHSH table's {entries} entries exceed the {MAX_CHSH_ENTRIES} cap"
 
 
 def test_non_numeric_env_tolerance_exits_two(files, capsys, monkeypatch):

@@ -9,7 +9,7 @@ from itertools import permutations, product
 import numpy as np
 import pytest
 
-from gptw import quantum as q
+from gptw import correlations, quantum as q
 from gptw.correlations import (
     CorrelationBox,
     check_no_signalling,
@@ -17,14 +17,13 @@ from gptw.correlations import (
     check_strong_monogamy,
     chsh,
     chsh_margin,
-    chsh_prepare_measure,
     correlator,
     exact_chsh_witness,
     is_bell_nonlocal,
 )
 from gptw.duality import spatial_scenario, spatial_to_temporal
-from gptw.errors import ArityError, ValidationError
-from gptw.theory import EnsemblePreparation
+from gptw.errors import ArityError, SizeLimitError, ValidationError
+from gptw.theory import outcome_distribution
 
 from conftest import isotropic_table, local_draws, singlet_optimal_settings
 
@@ -196,48 +195,25 @@ def test_correlator_rejects_non_binary():
 # -- prepare-measure chsh --------------------------------------------------------------
 
 
-def test_prepare_measure_classical_correlation():
-    states = {"zero": q.DensityMatrix.pure(q.KET0), "one": q.DensityMatrix.pure(q.KET1)}
-    theory = q.born_table(states, {"Z": q.z_basis()})
-    ens = EnsemblePreparation([0.5, 0.5], ["zero", "one"])
-    value = chsh_prepare_measure(theory, ens, ens, "I", "Z", "Z")
-    assert abs(value.value - 2.0) < 1e-12
-
-
-def test_prepare_measure_constant_branch_bounded():
-    states = {"zero": q.DensityMatrix.pure(q.KET0), "one": q.DensityMatrix.pure(q.KET1)}
-    theory = q.born_table(states, {"Z": q.z_basis(), "X": q.x_basis()})
-    ens = EnsemblePreparation([1.0, 0.0], ["zero", "one"])
-    value = chsh_prepare_measure(theory, ens, ens, "I", "Z", "X")
-    assert abs(value.value) <= 2.0 + 1e-12
-
-
 def test_prepare_measure_matches_spatial_for_duality_image(singlet_optimal_box):
-    """The dual scenario's branch-index CHSH equals the spatial CHSH."""
-    alice, bob = singlet_optimal_settings()
-    state = q.singlet()
-    spatial_value = chsh(singlet_optimal_box).value
+    """The dual scenario's branch-index CHSH equals the spatial CHSH.
 
-    duals = [
-        spatial_to_temporal(spatial_scenario(state, [alice[x], bob[0]])) for x in range(2)
-    ]
+    Alice's setting x picks the ensemble of her measurement's temporal dual,
+    the branch index stands in for her outcome, and Bob measures N_y on the
+    branch sent through the dual channel; both are valued (-1)**v.
+    """
+    alice, bob = singlet_optimal_settings()
+    duals = [spatial_to_temporal(spatial_scenario(q.singlet(), [alice[x], bob[0]])) for x in range(2)]
     channel = duals[0].channel  # depends only on the state, shared across x
-    branch_states: dict[str, q.DensityMatrix] = {}
-    branch_ids = []
-    for x, dual in enumerate(duals):
-        ids = []
-        for i, s in enumerate(dual.ensemble.branches):
-            name = f"e{x}b{i}"
-            branch_states[name] = s
-            ids.append(name)
-        branch_ids.append(ids)
-    theory = q.born_table(
-        branch_states, {"N0": bob[0], "N1": bob[1]}, {"T": channel}
-    )
-    ens0 = EnsemblePreparation(duals[0].ensemble.weights, branch_ids[0])
-    ens1 = EnsemblePreparation(duals[1].ensemble.weights, branch_ids[1])
-    pm_value = chsh_prepare_measure(theory, ens0, ens1, "T", "N0", "N1")
-    assert abs(pm_value.value - spatial_value) < 1e-8
+    branches = {f"e{x}b{i}": s for x, dual in enumerate(duals) for i, s in enumerate(dual.ensemble.branches)}
+    theory = q.born_table(branches, {"N0": bob[0], "N1": bob[1]}, {"T": channel})
+
+    def expect(x: int, y: int) -> float:
+        rows = [outcome_distribution(theory, f"e{x}b{i}", "T", f"N{y}") for i in range(2)]
+        return sum(w * sign * (r[0] - r[1]) for w, sign, r in zip(duals[x].ensemble.weights, (1, -1), rows))
+
+    value = expect(0, 0) + expect(0, 1) + expect(1, 0) - expect(1, 1)
+    assert abs(value - chsh(singlet_optimal_box).value) < 1e-8
 
 
 # -- nonlocality search ------------------------------------------------------------------
@@ -415,6 +391,28 @@ def test_one_setting_party_has_no_chsh(settings):
     search = is_bell_nonlocal if len(settings) == 2 else check_strong_monogamy
     with pytest.raises(ArityError, match="two settings"):
         search(box)
+
+
+class Admitted(Exception):
+    """Raised by a stand-in `_marginal`: the CHSH table got past its size check."""
+
+
+def admit(*args):
+    raise Admitted
+
+
+@pytest.mark.parametrize(
+    "settings, admitted",
+    [((64, 64), True), ((65, 65), False), ((28, 28, 28), True), ((29, 29, 29), False)],
+)
+def test_chsh_table_cap_counts_entries_before_allocating(monkeypatch, settings, admitted):
+    # B values n_a (n_a - 1) n_b (n_b - 1) times the spectator's settings: 16,257,024 at m=64 and
+    # 16,003,008 at m=28, within 2**24; 17,305,600 at m=65 and 19,121,776 at m=29
+    outcomes = (2,) * len(settings)
+    box = CorrelationBox(settings, outcomes, np.full(settings + outcomes, 0.5 ** len(settings)))
+    monkeypatch.setattr(correlations, "_marginal", admit)
+    with pytest.raises(Admitted if admitted else SizeLimitError):
+        correlations._chsh_table(box, 0, len(settings) - 1)
 
 
 # -- no-signalling ---------------------------------------------------------------------

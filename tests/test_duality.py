@@ -16,7 +16,6 @@ from gptw.duality import (
     spatial_to_temporal,
     temporal_scenario,
     temporal_to_spatial,
-    verify_ocj,
 )
 from gptw.errors import ArityError, ValidationError
 from gptw.theory import EPS_BRANCH, EnsemblePreparation, JointDistribution
@@ -117,38 +116,12 @@ def test_temporal_to_spatial_x_ensemble_perfect_correlation():
     assert np.allclose(spatial.distribution.probabilities, np.diag([0.5, 0.5]), atol=1e-9)
 
 
-def test_verify_ocj_on_constructed_pair():
-    rng = np.random.default_rng(21)
-    state = q.ginibre_state(4, rng, dims=(2, 2))
-    spatial = spatial_scenario(state, [q.random_povm(2, 2, rng), q.random_povm(2, 2, rng)])
-    temporal = spatial_to_temporal(spatial)
-    assert verify_ocj(spatial, temporal)
-
-
-def test_verify_ocj_detects_perturbation():
-    rng = np.random.default_rng(22)
-    state = q.ginibre_state(4, rng, dims=(2, 2))
-    spatial = spatial_scenario(state, [q.random_povm(2, 2, rng), q.random_povm(2, 2, rng)])
-    temporal = spatial_to_temporal(spatial)
-    bumped = temporal.distribution.probabilities.copy()
-    bumped[0, 0] += 0.1
-    bumped[0, 1] -= 0.1
-    broken = temporal_scenario(temporal.ensemble, temporal.channel, temporal.povms)
-    object.__setattr__(
-        broken, "distribution", JointDistribution(temporal.distribution.axes, bumped)
-    )
-    assert not verify_ocj(spatial, broken)
-
-
-def test_verify_ocj_uniform_pair_trivially_equal():
-    axes = [("a", 2), ("b", 2)]
-    uniform = JointDistribution(axes, np.full((2, 2), 0.25))
-    rng = np.random.default_rng(2)
+def test_maximally_mixed_pair_distributions_agree():
     state = q.DensityMatrix(np.eye(4) / 4, dims=(2, 2))
     spatial = spatial_scenario(state, [q.z_basis(), q.z_basis()])
     temporal = spatial_to_temporal(spatial)
-    assert np.allclose(spatial.distribution.probabilities, uniform.probabilities, atol=1e-12)
-    assert verify_ocj(spatial, temporal)
+    assert np.allclose(spatial.distribution.probabilities, np.full((2, 2), 0.25), atol=1e-12)
+    assert distribution_error(spatial.distribution, temporal.distribution) <= CONSTRUCTION_TOL
 
 
 def test_distribution_error_refuses_different_shapes():
@@ -159,14 +132,11 @@ def test_distribution_error_refuses_different_shapes():
         distribution_error(column, square)
     skewed = JointDistribution([("a", 2), ("b", 2)], [[0.5, 0.0], [0.25, 0.25]])
     assert distribution_error(square, skewed) == distribution_error(skewed, square) == 0.25
-
-
-def test_verify_ocj_shape_mismatch():
-    state3 = spatial_scenario(q.ghz_state(), [q.z_basis()] * 3)
-    state2 = spatial_scenario(q.bell_phi_plus(), [q.z_basis()] * 2)
-    temporal = spatial_to_temporal(state2)
-    with pytest.raises(ArityError):
-        verify_ocj(state3, temporal)
+    # three parties against two: the axis counts differ
+    tripartite = spatial_scenario(q.ghz_state(), [q.z_basis()] * 3).distribution
+    temporal = spatial_to_temporal(spatial_scenario(q.bell_phi_plus(), [q.z_basis()] * 2))
+    with pytest.raises(ArityError, match=r"shapes differ: \(2, 2, 2\) vs \(2, 2\)"):
+        distribution_error(tripartite, temporal.distribution)
 
 
 def test_round_trip_preserves_distribution():

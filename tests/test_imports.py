@@ -10,15 +10,15 @@ import gptw
 
 from conftest import SAMPLES, run_src
 
-# every name `gptw/__init__.py` exported when it imported all of its modules
-# eagerly; a name dropped from the lazy table must fail here
-SEED_EXPORTS = {
+# every public name, by module: `gptw.__all__` must list exactly these, each resolving to its
+# module's object, so a name dropped from or added to the lazy table fails here
+PUBLIC_NAMES = {
     "broadcast": "BroadcastCheck Theorem1Result broadcast_commuting commutator_norm interference_flag "
     "pairwise_commuting theorem1_construct",
     "correlations": "ChshValue CorrelationBox MonogamyReport NoSignallingReport check_no_signalling "
-    "check_ns_monogamy check_strong_monogamy chsh chsh_prepare_measure correlator is_bell_nonlocal",
-    "duality": "SpatialScenario TemporalScenario spatial_scenario spatial_to_temporal temporal_scenario "
-    "temporal_to_spatial verify_ocj",
+    "check_ns_monogamy check_strong_monogamy chsh chsh_margin correlator exact_chsh_witness is_bell_nonlocal",
+    "duality": "SpatialScenario TemporalScenario distribution_error spatial_scenario spatial_to_temporal "
+    "temporal_scenario temporal_to_spatial",
     "errors": "ArityError DimensionMismatchError GptwError PreconditionError SizeLimitError SolverError "
     "UnknownIdError ValidationError",
     "game": "FineGrainedReport GameReport GameStrategy UncertaintyTriple a3_strategy build_quadruple "
@@ -27,18 +27,28 @@ SEED_EXPORTS = {
     "ontic": "ChshRefutation ConditionViolation LocalModelCertificate NoncontextualVerdict OnticModel "
     "certificate_to_ontic_model chsh_gate find_local_model noncontextual_chsh_bound predict validate_model",
     "quantum": "Channel ChoiState DensityMatrix Povm bipartite_box born_table choi_of_channel "
-    "conditional_channel ginibre_state kraus_from_choi leifer_ensemble marginal_channel multipartite_box "
-    "partial_trace random_povm random_projective_qubit trace_distance transpose_povm transpose_state",
+    "conditional_channel ginibre_state leifer_ensemble multipartite_box partial_trace random_povm "
+    "random_projective_qubit trace_distance transpose_povm transpose_state",
     "theory": "EnsemblePreparation JointDistribution Measurement OperationalTheory SubtheoryDimension "
     "absorb_transformation affine_dimension are_orthogonal ensemble_joint operationally_equivalent "
     "outcome_distribution",
 }
+# exported once, deleted with no caller: neither the package nor the module has them
+DELETED_NAMES = {
+    "correlations": "chsh_prepare_measure",
+    "duality": "verify_ocj",
+    "quantum": "kraus_from_choi marginal_channel",
+}
 
 
-@pytest.mark.parametrize("module", sorted(SEED_EXPORTS))
+def test_all_lists_exactly_the_public_names():
+    assert sorted(gptw.__all__) == sorted(n for names in PUBLIC_NAMES.values() for n in names.split())
+
+
+@pytest.mark.parametrize("module", sorted(PUBLIC_NAMES))
 def test_public_names_resolve_to_their_module_objects(module):
     owner = importlib.import_module(f"gptw.{module}")
-    for name in SEED_EXPORTS[module].split():
+    for name in PUBLIC_NAMES[module].split():
         namespace: dict = {}
         exec(f"from gptw import {name}", namespace)
         assert namespace[name] is getattr(owner, name), name
@@ -54,6 +64,16 @@ def test_unknown_name_raises_attribute_error():
     with pytest.raises(ImportError):
         exec("from gptw import no_such_name", {})
     assert gptw.__version__ == "0.1.0"
+
+
+@pytest.mark.parametrize("module", sorted(DELETED_NAMES))
+def test_deleted_names_raise_attribute_error(module):
+    owner = importlib.import_module(f"gptw.{module}")
+    for name in DELETED_NAMES[module].split():
+        with pytest.raises(AttributeError, match=name):
+            getattr(gptw, name)
+        assert not hasattr(owner, name), name
+        assert name not in dir(gptw), name
 
 
 def test_import_gptw_loads_no_submodule():
