@@ -132,7 +132,9 @@ def test_distribution_error_refuses_different_shapes():
         distribution_error(column, square)
     skewed = JointDistribution([("a", 2), ("b", 2)], [[0.5, 0.0], [0.25, 0.25]])
     assert distribution_error(square, skewed) == distribution_error(skewed, square) == 0.25
-    # three parties against two: the axis counts differ
+
+
+def test_distribution_error_refuses_three_parties_against_two():
     tripartite = spatial_scenario(q.ghz_state(), [q.z_basis()] * 3).distribution
     temporal = spatial_to_temporal(spatial_scenario(q.bell_phi_plus(), [q.z_basis()] * 2))
     with pytest.raises(ArityError, match=r"shapes differ: \(2, 2, 2\) vs \(2, 2\)"):
