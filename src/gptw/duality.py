@@ -19,10 +19,10 @@ full joint distribution -- branch index included -- is preserved:
 All transposes are computational-basis.  Each stage works on the stacked
 branches and effects, one NumPy call per stage.  Each marginal (rho_A one
 way, rho_bar the other) is decomposed once, by one `eigh` of its transpose:
-that spectrum serves the PSD checks of the marginal and of its transpose, the
-square root and the inverse square root with its support.  Every check the
-validating constructors make still runs, each on its own matrix, and the
-live branch states are checked as one stack.  Both directions verify
+that spectrum serves the marginal's PSD check, the square root and the inverse
+square root with its support.  A matrix passes the validating checks iff its
+transpose does, so each such pair is checked once: the marginal, and the
+first-party POVM rather than the POVM it transposes.  Both directions verify
 the distribution equality they promise and raise ValidationError if the
 reconstruction misses it, so a returned scenario is already checked.
 Supports 2 and 3 total systems (one upstream system plus 1 or 2 outputs).
@@ -167,7 +167,7 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     chan = temporal.channel
     live, mats = _live_branches(temporal.ensemble, chan.dim_in)
     d = chan.dim_in
-    _, vals, eigvecs = _transposed_state(mats.sum(axis=0))  # rho_bar^T, checked with rho_bar
+    _, vals, eigvecs = _transposed_state(mats.sum(axis=0))  # rho_bar^T, from the check of rho_bar
 
     inv_root, support = _inv_sqrt_from(vals, eigvecs.conj())  # rho_bar = conj(rho_bar^T)
     e = inv_root @ mats @ inv_root
@@ -176,8 +176,7 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     leftover = np.eye(d) - support
     if np.max(np.abs(leftover)) > 1e-12:
         effects[-1] += leftover  # complete the POVM off the support
-    induced = Povm(effects)
-    first_meas = transpose_povm(induced)
+    first_meas = Povm(effects.transpose(0, 2, 1))  # the transpose of the POVM inducing the ensemble
 
     psi = _sqrt_from(vals, eigvecs)  # the canonical purification of rho_bar^T, on dims (d, d)
     # (I x K_k) psi is psi K_k^T read row-major as a (first, output) vector

@@ -46,9 +46,8 @@ import importlib.machinery
 import importlib.util
 import math
 import os
-import sys
-import threading
 from dataclasses import dataclass
+from functools import cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -62,6 +61,8 @@ LP_TOL = 1e-7
 # rows.  `_local_lp` stores the last outcome's weight as w[alpha] - sum of the others, so its fit rows
 # hold (2 n_b - 1) / n_b times that many nonzeros.  m = 10 binary settings (409,600) is admitted.
 MAX_LP_NONZEROS = 2**19
+# Caps `_split`'s (alpha, piece, y, b) comparison and `_exact_residual`'s (strategy, x, y) cells; admits (2, 511) binary
+MAX_CERTIFICATE_CELLS = 2**21
 
 Strategy = tuple[tuple[int, ...], tuple[int, ...]]  # (a(x) per x, b(y) per y)
 
@@ -293,7 +294,6 @@ _LINPROG_STATUS = {"kTimeLimit": 1, "kIterationLimit": 1, "kInfeasible": 2, "kUn
 HIGHS_SETTINGS = {"output_flag": False, "log_to_console": False, "simplex_strategy": 1, "presolve": "off"}
 
 HIGHS_CORE = "scipy.optimize._highspy._core"
-_HIGHS_LOCK = threading.Lock()  # one load per process, when threads solve their first LPs at once
 
 
 def _highs_core_file() -> str | None:
@@ -307,30 +307,21 @@ def _highs_core_file() -> str | None:
     return None
 
 
+@cache
 def _highs_core():
     """scipy's HiGHS bindings, loaded from their file so that scipy.optimize's package init never runs.
 
-    The module is registered in `sys.modules` under HIGHS_CORE, so a later
-    `import scipy.optimize` reuses it rather than loading the extension a
-    second time.  When the file is missing, the package import loads it
-    instead.  The parent package, imported later, never gets the `_core`
-    attribute: the attribute path `scipy.optimize._highspy._core` then
-    raises AttributeError, while `from scipy.optimize._highspy import _core`
-    and `import scipy.optimize._highspy._core as core` work.
+    Not put in `sys.modules`: a pybind11 3 build (scipy 1.17) keeps one module object per process, which a later
+    `import scipy.optimize` binds as `scipy.optimize._highspy._core`.  Without the file, the package import loads it.
     """
-    with _HIGHS_LOCK:
-        if HIGHS_CORE in sys.modules:
-            return sys.modules[HIGHS_CORE]
-        path = _highs_core_file()
-        if path is not None:
-            spec = importlib.util.spec_from_file_location(HIGHS_CORE, path)
-            core = importlib.util.module_from_spec(spec)
-            spec.loader.exec_module(core)
-            sys.modules[HIGHS_CORE] = core
-            return core
+    path = _highs_core_file()
+    if path is None:
         from scipy.optimize._highspy import _core
-
         return _core
+    spec = importlib.util.spec_from_file_location(HIGHS_CORE, path)
+    core = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(core)
+    return core
 
 
 def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
@@ -338,7 +329,7 @@ def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
 
     The arguments, a `HighsLp`'s fields, go unchanged with `HIGHS_SETTINGS`
     to HiGHS in scipy's bundled bindings (`scipy.optimize._highspy._core`),
-    loaded by file location on the first solve (`_highs_core`).  That takes
+    loaded once, by file location, on the first solve (`_highs_core`).  That takes
     about 0.01 s and 3 MB, where importing the scipy.optimize package took
     0.4-0.8 s and 45 MB on a 2-vCPU VM.  `options` adds HiGHS options; a
     name or value HiGHS rejects raises ValueError.
@@ -505,8 +496,8 @@ def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCert
     No LP is built or solved, and scipy is not imported, when `chsh_gate`
     refutes the box: its exact CHSH value |B| > 2 + 16 tol, while every
     local box q has |B(q)| <= 2 and |B(p) - B(q)| <= 16 max|p - q|, so no
-    local box lies within `tol`.  The gate runs before the size cap, which
-    bounds the LP's size measure at `MAX_LP_NONZEROS`.
+    local box lies within `tol`.  The gate runs before the size caps, which
+    bound the LP at `MAX_LP_NONZEROS` and its certificate at `MAX_CERTIFICATE_CELLS`.
     """
     if chsh_gate(box, tol) is not None:  # a box that is not bipartite gets None here, and an error below
         return None
@@ -514,13 +505,16 @@ def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCert
 
 
 def _fit_local_model(box: CorrelationBox, tol: float) -> LocalModelCertificate | None:
-    """`find_local_model` without its CHSH gate: arity check, size cap, LP and tight re-solve."""
+    """`find_local_model` without its CHSH gate: arity check, size caps, LP and tight re-solve."""
     if box.n_parties != 2:
         raise ArityError(f"the local-model LP needs a bipartite box, got {box.n_parties} parties")
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
     nnz = n_a**n_x * n_y * n_b * 2 * n_x
     if nnz > MAX_LP_NONZEROS:
         raise SizeLimitError(f"the LP's {nnz} conditional fit-row entries exceed the {MAX_LP_NONZEROS} cap")
+    cells = n_a**n_x * (n_y * (n_b - 1) + 1) * n_y * max(n_x, n_b - 1)
+    if cells > MAX_CERTIFICATE_CELLS:
+        raise SizeLimitError(f"the certificate's {cells} strategy cells exceed the {MAX_CERTIFICATE_CELLS} cap")
     a_maps = _alice_maps(n_x, n_a)
     lp = _local_lp(box, a_maps)
     res = _solve(lp)

@@ -13,11 +13,11 @@ party, `np.tensordot`'s transposes, reshapes and one `np.dot`, written out.
 The results are tensordot's to the bit, without its per-call overhead.
 
 The duality layer decomposes each marginal once: `_transposed_state` runs
-one `eigh` of rho^T, and that spectrum serves the PSD checks of rho and of
-rho^T, `mat_sqrt`'s check and square root (`_sqrt_from`), and the inverse
-square root with its support (`_inv_sqrt_from`, on the conjugated
-eigenvectors, since rho = conj(rho^T)).  Every check still runs on its own
-matrix; only a second decomposition of a spectrum already in hand is saved.
+one `eigh` of rho^T, and that spectrum serves the PSD check of rho,
+`mat_sqrt`'s check and square root (`_sqrt_from`), and the inverse square
+root with its support (`_inv_sqrt_from`, on the conjugated eigenvectors,
+since rho = conj(rho^T)).  rho^T is not checked again: its entries, diagonal
+and spectrum are rho's, so its check would raise exactly when rho's does.
 Stacked states, such as a POVM's ensemble branches, are checked as one stack
 (`_check_density`) with `DensityMatrix`'s messages.
 
@@ -258,16 +258,15 @@ def _inv_sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.n
 def _transposed_state(mat: np.ndarray) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
     """The state mat^T, from one `eigh` of mat^T: (state, eigenvalues, eigenvectors).
 
-    Runs `DensityMatrix`'s checks on the finite matrix `mat` and on mat^T
-    (what `DensityMatrix(mat)` and `transpose_state` check); a Hermitian
-    matrix and its transpose have one spectrum, so both PSD checks read the
-    eigenvalues of the one decomposition.  Since mat = conj(mat^T), the
-    conjugated eigenvectors decompose `mat` itself.
+    Runs `DensityMatrix`'s checks on `mat`, with the eigenvalues of the one
+    decomposition.  They also settle mat^T: its |M - M^dagger| entries and
+    its diagonal are mat's, and a Hermitian matrix and its transpose have one
+    spectrum, so a check of mat^T raises exactly when this one does.  Since
+    mat = conj(mat^T), the conjugated eigenvectors decompose `mat` itself.
     """
     mat_t = mat.T
     vals, vecs = np.linalg.eigh(mat_t)
     _check_density(mat[None], vals)
-    _check_density(mat_t[None], vals)
     return DensityMatrix._checked(mat_t), vals, vecs
 
 

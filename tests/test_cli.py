@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from gptw import ontic
 from gptw import quantum as q
 from gptw import serialize as ser
 from gptw.cli import DEFAULT_TOLS, main
@@ -16,7 +17,7 @@ from gptw.reports import file_digest
 from conftest import isotropic_table, local_draws, pr_table, shared_bit_table, singlet_optimal_settings
 from test_correlations import random_signalling_box
 from test_game import full_qubit_theory
-from test_ontic import classical_bit_model
+from test_ontic import classical_bit_model, product_box
 from gptw.correlations import MAX_CHSH_ENTRIES, CorrelationBox, check_no_signalling, is_bell_nonlocal
 from gptw.theory import RANK_RTOL
 
@@ -668,6 +669,17 @@ def over_cap(tmp_path):
 def test_chsh_table_over_the_cap_exits_two(over_cap, capsys, command, entries):
     line = assert_input_error(capsys, [a.format(**over_cap) for a in command.split()])
     assert line == f"error: the CHSH table's {entries} entries exceed the {MAX_CHSH_ENTRIES} cap"
+
+
+@pytest.mark.parametrize("n_y", [1024, 2048])
+def test_local_model_certificate_over_the_cap_exits_two_before_the_lp(capsys, monkeypatch, tmp_path, n_y):
+    # a local box the CHSH gate passes on to the LP, whose certificate would hold 4 (n_y + 1) n_y 2 cells
+    path = tmp_path / "wide_local.json"
+    ser.save_box(product_box((2, n_y), (2, 2), seed=3), path)
+    monkeypatch.setattr(ontic, "_local_lp", lambda *args: pytest.fail("the LP was built"))
+    line = assert_input_error(capsys, ["local-model", "--box", path])
+    cells = 4 * (n_y + 1) * n_y * 2
+    assert line == f"error: the certificate's {cells} strategy cells exceed the {ontic.MAX_CERTIFICATE_CELLS} cap"
 
 
 def test_non_numeric_env_tolerance_exits_two(files, capsys, monkeypatch):

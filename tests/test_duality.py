@@ -454,7 +454,7 @@ def test_negative_marginal_is_refused_as_at_the_parent():
 
 
 def test_round_trip_checks_every_state_on_its_own_matrix(monkeypatch):
-    """Each state the parent validated is still checked, on its own matrix and spectrum."""
+    """Each state is checked on its own matrix and spectrum; a transpose stands with its matrix."""
     checked = []
     check = q._check_density
 
@@ -483,7 +483,46 @@ def test_round_trip_checks_every_state_on_its_own_matrix(monkeypatch):
     assert _worst(rho_a, rho_a.T) > 1e-3  # complex: a check of rho_A^T is no check of rho_A
     _, mats = _live_branches(temporal.ensemble, 3)
     rho_bar = mats.sum(axis=0)
-    for mat in [rho_a, rho_a.T, rho_bar, rho_bar.T, back.state.matrix]:
+    for mat in [rho_a, rho_bar, back.state.matrix]:
         assert_checked(mat)
     for branch in temporal.ensemble.branches:
         assert_checked(branch.matrix)
+
+
+def _mutant(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
+    """A d x d density matrix off by 1e-12 to 1e-8: non-Hermitian, off-trace or with a negative eigenvalue."""
+    eps = 10 ** rng.uniform(-12, -8)
+    if kind == "negative":
+        spectrum = np.concatenate([[-eps], (1 + eps) * rng.dirichlet(np.ones(d - 1))])
+        u = q.haar_unitary(d, rng)
+        return (u * spectrum) @ u.conj().T
+    m = q.ginibre_state(d, rng).matrix
+    if kind == "off-trace":
+        return m * (1 + eps)
+    i, j = rng.integers(d, size=2)
+    m = m.copy()
+    m[i, j] += eps * np.exp(2j * np.pi * rng.random())
+    return m
+
+
+def _density_outcome(stack: np.ndarray, vals: np.ndarray) -> str | None:
+    try:
+        q._check_density(stack, vals)
+    except ValidationError as err:
+        return str(err)
+    return None
+
+
+@pytest.mark.parametrize("kind", ["non-hermitian", "off-trace", "negative"])
+def test_a_transpose_passes_the_density_check_iff_its_matrix_does(kind):
+    # `_transposed_state` checks rho only: the check of rho^T reads the same entries and spectrum
+    rng = np.random.default_rng(700)
+    outcomes = []
+    for d in range(2 if kind == "negative" else 1, 7):
+        for _ in range(40):
+            m = _mutant(kind, d, rng)
+            vals = np.linalg.eigh(m.T)[0]
+            outcomes.append(_density_outcome(m[None], vals))
+            assert _density_outcome(m.T[None], vals) == outcomes[-1]
+    raised = sum(o is not None for o in outcomes)
+    assert 0 < raised < len(outcomes)  # both sides of each check are reached

@@ -157,8 +157,26 @@ def test_chsh_refuted_local_model_leaves_scipy_unloaded():
 ISOTROPIC_HALF = str(SAMPLES / "isotropic_half_box.json")
 
 
-def test_lp_solving_local_model_leaves_scipy_optimize_unloaded():
-    # HiGHS's extension is loaded from its file, so scipy.optimize's package init never runs
+@pytest.fixture(scope="module")
+def core_registers_itself() -> bool:
+    """Whether CPython itself puts HiGHS's extension in sys.modules when it is loaded from its file.
+
+    It does for a single-phase-init build (pybind11 before 3.0).  The wheel of
+    scipy 1.17 (pybind11 3) hands back one module object per process and stays
+    out of sys.modules.  Loaded here without `_highs_core`, so the answer does
+    not depend on what gptw does.
+    """
+    code = (
+        "import importlib.util, sys; from gptw import ontic; "
+        "spec = importlib.util.spec_from_file_location(ontic.HIGHS_CORE, ontic._highs_core_file()); "
+        "spec.loader.exec_module(importlib.util.module_from_spec(spec)); print(ontic.HIGHS_CORE in sys.modules)"
+    )
+    return run_src(code) == ["True"]
+
+
+def test_lp_solving_local_model_leaves_scipy_optimize_unloaded(core_registers_itself):
+    # HiGHS's extension is loaded from its file, so scipy.optimize's package init never runs,
+    # and gptw does not register the module under its package name
     code = (
         "import sys; from gptw import ontic; from gptw.cli import main; "
         "code = main(['local-model', '--box', sys.argv[1]]); "
@@ -166,7 +184,7 @@ def test_lp_solving_local_model_leaves_scipy_optimize_unloaded():
     )
     report, verdict = run_src(code, ISOTROPIC_HALF)
     assert '"method": "lp"' in report
-    assert verdict == "0 False True"
+    assert verdict == f"0 False {core_registers_itself}"
 
 
 def test_highs_core_falls_back_to_the_package_import(monkeypatch, isotropic_half):
@@ -179,8 +197,12 @@ def test_highs_core_falls_back_to_the_package_import(monkeypatch, isotropic_half
         return None
 
     monkeypatch.setattr(ontic, "_highs_core_file", no_file)
-    monkeypatch.delitem(sys.modules, ontic.HIGHS_CORE)
-    got = ontic.linprog(*lp)
+    monkeypatch.delitem(sys.modules, ontic.HIGHS_CORE, raising=False)
+    ontic._highs_core.cache_clear()
+    try:
+        got = ontic.linprog(*lp)
+    finally:
+        ontic._highs_core.cache_clear()  # later tests load by file location again
     assert lookups and ontic.HIGHS_CORE in sys.modules  # the package import registered the module
     assert (got.status, got.fun, got.nit) == (want.status, want.fun, want.nit)
     assert np.array_equal(got.x, want.x)
@@ -202,7 +224,7 @@ lp = ontic._local_lp(serialize.load_box(sys.argv[2]), ontic._alice_maps(2, 2))
 if sys.argv[1] == "before":
     import scipy.optimize
 got = ontic.linprog(*lp)
-core = sys.modules[ontic.HIGHS_CORE]
+core = ontic._highs_core()
 from scipy.optimize import linprog
 from scipy.optimize._highspy import _core
 from scipy.sparse import csc_array
@@ -214,6 +236,51 @@ print(json.dumps([[got.x.tolist(), got.fun, got.nit], [want.x.tolist(), want.fun
     got, want, one_module = json.loads(run_src(code, order, ISOTROPIC_HALF)[0])
     assert got == want
     assert one_module
+
+
+@pytest.mark.parametrize("order", ["before", "after"])
+def test_attribute_path_reaches_the_loaded_core_in_either_import_order(order, core_registers_itself):
+    # the file-loaded module is the one scipy's package binds, so the attribute path resolves; a
+    # self-registering build is in sys.modules before its package, which then never binds it
+    code = """
+import sys
+from gptw import ontic, serialize
+lp = ontic._local_lp(serialize.load_box(sys.argv[2]), ontic._alice_maps(2, 2))
+if sys.argv[1] == "before":
+    import scipy.optimize
+ontic.linprog(*lp)
+import scipy.optimize._highspy
+from scipy.optimize._highspy import _core
+bound = getattr(scipy.optimize._highspy, "_core", None)
+print(_core is ontic._highs_core(), bound is ontic._highs_core() and bound._Highs.__name__)
+"""
+    unbound = order == "after" and core_registers_itself
+    assert run_src(code, order, ISOTROPIC_HALF) == ["True False" if unbound else "True _Highs"]
+
+
+def test_two_threads_solving_first_at_once_share_one_core(core_registers_itself):
+    # both threads may miss the cache and load the file; each load must give the one module object
+    code = """
+import importlib.util, sys, threading
+from gptw import ontic, serialize
+lp = ontic._local_lp(serialize.load_box(sys.argv[1]), ontic._alice_maps(2, 2))
+loaded, results, start = [], [], threading.Barrier(2)
+module_from_spec = importlib.util.module_from_spec
+importlib.util.module_from_spec = lambda spec: loaded.append(module_from_spec(spec)) or loaded[-1]
+
+def first_solve():
+    start.wait()
+    results.append(ontic.linprog(*lp).fun)
+
+threads = [threading.Thread(target=first_solve) for _ in range(2)]
+for t in threads:
+    t.start()
+for t in threads:
+    t.join()
+core = ontic._highs_core()
+print(bool(loaded) and all(m is core for m in loaded), results[0] == results[1], ontic.HIGHS_CORE in sys.modules)
+"""
+    assert run_src(code, ISOTROPIC_HALF) == [f"True True {core_registers_itself}"]
 
 
 def test_find_local_model_looks_up_linprog_at_call_time(monkeypatch, isotropic_half):
@@ -309,6 +376,26 @@ def test_cap_counts_lp_nonzeros(monkeypatch, m, admitted):
     monkeypatch.setattr(ontic, "linprog", refuse_to_solve)
     with pytest.raises(Solved if admitted else SizeLimitError):
         find_local_model(CorrelationBox((m, m), (2, 2), table))
+
+
+def product_box(settings: tuple[int, int], outcomes: tuple[int, int], seed: int) -> CorrelationBox:
+    """A seeded local box: Alice and Bob answer independently, each from one distribution per setting."""
+    rng = np.random.default_rng(seed)
+    alice = rng.dirichlet(np.ones(outcomes[0]), settings[0])
+    bob = rng.dirichlet(np.ones(outcomes[1]), settings[1])
+    return CorrelationBox(settings, outcomes, np.einsum("xa,yb->xyab", alice, bob))
+
+
+@pytest.mark.parametrize("settings, outcomes, admitted", [
+    ((2, 511), (2, 2), True),  # 4 * 512 pieces * 511 * 2 = 2,093,056 certificate cells
+    ((2, 512), (2, 2), False),  # 4 * 513 * 512 * 2 = 2,101,248
+    ((1, 1), (1, 1448), True),  # 1448 pieces * 1447 cut outcomes = 2,095,256
+    ((1, 1), (1, 1449), False),  # 1449 * 1448 = 2,098,152: within MAX_LP_NONZEROS, not this cap
+])
+def test_cap_counts_certificate_cells(monkeypatch, settings, outcomes, admitted):
+    monkeypatch.setattr(ontic, "linprog", refuse_to_solve)
+    with pytest.raises(Solved if admitted else SizeLimitError, match=None if admitted else "certificate"):
+        find_local_model(product_box(settings, outcomes, seed=5))
 
 
 def count_solves(monkeypatch) -> list:
