@@ -17,7 +17,7 @@ _EXPORTS = {
         interference_flag pairwise_commuting theorem1_construct""",
     "correlations": """ChshValue CorrelationBox MonogamyReport NoSignallingReport
         check_no_signalling check_ns_monogamy check_strong_monogamy chsh chsh_margin
-        correlator exact_chsh_witness is_bell_nonlocal""",
+        exact_chsh_witness is_bell_nonlocal""",
     "duality": """SpatialScenario TemporalScenario distribution_error spatial_scenario
         spatial_to_temporal temporal_scenario temporal_to_spatial""",
     "errors": """ArityError DimensionMismatchError GptwError PreconditionError SizeLimitError

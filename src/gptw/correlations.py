@@ -2,41 +2,33 @@
 
 Works on n-party correlation boxes p(a_1..a_n | x_1..x_n) with n <= MAX_PARTIES = 3.
 Outcomes are valued (-1)**a throughout; a box itself stays purely
-probabilistic.
-
-The CHSH combination for an ordered pair of settings per side is
+probabilistic.  The CHSH combination for an ordered pair of settings per side is
 
     B = E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1)
 
 Nonlocality and monogamy searches quantify over ordered setting pairs and
-outcome relabelings of each party (i.e. they compare |B| against the bound);
-this makes the CHSH family complete for two-setting two-outcome boxes, which
-the local-model LP cross-check relies on.  Monogamy additionally quantifies
-over which party plays the shared middle role, with the middle party's
-ordered setting pair common to both terms, exactly as the defining
-expressions B_AB + B_BC (<= 4) and B_AB^2 + B_BC^2 (<= 8) share the B
-measurements, and over the spectator's setting in each term, since a
-signalling box's pair marginal depends on it.
+outcome relabelings of each party (via |B|); this makes the CHSH family
+complete for two-setting two-outcome boxes, which the local-model LP
+cross-check relies on.  Monogamy also quantifies over the middle party, whose
+ordered setting pair both terms of B_AB + B_BC (<= 4) and B_AB^2 + B_BC^2
+(<= 8) share, and over each term's spectator setting, since a signalling
+box's pair marginal depends on it.  Both searches take B at every choice at
+once from one correlator tensor per party pair (`_chsh_table`), and at a
+fixed middle pair each wing's largest |B| gives the exact monogamy maximum.
 
-Both searches read one correlator tensor per party pair, E[x, y, x_spectator]
-with the spectator's outcome summed out, and take B for every ordered
-setting pair at once by indexing it.  The monogamy worst case then separates:
-at a fixed middle setting pair the two terms share no other choice, and both
-objectives increase in each |B|, so each wing's largest |B| over its pairs
-and spectator settings gives the exact maximum.
-
-A float |B| can land on the wrong side of 2 + tol by rounding: a local box
-whose exact |B| is 2 can read 2.0000000000000004.  `exact_chsh_witness`
-re-checks every setting pair within the rounding bound of the threshold
-exactly (`chsh_margin`), with `math.fsum`, which returns the sum of its
-floats correctly rounded (Shewchuk's exact partials).  The exact sum of
-finite floats is a multiple of 2**-1074, so a nonzero sum never rounds to 0
-and the rounded sum has the sign of the exact one.  It always returns a
-witness: the first whose exact |B| exceeds 2 + tol, with its exact margin,
-or else the float-best one with None, so one scan of the table serves both
-the verdict and the witness it reports.  `is_bell_nonlocal` returns that
-verdict and witness: every CHSH verdict in the package comes from this one
-function.
+A witness's 16 table entries are read in one way.  `chsh` and `chsh_margin`
+gather them through one checked helper, `_witness_cells`; `chsh` sums a
+spectator's outcomes and forms E and B in `_chsh_table`'s order, so its value
+equals the searches' value at the same settings bit for bit.  A float |B| can
+still land on the wrong side of 2 + tol (a local box whose exact |B| is 2 can
+read 2.0000000000000004), so verdicts come from one exact sum, `_exact_margins`:
+`math.fsum` returns the sum of its floats correctly rounded, and a nonzero sum
+of finite floats never rounds to 0.  `exact_chsh_witness` re-checks the
+float-best witness, then every other setting pair within the rounding bound
+of the threshold, their entries gathered by index in fixed-size chunks.  It
+returns the first witness whose exact |B| exceeds 2 + tol with its margin, or
+the float-best one with None; `is_bell_nonlocal` returns that verdict, and
+every CHSH verdict in the package comes from this one function.
 """
 from __future__ import annotations
 
@@ -59,7 +51,10 @@ STRONG_MONOGAMY_BOUND = 8.0
 # pairs within this relative slack of the threshold (and at least this absolute one) get an exact check
 CHSH_ROUNDING = 2.0**-40
 # B's coefficient of p(ab|xy) in rows E(a0,b0), E(a0,b1), E(a1,b0), E(a1,b1), outcomes 00, 01, 10, 11
-_CHSH_SIGNS = (1, -1, -1, 1) * 3 + (-1, 1, 1, -1)
+_CHSH_SIGNS = np.array((1, -1, -1, 1) * 3 + (-1, 1, 1, -1), dtype=float)[:, None]
+# which setting of the pairs (a0, a1) and (b0, b1) each of those rows reads
+_TERM_A, _TERM_B = np.array([0, 0, 1, 1]), np.array([0, 1, 0, 1])
+_SCAN_CHUNK = 1024  # witnesses whose cells the exact scan gathers at once
 
 
 class CorrelationBox:
@@ -145,14 +140,35 @@ class ChshValue:
     spectator_settings: tuple[int, ...] = ()  # the other parties' settings, in party order
 
 
-def correlator(box: CorrelationBox, x: int, y: int) -> float:
-    """Product expectation E(x, y) = sum_ab (-1)^(a+b) p(ab|xy) of a 2-party box."""
-    if box.n_parties != 2:
-        raise ArityError("correlator needs a bipartite box (marginalize first)")
-    if box.outcomes != (2, 2):
-        raise ArityError("correlator needs two-outcome parties")
-    p = box.prob((x, y))
-    return float(p[0, 0] - p[0, 1] - p[1, 0] + p[1, 1])
+def _witness_cells(box: CorrelationBox, parties, a_settings, b_settings, spectators: tuple) -> np.ndarray:
+    """B's entries [E term, a, b, spectator outcomes] at one witness, checked: ArityError unless its parties
+    are two distinct two-outcome indices, with one spectator setting per other party, and every setting is in range."""
+    n, parties = box.n_parties, tuple(parties)
+    if len(parties) != 2 or parties[0] == parties[1] or not (0 <= min(parties) and max(parties) < n):
+        raise ArityError(f"parties {parties} must be two distinct indices in [0, {n})")
+    first, second = parties
+    if box.outcomes[first] != 2 or box.outcomes[second] != 2:
+        raise ArityError(f"CHSH needs two-outcome parties, got outcomes {box.outcomes}")
+    others = [k for k in range(n) if k not in parties]
+    if len(spectators) != len(others):
+        raise ArityError(f"one spectator setting per other party required, got {len(spectators)} for {len(others)}")
+    box._check_settings((first, first, second, second, *others), (*a_settings, *b_settings, *spectators))
+    order = (first, second, *others)
+    table = box.table.transpose(order + tuple(n + k for k in order))
+    return table[(np.array(a_settings)[_TERM_A], np.array(b_settings)[_TERM_B], *spectators)]
+
+
+def _exact_margins(cells: np.ndarray, tol: float):
+    """For each witness of [k, ...] `cells`: exact |B| - 2 - tol as the nearest float if positive, else None.
+
+    One `math.fsum` of the entries times their +-1 has the sign of the exact
+    B; a second with -2 and -tol (negated, with 2 and tol, when B < 0: the
+    rounding is symmetric) is the exact margin correctly rounded, and a
+    positive one is at least 2**-1074.  `tol` inf and NaN give None, -inf inf.
+    """
+    for terms in (cells.reshape(len(cells), 16, -1) * _CHSH_SIGNS).reshape(len(cells), -1).tolist():
+        margin = -math.fsum(terms + [2.0, tol]) if math.fsum(terms) < 0 else math.fsum(terms + [-2.0, -tol])
+        yield margin if margin > 0 else None
 
 
 def chsh(
@@ -164,21 +180,18 @@ def chsh(
     parties: tuple[int, int] = (0, 1),
     spectator_settings: Sequence[int] | None = None,
 ) -> ChshValue:
-    """CHSH quantity E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1).
+    """CHSH quantity E(a0,b0) + E(a0,b1) + E(a1,b0) - E(a1,b1) of a party pair.
 
-    For boxes with more than two parties the pair marginal is taken first
-    (spectators at `spectator_settings`, default 0 each), and the value
-    records the spectator settings used.
+    A spectator's outcomes are summed out at its setting in
+    `spectator_settings` (default 0 each), which the value records.  The
+    arithmetic is `_chsh_table`'s, so the value equals the searches' value
+    at the same settings bit for bit.
     """
-    two = box if box.n_parties == 2 and parties == (0, 1) else box.marginal(parties, spectator_settings)
-    value = (
-        correlator(two, a0, b0)
-        + correlator(two, a0, b1)
-        + correlator(two, a1, b0)
-        - correlator(two, a1, b1)
-    )
     spectators = (0,) * (box.n_parties - 2) if spectator_settings is None else tuple(spectator_settings)
-    return ChshValue(value, (a0, a1), (b0, b1), parties, spectators)
+    cells = _witness_cells(box, parties, (a0, a1), (b0, b1), spectators)
+    p = (cells.sum(axis=3) if spectators else cells).tolist()  # a spectator's outcomes, summed as `_marginal` does
+    e = [q[0][0] - q[0][1] - q[1][0] + q[1][1] for q in p]
+    return ChshValue(e[0] + e[1] + e[2] - e[3], (a0, a1), (b0, b1), tuple(parties), spectators)
 
 
 @cache
@@ -194,10 +207,11 @@ def _chsh_table(box: CorrelationBox, first: int, second: int) -> tuple[np.ndarra
 
     Returns (B, first_pairs, second_pairs): B[p, q, z] is the CHSH value at
     `first_pairs[p]`, `second_pairs[q]` and the spectator's setting z (no z
-    axis for a bipartite box), the spectator's outcome summed out.  The
-    correlators are spelled out as in `correlator`, so every value equals
-    the one `chsh` computes.  A table over `MAX_CHSH_ENTRIES` is refused
-    before anything is allocated.
+    axis for a bipartite box).  The spectator's outcomes are summed first,
+    then E = p00 - p01 - p10 + p11 and B are formed in `chsh`'s order, so
+    every value equals `chsh` at the same settings and spectator setting,
+    bit for bit.  A table over `MAX_CHSH_ENTRIES` is refused before anything
+    is allocated.
     """
     size = math.prod(box.settings) * (box.settings[first] - 1) * (box.settings[second] - 1)
     if size > MAX_CHSH_ENTRIES:
@@ -242,29 +256,13 @@ def is_bell_nonlocal(box: CorrelationBox, tol: float = 1e-9) -> tuple[bool, Chsh
 def chsh_margin(box: CorrelationBox, witness: ChshValue, tol: float) -> float | None:
     """Exact |B| - 2 - tol at the witness's settings, as the nearest float, if positive; else None.
 
-    B is summed from the 16 table entries of the witness's parties, each
-    with coefficient +-1 (a spectator's outcomes summed out at the witness's
-    spectator setting, 0 if it records none, as in `chsh`).  One `math.fsum`
-    of the signed entries has the sign of the exact B, and negating a float
-    is exact, so a second `fsum` of the entries signed for |B|, -2 and -tol
-    is the exact margin correctly rounded.  A positive margin never rounds
-    to 0.0: it is at least 2**-1074.  Any float `tol` is taken: inf and NaN
-    give None, -inf inf.
+    B's 16 table entries are read as `chsh` reads them (a spectator at the
+    witness's setting, 0 if it records none), with the spectator's outcomes
+    kept apart, and summed by `_exact_margins`.
     """
-    (a0, a1), (b0, b1) = witness.a_settings, witness.b_settings
-    table = box.table
-    if witness.parties != (0, 1):  # the pair's axes first, then the spectator's, settings before outcomes
-        order = [*witness.parties, *(k for k in range(box.n_parties) if k not in witness.parties)]
-        table = table.transpose(order + [box.n_parties + k for k in order])
     spectators = witness.spectator_settings or (0,) * (box.n_parties - 2)
-    # the 16 entries in `_CHSH_SIGNS` order, each followed by the spectator's outcomes
-    cells = table[([a0, a0, a1, a1], [b0, b1, b0, b1]) + spectators].reshape(-1).tolist()
-    per_entry = len(cells) // 16
-    terms = [_CHSH_SIGNS[k // per_entry] * c for k, c in enumerate(cells)]
-    if math.fsum(terms) < 0:
-        terms = [-t for t in terms]
-    margin = math.fsum(terms + [-2.0, -tol])
-    return margin if margin > 0 else None
+    cells = _witness_cells(box, witness.parties, witness.a_settings, witness.b_settings, spectators)
+    return next(_exact_margins(cells[None], tol))
 
 
 def exact_chsh_witness(box: CorrelationBox, tol: float) -> tuple[ChshValue, float | None]:
@@ -277,22 +275,29 @@ def exact_chsh_witness(box: CorrelationBox, tol: float) -> tuple[ChshValue, floa
     |B| first and in (a0, a1, b0, b1) order on ties.  Bipartite two-outcome
     boxes; a `tol` of inf or NaN gives margin None, and -inf the margin inf.
     """
-    table = _bipartite_chsh_table(box)
-    size = np.abs(table[0]).reshape(-1)
+    table = values, a_pairs, b_pairs = _bipartite_chsh_table(box)
+    size = np.abs(values).reshape(-1)
     threshold = 2.0 + tol
     floor = threshold - CHSH_ROUNDING * max(1.0, abs(threshold))
-    best = _witness(*table, int(size.argmax()))
+    k = int(size.argmax())
+    best = _witness(*table, k)
     if not abs(best.value) > floor:  # a tol of inf or NaN makes the floor NaN
         return best, None
-    margin = chsh_margin(box, best, tol)
+    # the indices come from the table, so the cells are gathered unchecked: the float-best witness's
+    # first, then the others' in chunks that bound the memory
+    p, q = divmod(k, values.shape[1])
+    margin = next(_exact_margins(box.table[a_pairs[p, _TERM_A], b_pairs[q, _TERM_B]][None], tol))
     if margin is not None:
         return best, margin
     near = np.flatnonzero(size > floor)
-    for k in near[np.argsort(-size[near], kind="stable")].tolist()[1:]:  # the float-best leads: checked
-        witness = _witness(*table, k)
-        margin = chsh_margin(box, witness, tol)
-        if margin is not None:
-            return witness, margin
+    rest = near[np.argsort(-size[near], kind="stable")][1:]  # the float-best leads: checked
+    a_terms, b_terms = a_pairs[:, _TERM_A], b_pairs[:, _TERM_B]
+    for start in range(0, len(rest), _SCAN_CHUNK):
+        chunk = rest[start : start + _SCAN_CHUNK]
+        cells = box.table[a_terms[chunk // values.shape[1]], b_terms[chunk % values.shape[1]]]
+        for k, margin in zip(chunk.tolist(), _exact_margins(cells, tol)):
+            if margin is not None:
+                return _witness(*table, k), margin
     return best, None
 
 

@@ -21,8 +21,9 @@ branches and effects, one NumPy call per stage.  Each marginal (rho_A one
 way, rho_bar the other) is decomposed once, by one `eigh` of its transpose:
 that spectrum serves the marginal's PSD check, the square root and the inverse
 square root with its support.  A matrix passes the validating checks iff its
-transpose does, so each such pair is checked once: the marginal, and the
-first-party POVM rather than the POVM it transposes.  Both directions verify
+transpose does, up to the rounding of its eigenvalues, so each such pair is
+checked once: the marginal, and the first-party POVM, whose transpose goes to
+the ensemble as a bare effect stack.  Both directions verify
 the distribution equality they promise and raise ValidationError if the
 reconstruction misses it, so a returned scenario is already checked.
 Supports 2 and 3 total systems (one upstream system plus 1 or 2 outputs).
@@ -39,7 +40,6 @@ from .quantum import (
     DensityMatrix,
     Povm,
     partial_trace,
-    transpose_povm,
     _born,
     _conditional_channel,
     _inv_sqrt_from,
@@ -148,7 +148,7 @@ def spatial_to_temporal(spatial: SpatialScenario, tol: float = CONSTRUCTION_TOL)
     d_a = dims[0]
     rho_a = partial_trace(spatial.state.matrix, (d_a, spatial.state.dim // d_a), keep=(0,))
     rho_a_t, vals, eigvecs = _transposed_state(rho_a)
-    ensemble = _leifer_ensemble(rho_a_t, transpose_povm(spatial.povms[0]), _sqrt_from(vals, eigvecs))
+    ensemble = _leifer_ensemble(rho_a_t, spatial.povms[0].element_stack.transpose(0, 2, 1), _sqrt_from(vals, eigvecs))
     # rho_A = conj(rho_A^T): its eigenvectors are the conjugated ones
     channel = _conditional_channel(spatial.state, *_inv_sqrt_from(vals, eigvecs.conj()))
     temporal = temporal_scenario(ensemble, channel, spatial.povms[1:])

@@ -451,16 +451,16 @@ def leifer_ensemble(rho: DensityMatrix, povm: Povm) -> EnsemblePreparation:
     state; its statistics never contribute.  The live branch states are
     checked as one stack, with `DensityMatrix`'s messages.
     """
-    return _leifer_ensemble(rho, povm, mat_sqrt(rho.matrix))
-
-
-def _leifer_ensemble(rho: DensityMatrix, povm: Povm, root: np.ndarray) -> EnsemblePreparation:
-    """`leifer_ensemble` with sqrt(rho) computed by the caller."""
     if rho.dim != povm.dim:
         raise DimensionMismatchError("state and POVM dimensions differ")
-    weights = np.einsum("ij,kji->k", rho.matrix, povm.element_stack).real  # Tr(rho M_k)
+    return _leifer_ensemble(rho, povm.element_stack, mat_sqrt(rho.matrix))
+
+
+def _leifer_ensemble(rho: DensityMatrix, effects: np.ndarray, root: np.ndarray) -> EnsemblePreparation:
+    """`leifer_ensemble` along a checked effect stack of rho's dimension, with sqrt(rho) computed by the caller."""
+    weights = np.einsum("ij,kji->k", rho.matrix, effects).real  # Tr(rho M_k)
     live = weights > EPS_BRANCH
-    branches = root @ povm.element_stack[live] @ root / weights[live][:, None, None]
+    branches = root @ effects[live] @ root / weights[live][:, None, None]
     _check_density(branches)
     branches.flags.writeable = False
     checked = iter(branches)

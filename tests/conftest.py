@@ -72,6 +72,24 @@ def local_draws(count: int, m: int = 2, seed: int = 1):
         yield CorrelationBox((m, m), (2, 2), table)
 
 
+def near_deterministic_boxes(count: int, seed: int = 1):
+    """Seeded tripartite qubit boxes: a computational basis state off by 1e-9, each setting Z or random.
+
+    Summing a spectator's two outcomes here can give a pair marginal entry
+    of 1.0000000000000002, which a `CorrelationBox` of the pair would clip
+    to 1.
+    """
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        vec = np.zeros(8, dtype=complex)
+        vec[rng.integers(8)] = 1.0
+        vec += 1e-9 * (rng.normal(size=8) + 1j * rng.normal(size=8))
+        state = q.DensityMatrix.pure(vec / np.linalg.norm(vec), dims=(2, 2, 2))
+        settings = [[q.z_basis() if rng.random() < 0.5 else q.random_projective_qubit(rng) for _ in range(2)]
+                    for _ in range(3)]
+        yield q.multipartite_box(state, settings)
+
+
 @pytest.fixture
 def isotropic_half() -> CorrelationBox:
     return CorrelationBox((2, 2), (2, 2), isotropic_table(0.5))

@@ -11,13 +11,13 @@ import pytest
 
 from gptw import correlations, quantum as q
 from gptw.correlations import (
+    ChshValue,
     CorrelationBox,
     check_no_signalling,
     check_ns_monogamy,
     check_strong_monogamy,
     chsh,
     chsh_margin,
-    correlator,
     exact_chsh_witness,
     is_bell_nonlocal,
 )
@@ -25,7 +25,7 @@ from gptw.duality import spatial_scenario, spatial_to_temporal
 from gptw.errors import ArityError, SizeLimitError, ValidationError
 from gptw.theory import outcome_distribution
 
-from conftest import isotropic_table, local_draws, singlet_optimal_settings
+from conftest import isotropic_table, local_draws, near_deterministic_boxes, singlet_optimal_settings
 
 
 def chsh_oracle(table: np.ndarray, a0, a1, b0, b1) -> float:
@@ -184,12 +184,12 @@ def test_chsh_party_exchange_invariance(singlet_optimal_box):
     ) < 1e-12
 
 
-def test_correlator_rejects_non_binary():
+def test_chsh_rejects_non_binary():
     t = np.zeros((1, 1, 3, 2))
     t[0, 0, 0, 0] = 1.0
     box = CorrelationBox((1, 1), (3, 2), t)
-    with pytest.raises(ArityError):
-        correlator(box, 0, 0)
+    with pytest.raises(ArityError, match="two-outcome"):
+        chsh(box, 0, 0, 0, 0)
 
 
 # -- prepare-measure chsh --------------------------------------------------------------
@@ -383,6 +383,110 @@ def test_chsh_margin_takes_the_sign_of_the_exact_b():
     witness, e = chsh(box), fraction_correlators(box.table)
     assert fraction_chsh(e, witness.a_settings, witness.b_settings) == Fraction(1, 2**61)
     assert chsh_margin(box, witness, -2.0) == 2.0**-61
+
+
+def random_box(settings, outcomes, rng) -> CorrelationBox:
+    """Uniform random entries normalized per setting tuple, any outcome counts: signalling in general."""
+    raw = rng.random(tuple(settings) + tuple(outcomes))
+    return CorrelationBox(settings, outcomes, raw / raw.sum(axis=tuple(range(len(settings), raw.ndim)), keepdims=True))
+
+
+def assert_chsh_reads_the_table(box: CorrelationBox, first: int, second: int) -> None:
+    """`chsh` at every choice of `_chsh_table(box, first, second)` is that table's value, bit for bit."""
+    values, first_pairs, second_pairs = correlations._chsh_table(box, first, second)
+    spectators = [()] if box.n_parties == 2 else [(z,) for z in range(box.settings[3 - first - second])]
+    for (i, a), (j, b) in product(enumerate(first_pairs.tolist()), enumerate(second_pairs.tolist())):
+        for z in spectators:
+            assert chsh(box, *a, *b, parties=(first, second), spectator_settings=z).value == values[(i, j, *z)]
+
+
+@pytest.mark.parametrize("m", [2, 3, 4, 6])
+def test_chsh_equals_the_bipartite_table_bit_for_bit(m):
+    rng = np.random.default_rng(40 + m)
+    for box in [random_signalling_box((m, m + 1), rng), random_quantum_box((m, m), rng), *local_draws(3, m, seed=m)]:
+        assert_chsh_reads_the_table(box, 0, 1)
+        assert_chsh_reads_the_table(box, 1, 0)
+
+
+@pytest.mark.parametrize("settings", [(2, 2, 2), (3, 2, 3), (2, 4, 3)])
+def test_chsh_equals_the_tripartite_table_bit_for_bit(settings):
+    rng = np.random.default_rng(50 + sum(settings))
+    for box in (random_box(settings, (2, 2, 2), rng), random_quantum_box(settings, rng)):
+        for first, second in permutations(range(3), 2):
+            assert_chsh_reads_the_table(box, first, second)
+    # a three-outcome spectator: its outcomes are summed as the table sums them
+    for spectator in range(3):
+        outcomes = tuple(3 if k == spectator else 2 for k in range(3))
+        box = random_box(settings, outcomes, rng)
+        for first, second in permutations([k for k in range(3) if k != spectator]):
+            assert_chsh_reads_the_table(box, first, second)
+
+
+def test_chsh_equals_the_table_where_a_pair_marginal_rounds_above_one():
+    boxes = list(near_deterministic_boxes(400))
+    pairs = [(0, 1), (0, 2), (1, 2)]
+    above = sum(int((correlations._marginal(box.table, pair) > 1).sum()) for box in boxes for pair in pairs)
+    assert above >= 20  # each such entry was clipped to 1 when `chsh` read a pair's own box
+    for box in boxes:
+        for first, second in permutations(range(3), 2):
+            assert_chsh_reads_the_table(box, first, second)
+
+
+def test_reported_witnesses_and_monogamy_terms_equal_chsh():
+    rng = np.random.default_rng(60)
+    bipartite = [make((m, m), rng) for m in (2, 3, 4, 6) for make in (random_signalling_box, random_quantum_box)]
+    for box in bipartite + list(local_draws(40, 3, seed=6)):
+        for tol in (0.0, 1e-9):
+            for witness in (exact_chsh_witness(box, tol)[0], is_bell_nonlocal(box, tol)[1]):
+                assert chsh(box, *witness.a_settings, *witness.b_settings).value == witness.value
+    tripartite = [random_quantum_box((m, m, m), rng) for m in (2, 3)] + list(near_deterministic_boxes(100, seed=2))
+    for box in tripartite:
+        for check in (check_ns_monogamy, check_strong_monogamy):
+            assert_labels_reproduce_terms(box, check(box))
+
+
+@pytest.mark.parametrize(
+    "witness",
+    [
+        ChshValue(4.0, (0, -1), (0, 1)),
+        ChshValue(4.0, (0, 1), (2, 1)),
+        ChshValue(4.0, (0, 1), (0, 1), spectator_settings=(5,)),
+        ChshValue(4.0, (0, 1), (0, 1), spectator_settings=(1,)),
+        ChshValue(4.0, (0, 1), (0, 1), parties=(0, 0)),
+        ChshValue(4.0, (0, 1), (0, 1), parties=(1, 2)),
+    ],
+    ids=["negative-setting", "setting-out-of-range", "spectator-5", "spectator-1", "repeated-party", "missing-party"],
+)
+def test_chsh_margin_refuses_a_malformed_witness(pr_box, witness):
+    # NumPy would wrap the -1 (margin 1.999999999 at tol 1e-9), index past the table or refuse the transpose
+    with pytest.raises(ArityError):
+        chsh_margin(pr_box, witness, 1e-9)
+
+
+@pytest.mark.parametrize(
+    "settings, spectators, match",
+    [
+        ((2, 2), (5,), "one spectator setting"),
+        ((2, 2), (1,), "one spectator setting"),
+        ((2, 2, 2), (), "one spectator setting"),
+        ((2, 2, 2), (0, 0), "one spectator setting"),
+        ((2, 2, 2), (2,), "out of range"),
+        ((2, 2, 2), (-1,), "out of range"),
+    ],
+)
+def test_chsh_refuses_malformed_spectator_settings(settings, spectators, match):
+    box = random_signalling_box(settings, np.random.default_rng(21))
+    with pytest.raises(ArityError, match=match):
+        chsh(box, spectator_settings=spectators)
+    if spectators:  # a witness that records none reads each spectator at setting 0, as `chsh` does
+        with pytest.raises(ArityError, match=match):
+            chsh_margin(box, ChshValue(2.0, (0, 1), (0, 1), spectator_settings=spectators), 0.0)
+
+
+def test_chsh_margin_refuses_a_non_binary_party():
+    box = random_box((2, 2), (3, 2), np.random.default_rng(22))
+    with pytest.raises(ArityError, match="two-outcome"):
+        chsh_margin(box, ChshValue(2.0, (0, 1), (0, 1)), 0.0)
 
 
 @pytest.mark.parametrize("settings", [(1, 2), (2, 1), (1, 2, 2), (2, 2, 1)])
@@ -590,14 +694,14 @@ def monogamy_scan_oracle(box3: CorrelationBox) -> list[tuple]:
 
 
 def assert_labels_reproduce_terms(box3: CorrelationBox, report) -> None:
-    """Each term is the largest |B| of its labelled settings over the spectator's settings."""
+    """Each term is the largest |B| of its labelled settings over the spectator's settings, bit for bit."""
     for wing, pair, term in zip(report.wings, report.wing_settings, report.terms):
         spectator = 3 - report.middle - wing
         values = [
             abs(chsh(box3, *report.middle_settings, *pair, parties=(report.middle, wing), spectator_settings=(z,)).value)
             for z in range(box3.settings[spectator])
         ]
-        assert max(values) == pytest.approx(term, abs=1e-12)
+        assert max(values) == term
 
 
 OBJECTIVES = [

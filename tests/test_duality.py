@@ -489,6 +489,21 @@ def test_round_trip_checks_every_state_on_its_own_matrix(monkeypatch):
         assert_checked(branch.matrix)
 
 
+
+@pytest.mark.parametrize("dims", [(2, 2), (4, 4), (3, 2, 2)])
+def test_spatial_to_temporal_builds_no_povm(monkeypatch, dims):
+    """The first party's POVM was checked by `spatial_scenario`: its transpose goes in as a bare stack."""
+    rng = np.random.default_rng(610 + sum(dims))
+    state = q.ginibre_state(int(np.prod(dims)), rng, dims=dims)
+    spatial = spatial_scenario(state, [q.random_povm(k, 3, rng) for k in dims])
+    built = []
+    init = q.Povm.__init__
+    monkeypatch.setattr(q.Povm, "__init__", lambda self, elements: built.append(1) or init(self, elements))
+    temporal = spatial_to_temporal(spatial)
+    assert built == [] and len(temporal.ensemble) == 3
+    temporal_to_spatial(temporal)  # the other way builds the first-party POVM it returns
+    assert built == [1]
+
 def _mutant(kind: str, d: int, rng: np.random.Generator) -> np.ndarray:
     """A d x d density matrix off by 1e-12 to 1e-8: non-Hermitian, off-trace or with a negative eigenvalue."""
     eps = 10 ** rng.uniform(-12, -8)

@@ -16,7 +16,7 @@ PUBLIC_NAMES = {
     "broadcast": "BroadcastCheck Theorem1Result broadcast_commuting commutator_norm interference_flag "
     "pairwise_commuting theorem1_construct",
     "correlations": "ChshValue CorrelationBox MonogamyReport NoSignallingReport check_no_signalling "
-    "check_ns_monogamy check_strong_monogamy chsh chsh_margin correlator exact_chsh_witness is_bell_nonlocal",
+    "check_ns_monogamy check_strong_monogamy chsh chsh_margin exact_chsh_witness is_bell_nonlocal",
     "duality": "SpatialScenario TemporalScenario distribution_error spatial_scenario spatial_to_temporal "
     "temporal_scenario temporal_to_spatial",
     "errors": "ArityError DimensionMismatchError GptwError PreconditionError SizeLimitError SolverError "
@@ -35,7 +35,7 @@ PUBLIC_NAMES = {
 }
 # exported once, deleted with no caller: neither the package nor the module has them
 DELETED_NAMES = {
-    "correlations": "chsh_prepare_measure",
+    "correlations": "chsh_prepare_measure correlator",
     "duality": "verify_ocj",
     "quantum": "kraus_from_choi marginal_channel",
 }
