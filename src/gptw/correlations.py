@@ -33,6 +33,7 @@ every CHSH verdict in the package comes from this one function.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from functools import cache
 from typing import Sequence
@@ -89,8 +90,12 @@ class CorrelationBox:
         return self.table[xs]
 
     def _check_settings(self, parties: Sequence[int], settings: Sequence[int]) -> None:
-        """Refuse a setting outside [0, settings[k]): NumPy would wrap a negative one."""
+        """Refuse a setting that is not an integer in [0, settings[k]): NumPy would wrap a negative one."""
         for k, s in zip(parties, settings):
+            try:
+                s = operator.index(s)
+            except TypeError:
+                raise ArityError(f"setting {s!r} of party {k} is not an integer") from None
             if not 0 <= s < self.settings[k]:
                 raise ArityError(f"setting {s} of party {k} is out of range: it has {self.settings[k]} settings")
 

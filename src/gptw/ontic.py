@@ -19,10 +19,14 @@ The returned certificate over strategy pairs is re-checked in exact
 arithmetic to guard against solver false positives; a solution that HiGHS
 places within `tol` but that fails the re-check is solved once more at
 tighter feasibility tolerances before the answer is None.  `_local_lp`
-builds the LP in HiGHS's column-wise form, and `linprog` hands it unchanged
-to the dual simplex in scipy's HiGHS bindings with the options that
+builds the LP in HiGHS's column-wise form: its matrix, costs and row lower
+bounds depend only on the box's shape and are built once per shape
+(`_lp_shape`, a small LRU cache of read-only arrays), so a box adds only its
+row upper bounds.  `linprog` hands the LP unchanged to the dual simplex in
+scipy's HiGHS bindings with the options that
 `scipy.optimize.linprog(method="highs")` sets: the same pivots, and
-linprog's post-solve feasibility check kept.
+linprog's post-solve feasibility check kept.  Each thread keeps one HiGHS
+solver, cleared of its model and options before every solve.
 
 Before any LP is built, two-outcome boxes pass a CHSH gate (`chsh_gate`):
 the best CHSH witnesses are re-evaluated exactly, and if one has
@@ -46,8 +50,9 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, lru_cache
 from typing import Mapping, NamedTuple, Sequence
 
 import numpy as np
@@ -324,6 +329,17 @@ def _highs_core():
     return core
 
 
+_SOLVERS = threading.local()
+
+
+def _thread_solver(highs):
+    """This thread's `_Highs`, made from the module `highs` and made again if that module changes."""
+    held = getattr(_SOLVERS, "held", None)
+    if held is None or held[0] is not highs:
+        held = _SOLVERS.held = (highs, highs._Highs())
+    return held[1]
+
+
 def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     """min c x s.t. row_lower <= A x <= row_upper, x >= 0, by HiGHS's dual simplex as linprog runs it.
 
@@ -333,6 +349,10 @@ def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     about 0.01 s and 3 MB, where importing the scipy.optimize package took
     0.4-0.8 s and 45 MB on a 2-vCPU VM.  `options` adds HiGHS options; a
     name or value HiGHS rejects raises ValueError.
+    Each thread solves on its own `_Highs`, made on its first solve and
+    kept (`_thread_solver`); `clearModel` and `resetOptions` run before every
+    solve, so no model, basis or option carries over from the last, but the
+    solver keeps the memory of the largest LP its thread has solved.
     The optimum passes linprog's post-solve check at tolerance 10 sqrt(1e-9),
     x >= -tol and every row within tol of its bounds with no NaN, or gets
     status 4.  `find_local_model` looks this name up at call time, so it
@@ -343,7 +363,9 @@ def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     # HiGHS reads each array up to the lengths it is given, so they are checked here
     if (len(row_upper), len(A.indptr), len(A.indices)) != (n_rows, n_cols + 1, len(A.data)):
         raise ValueError("ontic.linprog takes arrays of matching lengths")
-    solver = highs._Highs()
+    solver = _thread_solver(highs)
+    solver.clearModel()
+    solver.resetOptions()
     for name, setting in {**HIGHS_SETTINGS, **(options or {})}.items():
         if solver.setOptionValue(name, setting) != highs.HighsStatus.kOk:
             raise ValueError(f"HiGHS rejects the option {name}={setting!r}")
@@ -369,8 +391,20 @@ def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     return LpResult(0, message, x, fun, nit)
 
 
-def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> HighsLp:
-    """The sup-norm fit over Alice's strategies alpha, as the `HighsLp` that `linprog` solves.
+class _LpShape(NamedTuple):
+    """`_local_lp`'s arrays that depend only on the box's shape, all read-only."""
+
+    a_maps: np.ndarray  # `_alice_maps`, the strategy of each mass column
+    c: np.ndarray
+    A: ColumnMatrix
+    row_lower: np.ndarray
+    tail: np.ndarray  # row_upper after the two fit blocks: the bound rows' zeros and the mass row's 1
+
+
+# eight shapes hold at most about 80 MB: under MAX_LP_NONZEROS one is 8 MB at (10, 10) binary settings
+@lru_cache(maxsize=8)
+def _lp_shape(settings: tuple[int, int], outcomes: tuple[int, int]) -> _LpShape:
+    """The local-model LP of one box shape without its fit-row bounds, built once per shape.
 
     Variables z[alpha, y, b] for b < n_b - 1 (flat, alpha-major), the masses
     w[alpha], and t.  Bob's conditional under alpha is q[alpha, y, b] =
@@ -383,11 +417,11 @@ def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> HighsLp:
     With one Bob outcome there is no z, so those rows would only restate
     w >= 0 and are left out.  Each column's row indices are sorted.
     """
-    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
+    (n_x, n_y), (n_a, n_b) = settings, outcomes
+    a_maps = _alice_maps(n_x, n_a)
     n_alpha = len(a_maps)
     n_z = n_alpha * n_y * (n_b - 1)
-    target = box.table.reshape(-1)
-    n_fit = target.size
+    n_fit = n_x * n_y * n_a * n_b
     n_yb = n_y if n_b > 1 else 0  # bound rows per alpha
     mass_row = 2 * n_fit + n_alpha * n_yb
 
@@ -416,8 +450,22 @@ def _local_lp(box: CorrelationBox, a_maps: np.ndarray) -> HighsLp:
     c = np.zeros(n_z + n_alpha + 1)
     c[-1] = 1.0
     row_lower = np.concatenate([np.full(mass_row, -np.inf), [1.0]])
-    row_upper = np.concatenate([target, -target, np.zeros(n_alpha * n_yb), [1.0]])
-    return HighsLp(c, ColumnMatrix(data, indices.astype(np.int32), indptr.astype(np.int32)), row_lower, row_upper)
+    tail = np.concatenate([np.zeros(n_alpha * n_yb), [1.0]])
+    shape = _LpShape(a_maps, c, ColumnMatrix(data, indices.astype(np.int32), indptr.astype(np.int32)), row_lower, tail)
+    for array in (a_maps, c, *shape.A, row_lower, tail):
+        array.flags.writeable = False
+    return shape
+
+
+def _local_lp(box: CorrelationBox) -> HighsLp:
+    """The sup-norm fit over Alice's strategies alpha, as the `HighsLp` that `linprog` solves.
+
+    `c`, `A` and `row_lower` are the shape's cached read-only arrays (`_lp_shape`);
+    only `row_upper` = [p, -p, the shape's tail] is built per box.
+    """
+    shape = _lp_shape(box.settings, box.outcomes)
+    target = box.table.reshape(-1)
+    return HighsLp(shape.c, shape.A, shape.row_lower, np.concatenate([target, -target, shape.tail]))
 
 
 def _conditionals(x: np.ndarray, n_alpha: int, n_y: int, n_b: int) -> np.ndarray:
@@ -515,8 +563,8 @@ def _fit_local_model(box: CorrelationBox, tol: float) -> LocalModelCertificate |
     cells = n_a**n_x * (n_y * (n_b - 1) + 1) * n_y * max(n_x, n_b - 1)
     if cells > MAX_CERTIFICATE_CELLS:
         raise SizeLimitError(f"the certificate's {cells} strategy cells exceed the {MAX_CERTIFICATE_CELLS} cap")
-    a_maps = _alice_maps(n_x, n_a)
-    lp = _local_lp(box, a_maps)
+    a_maps = _lp_shape(box.settings, box.outcomes).a_maps
+    lp = _local_lp(box)
     res = _solve(lp)
     cert = _certificate(box, a_maps, res.x, tol)
     if cert is None and res.fun <= tol:

@@ -156,6 +156,31 @@ def test_prob_rejects_setting_out_of_range(pr_box, settings):
         pr_box.prob(settings)
 
 
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda box: chsh(box, 0, 1.0, 0, 1),
+        lambda box: chsh_margin(box, ChshValue(4.0, (0, 1.0), (0, 1)), 0.0),
+        lambda box: box.prob((0, 1.0)),
+        lambda box: box.prob((np.float64(0), 1)),
+        lambda box: box.marginal((0,), (0.0,)),
+    ],
+    ids=["chsh", "chsh_margin", "prob", "prob-numpy-float", "marginal-spectator"],
+)
+def test_non_integer_setting_is_an_arity_error(pr_box, call):
+    # NumPy refuses a float index with IndexError; the setting check names it first
+    with pytest.raises(ArityError, match="is not an integer"):
+        call(pr_box)
+
+
+def test_numpy_integer_settings_are_accepted(pr_box):
+    one = np.int64(1)
+    assert np.array_equal(pr_box.prob((np.int32(0), one)), pr_box.prob((0, 1)))
+    assert chsh(pr_box, 0, one, np.uint8(0), one) == chsh(pr_box, 0, 1, 0, 1)
+    witness = ChshValue(4.0, (0, one), (0, 1))
+    assert chsh_margin(pr_box, witness, 0.0) == chsh_margin(pr_box, ChshValue(4.0, (0, 1), (0, 1)), 0.0)
+
+
 # -- chsh ---------------------------------------------------------------------------
 
 

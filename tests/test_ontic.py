@@ -5,6 +5,7 @@ import importlib.machinery
 import json
 import math
 import sys
+import threading
 import warnings
 from fractions import Fraction
 from itertools import product
@@ -188,7 +189,7 @@ def test_lp_solving_local_model_leaves_scipy_optimize_unloaded(core_registers_it
 
 
 def test_highs_core_falls_back_to_the_package_import(monkeypatch, isotropic_half):
-    lp = ontic._local_lp(isotropic_half, ontic._alice_maps(2, 2))
+    lp = ontic._local_lp(isotropic_half)
     want = ontic.linprog(*lp)
     lookups = []
 
@@ -220,7 +221,7 @@ def test_linprog_matches_scipy_linprog_in_either_import_order(order):
     code = """
 import json, sys
 from gptw import ontic, serialize
-lp = ontic._local_lp(serialize.load_box(sys.argv[2]), ontic._alice_maps(2, 2))
+lp = ontic._local_lp(serialize.load_box(sys.argv[2]))
 if sys.argv[1] == "before":
     import scipy.optimize
 got = ontic.linprog(*lp)
@@ -245,7 +246,7 @@ def test_attribute_path_reaches_the_loaded_core_in_either_import_order(order, co
     code = """
 import sys
 from gptw import ontic, serialize
-lp = ontic._local_lp(serialize.load_box(sys.argv[2]), ontic._alice_maps(2, 2))
+lp = ontic._local_lp(serialize.load_box(sys.argv[2]))
 if sys.argv[1] == "before":
     import scipy.optimize
 ontic.linprog(*lp)
@@ -263,7 +264,7 @@ def test_two_threads_solving_first_at_once_share_one_core(core_registers_itself)
     code = """
 import importlib.util, sys, threading
 from gptw import ontic, serialize
-lp = ontic._local_lp(serialize.load_box(sys.argv[1]), ontic._alice_maps(2, 2))
+lp = ontic._local_lp(serialize.load_box(sys.argv[1]))
 loaded, results, start = [], [], threading.Barrier(2)
 module_from_spec = importlib.util.module_from_spec
 importlib.util.module_from_spec = lambda spec: loaded.append(module_from_spec(spec)) or loaded[-1]
@@ -585,7 +586,7 @@ def test_local_lp_has_one_mass_column_per_alice_strategy(settings, outcomes):
     (n_x, n_y), (n_a, n_b) = settings, outcomes
     rng = np.random.default_rng(n_x * 10 + n_a)
     box = next(seeded_boxes(settings, outcomes, rng))[1]
-    lp = ontic._local_lp(box, ontic._alice_maps(n_x, n_a))
+    lp = ontic._local_lp(box)
     n_alpha, n_fit = n_a**n_x, box.table.size
     n_cols = n_alpha * (1 + n_y * (n_b - 1)) + 1
     n_bound = n_alpha * n_y if n_b > 1 else 0
@@ -617,7 +618,7 @@ def test_highs_options_are_recognised():
     from scipy.optimize import OptimizeWarning
 
     box = CorrelationBox((2, 2), (2, 2), isotropic_table(0.5))
-    lp = ontic._local_lp(box, ontic._alice_maps(2, 2))
+    lp = ontic._local_lp(box)
     with warnings.catch_warnings():
         warnings.simplefilter("error", OptimizeWarning)
         for options in (None, ontic.TIGHT_TOLERANCES):
@@ -653,7 +654,7 @@ def test_boxes_within_tol_get_a_certificate(monkeypatch):
 def test_local_lp_of_the_twelve_outcome_sample():
     # 2 x 12 x 2 fit rows and the mass row: none of the 144 bound rows of a one-outcome Bob
     box = load_box(SAMPLES / "twelve_outcome_box.json")
-    lp = ontic._local_lp(box, ontic._alice_maps(2, 12))
+    lp = ontic._local_lp(box)
     assert (len(lp.row_lower), len(lp.c)) == (49, 145)
     assert ontic.linprog(*lp).fun == 0.0
 
@@ -734,13 +735,12 @@ LP_SHAPES = [((2, 2), (2, 2)), ((2, 3), (2, 2)), ((3, 2), (2, 3)), ((3, 3), (3, 
 @pytest.mark.parametrize("settings, outcomes", LP_SHAPES)
 def test_lp_matches_reference_lp(settings, outcomes):
     rng = np.random.default_rng(sum(settings) * 10 + sum(outcomes))
-    a_maps = ontic._alice_maps(settings[0], outcomes[0])
     for _ in range(2):
         for kind, box in seeded_boxes(settings, outcomes, rng):
             cert = find_local_model(box)
             want, reference = reference_local_model(box)
             # the one-party LP itself, solved even where the CHSH gate skips it
-            assert abs(ontic.linprog(*ontic._local_lp(box, a_maps)).fun - want) <= 1e-9, kind
+            assert abs(ontic.linprog(*ontic._local_lp(box)).fun - want) <= 1e-9, kind
             assert (cert is None) == (reference is None), kind
             if kind != "noisy":
                 assert (cert is None) == (kind == "signalling"), kind
@@ -789,9 +789,8 @@ def test_linprog_matches_scipy_linprog_bit_for_bit(settings, outcomes):
     from scipy.optimize import linprog
 
     rng = np.random.default_rng(sum(settings) * 10 + sum(outcomes) + 1)
-    a_maps = ontic._alice_maps(settings[0], outcomes[0])
     for kind, box in seeded_boxes(settings, outcomes, rng):
-        lp = ontic._local_lp(box, a_maps)
+        lp = ontic._local_lp(box)
         for options in (None, ontic.TIGHT_TOLERANCES):
             got = ontic.linprog(*lp, options=options)
             want = linprog(**scipy_linprog_args(lp, options))
@@ -801,7 +800,7 @@ def test_linprog_matches_scipy_linprog_bit_for_bit(settings, outcomes):
 
 def test_linprog_reports_highs_status_on_an_iteration_limit():
     box = CorrelationBox((3, 3), (2, 2), np.full((3, 3, 2, 2), 0.25))
-    lp = ontic._local_lp(box, ontic._alice_maps(3, 2))
+    lp = ontic._local_lp(box)
     options = {"simplex_iteration_limit": 1}
     res = ontic.linprog(*lp, options=options)
     assert (res.status, res.x, res.nit) == (1, None, 1)
@@ -851,6 +850,115 @@ def test_linprog_checks_arrays_before_handing_them_to_highs(name, value, message
     # HiGHS reads each array up to the lengths it is given, and rejects a row index outside the matrix
     with pytest.raises(ValueError, match=message):
         ontic.linprog(*tiny_lp()._replace(**{name: value}))
+
+
+# -- the per-shape LP and the per-thread solver ------------------------------------------
+
+
+def test_lp_shape_arrays_are_read_only():
+    shape = ontic._lp_shape((3, 3), (2, 3))
+    for array in (shape.a_maps, shape.c, *shape.A, shape.row_lower, shape.tail):
+        assert not array.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = array[0]
+
+
+def test_boxes_of_one_shape_share_all_but_row_upper():
+    rng = np.random.default_rng(64)
+    (_, first), (_, second), _ = seeded_boxes((3, 2), (2, 3), rng)
+    one, two = ontic._local_lp(first), ontic._local_lp(second)
+    assert one.c is two.c and one.A is two.A and one.row_lower is two.row_lower
+    assert one.row_upper is not two.row_upper and not np.array_equal(one.row_upper, two.row_upper)
+    tail = ontic._lp_shape((3, 2), (2, 3)).tail
+    for box, lp in ((first, one), (second, two)):
+        assert lp.row_upper.flags.writeable  # the one array built per box
+        assert np.array_equal(lp.row_upper, np.concatenate([box.table.ravel(), -box.table.ravel(), tail]))
+
+
+def test_lp_shape_cache_is_bounded_and_holds_the_benchmark_sweep():
+    maxsize = ontic._lp_shape.cache_info().maxsize
+    assert 4 <= maxsize < 64
+    for n_y in range(1, maxsize + 3):
+        ontic._local_lp(CorrelationBox((1, n_y), (2, 2), np.full((1, n_y, 2, 2), 0.25)))
+    assert ontic._lp_shape.cache_info().currsize == maxsize
+    sweep = [CorrelationBox((m, m), (2, 2), np.full((m, m, 2, 2), 0.25)) for m in (2, 3, 4, 6)]
+    for box in sweep:
+        ontic._local_lp(box)
+    hits = ontic._lp_shape.cache_info().hits
+    for box in sweep:
+        ontic._local_lp(box)
+    assert ontic._lp_shape.cache_info().hits == hits + len(sweep)
+
+
+def reuse_sequence(rng) -> list:
+    """(lp, options) pairs: m = 2..6 binary and three-outcome boxes, tight tolerances, an iteration
+    limit and an option HiGHS rejects, shuffled."""
+    shapes = [((m, m), (2, 2)) for m in range(2, 7)] + [((2, 2), (3, 3)), ((3, 2), (3, 2)), ((2, 3), (2, 3))]
+    lps = [ontic._local_lp(box) for shape in shapes for _, box in seeded_boxes(*shape, rng)]
+    runs = [(lp, options) for lp in lps for options in (None, ontic.TIGHT_TOLERANCES)]
+    runs += [(lps[i], {"simplex_iteration_limit": 2}) for i in (3, 9, 20)]
+    runs += [(lps[i], {"no_such_option": 1}) for i in (1, 12)] + [(tiny_lp(), None)]
+    return [runs[i] for i in rng.permutation(len(runs))]
+
+
+def lp_outcome(lp, options):
+    """`linprog`'s result as comparable values, or the ValueError it raised."""
+    try:
+        res = ontic.linprog(*lp, options=options)
+    except ValueError as exc:
+        return "ValueError", str(exc)
+    return res.status, res.message, None if res.x is None else res.x.tobytes(), res.fun, res.nit
+
+
+def test_reused_solver_matches_a_fresh_one_on_every_solve(monkeypatch):
+    runs = reuse_sequence(np.random.default_rng(65))
+    reused = [lp_outcome(lp, options) for lp, options in runs]
+    highs = ontic._highs_core()
+    assert ontic._thread_solver(highs) is ontic._thread_solver(highs)
+    monkeypatch.setattr(ontic, "_thread_solver", lambda highs: highs._Highs())
+    fresh = [lp_outcome(lp, options) for lp, options in runs]
+    assert reused == fresh
+    statuses = [outcome[0] for outcome in reused]
+    assert statuses.count(1) == 3 and statuses.count("ValueError") == 2 and statuses.count(0) >= 40
+
+
+def test_thread_solver_is_made_again_for_another_core():
+    highs = ontic._highs_core()
+    solver = ontic._thread_solver(highs)
+
+    class OtherCore:
+        _Highs = highs._Highs
+
+    other = ontic._thread_solver(OtherCore)
+    assert other is not solver and other is ontic._thread_solver(OtherCore)
+    again = ontic._thread_solver(highs)
+    assert again is not solver and again is not other
+
+
+def test_threads_solving_at_once_get_their_single_thread_results():
+    # more threads than cores and a short switch interval: a solver shared between threads would mix models
+    sequences = [reuse_sequence(np.random.default_rng(seed)) for seed in (66, 67, 68, 69)]
+    want = [[lp_outcome(lp, options) for lp, options in runs] for runs in sequences]
+    got, solvers, start = [None] * 4, [None] * 4, threading.Barrier(4)
+
+    def solve_all(i):
+        start.wait()
+        got[i] = [lp_outcome(lp, options) for lp, options in sequences[i]]
+        solvers[i] = ontic._thread_solver(ontic._highs_core())
+
+    threads = [threading.Thread(target=solve_all, args=(i,)) for i in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == want
+    assert len({id(s) for s in solvers}) == 4 and ontic._thread_solver(ontic._highs_core()) not in solvers
 
 
 # -- noncontextual_chsh_bound ----------------------------------------------------------
