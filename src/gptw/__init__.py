@@ -30,7 +30,7 @@ _EXPORTS = {
         noncontextual_chsh_bound predict validate_model""",
     "quantum": """Channel ChoiState DensityMatrix Povm bipartite_box born_table choi_of_channel
         conditional_channel ginibre_state leifer_ensemble multipartite_box partial_trace random_povm
-        random_projective_qubit trace_distance transpose_povm transpose_state""",
+        random_projective_qubit trace_distance transpose_povm""",
     "theory": """EnsemblePreparation JointDistribution Measurement OperationalTheory
         SubtheoryDimension absorb_transformation affine_dimension are_orthogonal
         ensemble_joint operationally_equivalent outcome_distribution""",

@@ -19,14 +19,14 @@ The returned certificate over strategy pairs is re-checked in exact
 arithmetic to guard against solver false positives; a solution that HiGHS
 places within `tol` but that fails the re-check is solved once more at
 tighter feasibility tolerances before the answer is None.  `_local_lp`
-builds the LP in HiGHS's column-wise form: its matrix, costs and row lower
-bounds depend only on the box's shape and are built once per shape
-(`_lp_shape`, a small LRU cache of read-only arrays), so a box adds only its
-row upper bounds.  `linprog` hands the LP unchanged to the dual simplex in
-scipy's HiGHS bindings with the options that
-`scipy.optimize.linprog(method="highs")` sets: the same pivots, and
-linprog's post-solve feasibility check kept.  Each thread keeps one HiGHS
-solver, cleared of its model and options before every solve.
+builds the LP in HiGHS's column-wise form: the all-zero table's LP of each
+box shape is built once (`_lp_shape`, a small LRU cache of read-only
+arrays), and a box writes its table into a copy of that LP's row upper
+bounds.  `linprog` hands the LP unchanged to the dual simplex in scipy's
+HiGHS bindings with the options that `scipy.optimize.linprog(method="highs")`
+sets: the same pivots, and linprog's post-solve feasibility check kept.
+Each thread keeps one HiGHS solver; its options are reset and its model
+replaced before every solve.
 
 Before any LP is built, two-outcome boxes pass a CHSH gate (`chsh_gate`):
 the best CHSH witnesses are re-evaluated exactly, and if one has
@@ -219,21 +219,20 @@ def _alice_maps(n_x: int, n_a: int) -> np.ndarray:
     return np.arange(n_a**n_x)[:, None] // n_a ** np.arange(n_x - 1, -1, -1) % n_a
 
 
-def _exact_residual(box: CorrelationBox, weights: dict[Strategy, float]) -> float:
-    """Max reconstruction error, exact, as the float nearest to the rational error.
+def _exact_residual(box: CorrelationBox, a_maps: np.ndarray, b_maps: np.ndarray, weights: np.ndarray) -> float:
+    """Max reconstruction error of the strategies (a_maps[i], b_maps[i]) at weights[i], exact, as a float.
 
     Each table cell's error is one `math.fsum` of its strategies' weights and
-    minus its entry, correctly rounded; rounding is monotone and symmetric,
-    so the largest rounded |error| is the rounded largest one.
+    minus its entry, correctly rounded to the float nearest to the rational
+    error; rounding is monotone and symmetric, so the largest rounded |error|
+    is the rounded largest one.
     """
     (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
-    a_maps = np.array([a for a, _ in weights], dtype=np.intp)
-    b_maps = np.array([b for _, b in weights], dtype=np.intp)
     # flat table index of (x, y, a_map[x], b_map[y]), per strategy and (x, y)
     xy = np.arange(n_x)[:, None] * n_y + np.arange(n_y)
     cells = ((xy * n_a + a_maps[:, :, None]) * n_b + b_maps[:, None, :]).reshape(len(weights), -1)
     terms = [[-t] for t in box.table.reshape(-1).tolist()]
-    for w, row in zip(weights.values(), cells.tolist()):
+    for w, row in zip(weights.tolist(), cells.tolist()):
         for cell in row:
             terms[cell].append(w)
     return max(abs(math.fsum(cell)) for cell in terms)
@@ -350,9 +349,10 @@ def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     0.4-0.8 s and 45 MB on a 2-vCPU VM.  `options` adds HiGHS options; a
     name or value HiGHS rejects raises ValueError.
     Each thread solves on its own `_Highs`, made on its first solve and
-    kept (`_thread_solver`); `clearModel` and `resetOptions` run before every
-    solve, so no model, basis or option carries over from the last, but the
-    solver keeps the memory of the largest LP its thread has solved.
+    kept (`_thread_solver`); `resetOptions` runs before every solve and
+    `passModel` replaces the last model with its basis, so no model, basis
+    or option carries over from the last, but the solver keeps the memory
+    of the largest LP its thread has solved.
     The optimum passes linprog's post-solve check at tolerance 10 sqrt(1e-9),
     x >= -tol and every row within tol of its bounds with no NaN, or gets
     status 4.  `find_local_model` looks this name up at call time, so it
@@ -364,7 +364,6 @@ def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     if (len(row_upper), len(A.indptr), len(A.indices)) != (n_rows, n_cols + 1, len(A.data)):
         raise ValueError("ontic.linprog takes arrays of matching lengths")
     solver = _thread_solver(highs)
-    solver.clearModel()
     solver.resetOptions()
     for name, setting in {**HIGHS_SETTINGS, **(options or {})}.items():
         if solver.setOptionValue(name, setting) != highs.HighsStatus.kOk:
@@ -391,20 +390,10 @@ def linprog(c, A, row_lower, row_upper, options=None) -> LpResult:
     return LpResult(0, message, x, fun, nit)
 
 
-class _LpShape(NamedTuple):
-    """`_local_lp`'s arrays that depend only on the box's shape, all read-only."""
-
-    a_maps: np.ndarray  # `_alice_maps`, the strategy of each mass column
-    c: np.ndarray
-    A: ColumnMatrix
-    row_lower: np.ndarray
-    tail: np.ndarray  # row_upper after the two fit blocks: the bound rows' zeros and the mass row's 1
-
-
 # eight shapes hold at most about 80 MB: under MAX_LP_NONZEROS one is 8 MB at (10, 10) binary settings
 @lru_cache(maxsize=8)
-def _lp_shape(settings: tuple[int, int], outcomes: tuple[int, int]) -> _LpShape:
-    """The local-model LP of one box shape without its fit-row bounds, built once per shape.
+def _lp_shape(settings: tuple[int, int], outcomes: tuple[int, int]) -> tuple[np.ndarray, HighsLp]:
+    """(`_alice_maps`, the all-zero table's LP) of one box shape, built once and read-only.
 
     Variables z[alpha, y, b] for b < n_b - 1 (flat, alpha-major), the masses
     w[alpha], and t.  Bob's conditional under alpha is q[alpha, y, b] =
@@ -415,7 +404,8 @@ def _lp_shape(settings: tuple[int, int], outcomes: tuple[int, int]) -> _LpShape:
     rows sum_b z[alpha, y, b] <= w[alpha] (alpha-major, then y) keep the last
     weight nonnegative, and the last row, an equality, sums the masses to 1.
     With one Bob outcome there is no z, so those rows would only restate
-    w >= 0 and are left out.  Each column's row indices are sorted.
+    w >= 0 and are left out.  Each column's row indices are sorted.  The fit
+    rows' upper bounds are 0, where `_local_lp` writes a box's p and -p.
     """
     (n_x, n_y), (n_a, n_b) = settings, outcomes
     a_maps = _alice_maps(n_x, n_a)
@@ -450,30 +440,25 @@ def _lp_shape(settings: tuple[int, int], outcomes: tuple[int, int]) -> _LpShape:
     c = np.zeros(n_z + n_alpha + 1)
     c[-1] = 1.0
     row_lower = np.concatenate([np.full(mass_row, -np.inf), [1.0]])
-    tail = np.concatenate([np.zeros(n_alpha * n_yb), [1.0]])
-    shape = _LpShape(a_maps, c, ColumnMatrix(data, indices.astype(np.int32), indptr.astype(np.int32)), row_lower, tail)
-    for array in (a_maps, c, *shape.A, row_lower, tail):
+    row_upper = np.concatenate([np.zeros(mass_row), [1.0]])
+    lp = HighsLp(c, ColumnMatrix(data, indices.astype(np.int32), indptr.astype(np.int32)), row_lower, row_upper)
+    for array in (a_maps, c, *lp.A, row_lower, row_upper):
         array.flags.writeable = False
-    return shape
+    return a_maps, lp
 
 
 def _local_lp(box: CorrelationBox) -> HighsLp:
     """The sup-norm fit over Alice's strategies alpha, as the `HighsLp` that `linprog` solves.
 
-    `c`, `A` and `row_lower` are the shape's cached read-only arrays (`_lp_shape`);
-    only `row_upper` = [p, -p, the shape's tail] is built per box.
+    The shape's cached zero-table LP (`_lp_shape`) with p and -p written into
+    a copy of its row upper bounds, the one array built per box.
     """
-    shape = _lp_shape(box.settings, box.outcomes)
+    lp = _lp_shape(box.settings, box.outcomes)[1]
     target = box.table.reshape(-1)
-    return HighsLp(shape.c, shape.A, shape.row_lower, np.concatenate([target, -target, shape.tail]))
-
-
-def _conditionals(x: np.ndarray, n_alpha: int, n_y: int, n_b: int) -> np.ndarray:
-    """Bob's conditionals q[alpha, y, :] from a `_local_lp` solution, clipped at 0."""
-    z = x[: n_alpha * n_y * (n_b - 1)].reshape(n_alpha, n_y, n_b - 1)
-    w = x[n_alpha * n_y * (n_b - 1) : -1]
-    q = np.concatenate([z, w[:, None, None] - z.sum(axis=2, keepdims=True)], axis=2)
-    return np.clip(q, 0.0, None)
+    row_upper = lp.row_upper.copy()
+    row_upper[: target.size] = target
+    row_upper[target.size : 2 * target.size] = -target
+    return lp._replace(row_upper=row_upper)
 
 
 def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -498,29 +483,25 @@ def _split(z: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 TIGHT_TOLERANCES = {"primal_feasibility_tolerance": 1e-10, "dual_feasibility_tolerance": 1e-10}
 
 
-def _solve(lp: HighsLp, options: dict | None = None) -> LpResult:
-    res = linprog(*lp, options=options)
-    if res.status != 0:
-        raise SolverError(f"LP solver failed: {res.message}")
-    return res
+def _certificate(box: CorrelationBox, a_maps: np.ndarray, x: np.ndarray, tol: float) -> LocalModelCertificate | None:
+    """The split of an LP solution into strategy pairs, iff its exact residual is within tol.
 
-
-def _certificate(
-    box: CorrelationBox, a_maps: np.ndarray, x: np.ndarray, tol: float
-) -> LocalModelCertificate | None:
-    """The split of an LP solution into strategy pairs, iff its exact residual is within tol."""
+    Bob's conditionals are the z columns and the mass minus them, clipped at 0.  No two kept
+    pieces share a strategy pair: a cut, where some b(y) steps, separates two pieces of one alpha.
+    """
     (_, n_y), (_, n_b) = box.settings, box.outcomes
-    lengths, b_maps = _split(_conditionals(x, len(a_maps), n_y, n_b))
+    n_z = len(a_maps) * n_y * (n_b - 1)
+    z, w = x[:n_z].reshape(len(a_maps), n_y, n_b - 1), x[n_z:-1]
+    q = np.concatenate([z, w[:, None, None] - z.sum(axis=2, keepdims=True)], axis=2)
+    lengths, b_maps = _split(np.clip(q, 0.0, None))
     raw = lengths.ravel() / lengths.sum()
     keep = np.flatnonzero(raw > 1e-12)
-    pieces = zip(
-        a_maps[keep // lengths.shape[1]].tolist(), b_maps.reshape(-1, n_y)[keep].tolist(), raw[keep].tolist()
-    )
-    weights = {(tuple(a), tuple(b)): w for a, b, w in pieces}
-    residual = _exact_residual(box, weights)
+    a_kept, b_kept, w_kept = a_maps[keep // lengths.shape[1]], b_maps.reshape(-1, n_y)[keep], raw[keep]
+    residual = _exact_residual(box, a_kept, b_kept, w_kept)
     if residual > tol:
         return None
-    return LocalModelCertificate(weights, residual)
+    strategies = zip(map(tuple, a_kept.tolist()), map(tuple, b_kept.tolist()))
+    return LocalModelCertificate(dict(zip(strategies, w_kept.tolist())), residual)
 
 
 def find_local_model(box: CorrelationBox, tol: float = LP_TOL) -> LocalModelCertificate | None:
@@ -563,14 +544,15 @@ def _fit_local_model(box: CorrelationBox, tol: float) -> LocalModelCertificate |
     cells = n_a**n_x * (n_y * (n_b - 1) + 1) * n_y * max(n_x, n_b - 1)
     if cells > MAX_CERTIFICATE_CELLS:
         raise SizeLimitError(f"the certificate's {cells} strategy cells exceed the {MAX_CERTIFICATE_CELLS} cap")
-    a_maps = _lp_shape(box.settings, box.outcomes).a_maps
-    lp = _local_lp(box)
-    res = _solve(lp)
-    cert = _certificate(box, a_maps, res.x, tol)
-    if cert is None and res.fun <= tol:
-        res = _solve(lp, TIGHT_TOLERANCES)
+    a_maps, lp = _lp_shape(box.settings, box.outcomes)[0], _local_lp(box)
+    for options in (None, TIGHT_TOLERANCES):
+        res = linprog(*lp, options=options)
+        if res.status != 0:
+            raise SolverError(f"LP solver failed: {res.message}")
         cert = _certificate(box, a_maps, res.x, tol)
-    return cert
+        if cert is not None or res.fun > tol:
+            return cert
+    return None
 
 
 def certificate_to_ontic_model(box: CorrelationBox, cert: LocalModelCertificate) -> OnticModel:

@@ -474,11 +474,6 @@ def transpose_povm(povm: Povm) -> Povm:
     return Povm(povm.element_stack.transpose(0, 2, 1))
 
 
-def transpose_state(rho: DensityMatrix) -> DensityMatrix:
-    """Computational-basis transpose (equals the complex conjugate state)."""
-    return DensityMatrix(rho.matrix.T, dims=rho.dims)
-
-
 def purification(rho: DensityMatrix) -> np.ndarray:
     """Canonical purification sum_j (sqrt(rho)|j>) x |j>, as a vector on dims (d, d).
 

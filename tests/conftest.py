@@ -136,6 +136,11 @@ def cardinal_qubit_states() -> dict[str, q.DensityMatrix]:
     }
 
 
+def transpose_state(rho: q.DensityMatrix) -> q.DensityMatrix:
+    """Computational-basis transpose (equals the complex conjugate state)."""
+    return q.DensityMatrix(rho.matrix.T, dims=rho.dims)
+
+
 def tomographic_povms() -> dict[str, q.Povm]:
     return {"X": q.x_basis(), "Y": q.y_basis(), "Z": q.z_basis()}
 

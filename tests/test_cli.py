@@ -682,6 +682,14 @@ def test_local_model_certificate_over_the_cap_exits_two_before_the_lp(capsys, mo
     assert line == f"error: the certificate's {cells} strategy cells exceed the {ontic.MAX_CERTIFICATE_CELLS} cap"
 
 
+def test_local_model_solver_failure_exits_two(capsys, monkeypatch):
+    # a box the CHSH gate passes on to the LP, whose every solve stops at HiGHS's iteration limit
+    solve = ontic.linprog
+    monkeypatch.setattr(ontic, "linprog", lambda *lp, options=None: solve(*lp, options={"simplex_iteration_limit": 1}))
+    line = assert_input_error(capsys, ["local-model", "--box", SAMPLES / "isotropic_half_box.json"])
+    assert line == "error: LP solver failed: HiGHS model status 14: Iteration limit reached"
+
+
 def test_non_numeric_env_tolerance_exits_two(files, capsys, monkeypatch):
     monkeypatch.setenv("GPTW_DEFAULT_TOL", "abc")
     line = assert_input_error(capsys, ["chsh", "--box", files["pr"]])

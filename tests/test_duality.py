@@ -20,6 +20,8 @@ from gptw.duality import (
 from gptw.errors import ArityError, ValidationError
 from gptw.theory import EPS_BRANCH, EnsemblePreparation, JointDistribution
 
+from conftest import transpose_state
+
 
 def test_bell_pair_z_z_forward():
     spatial = spatial_scenario(q.bell_phi_plus(), [q.z_basis(), q.z_basis()])
@@ -165,7 +167,7 @@ def test_round_trip_three_party():
         assert diff < 2e-8
         # the joint state against (I x K) |psi><psi| (I x K)^dagger with kron-lifted Kraus operators
         rho_bar = sum(w * s.matrix for w, s in zip(temporal.ensemble.weights, temporal.ensemble.branches))
-        psi = q.purification(q.transpose_state(q.DensityMatrix(rho_bar)))
+        psi = q.purification(transpose_state(q.DensityMatrix(rho_bar)))
         lifted = [np.kron(np.eye(2), k) @ psi for k in temporal.channel.kraus]
         assert np.max(np.abs(back.state.matrix - sum(np.outer(v, v.conj()) for v in lifted))) < 1e-14
 
@@ -355,7 +357,7 @@ def _parent_conditional_channel(state):
 def _parent_spatial_to_temporal(spatial):
     d_a = spatial.state.dims[0]
     rho_a = q.DensityMatrix(q.partial_trace(spatial.state.matrix, (d_a, spatial.state.dim // d_a), keep=(0,)))
-    ensemble = _parent_leifer_ensemble(q.transpose_state(rho_a), q.transpose_povm(spatial.povms[0]))
+    ensemble = _parent_leifer_ensemble(transpose_state(rho_a), q.transpose_povm(spatial.povms[0]))
     temporal = temporal_scenario(ensemble, _parent_conditional_channel(spatial.state), spatial.povms[1:])
     _check_match(temporal.distribution, spatial.distribution, CONSTRUCTION_TOL, "parent")
     return temporal
@@ -374,7 +376,7 @@ def _parent_temporal_to_spatial(temporal):
     if np.max(np.abs(leftover)) > 1e-12:
         effects[-1] += leftover
     first_meas = q.transpose_povm(q.Povm(effects))
-    psi = q.purification(q.transpose_state(rho_bar)).reshape(d, d)
+    psi = q.purification(transpose_state(rho_bar)).reshape(d, d)
     vecs = (psi @ chan.kraus_stack.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
     joint_state = q.DensityMatrix(vecs.T @ vecs.conj(), dims=(d,) + chan.output_dims)
     spatial = spatial_scenario(joint_state, (first_meas,) + temporal.povms)

@@ -28,7 +28,7 @@ PUBLIC_NAMES = {
     "certificate_to_ontic_model chsh_gate find_local_model noncontextual_chsh_bound predict validate_model",
     "quantum": "Channel ChoiState DensityMatrix Povm bipartite_box born_table choi_of_channel "
     "conditional_channel ginibre_state leifer_ensemble multipartite_box partial_trace random_povm "
-    "random_projective_qubit trace_distance transpose_povm transpose_state",
+    "random_projective_qubit trace_distance transpose_povm",
     "theory": "EnsemblePreparation JointDistribution Measurement OperationalTheory SubtheoryDimension "
     "absorb_transformation affine_dimension are_orthogonal ensemble_joint operationally_equivalent "
     "outcome_distribution",
@@ -37,7 +37,7 @@ PUBLIC_NAMES = {
 DELETED_NAMES = {
     "correlations": "chsh_prepare_measure correlator",
     "duality": "verify_ocj",
-    "quantum": "kraus_from_choi marginal_channel",
+    "quantum": "kraus_from_choi marginal_channel transpose_state",
 }
 
 

@@ -1,6 +1,7 @@
 """Ontological-model validity, prediction, and the local-model LP."""
 from __future__ import annotations
 
+import dataclasses
 import importlib.machinery
 import json
 import math
@@ -765,7 +766,65 @@ def test_exact_residual_equals_fraction_residual():
                 (tuple(rng.integers(0, n_a, n_x).tolist()), tuple(rng.integers(0, n_b, n_y).tolist())): float(w)
                 for w in weights
             }
-            assert ontic._exact_residual(box, cert) == fraction_residual(box, cert)
+            a_maps, b_maps = (np.array([s[i] for s in cert]) for i in (0, 1))
+            kept = np.array(list(cert.values()))
+            assert ontic._exact_residual(box, a_maps, b_maps, kept) == fraction_residual(box, cert)
+
+
+# -- the solve loop: one solve, and a tight re-solve of a split refused at t <= tol -------
+
+
+def scripted_linprog(monkeypatch, results: list) -> list:
+    """Make `ontic.linprog` return `results` in turn; the returned list gets each call's options."""
+    calls = []
+
+    def scripted(*lp, options=None):
+        calls.append(options)
+        return results[len(calls) - 1]
+
+    monkeypatch.setattr(ontic, "linprog", scripted)
+    return calls
+
+
+@pytest.fixture
+def one_shape_solves():
+    """(a local box, its LP's result, a signalling box's LP result), of one shape the CHSH gate passes on."""
+    boxes = dict(seeded_boxes((3, 2), (2, 3), np.random.default_rng(70)))
+    local, signalling = (ontic.linprog(*ontic._local_lp(boxes[kind])) for kind in ("local", "signalling"))
+    assert local.fun <= ontic.LP_TOL < signalling.fun
+    return boxes["local"], local, signalling
+
+
+def test_solve_loop_returns_a_certificate_that_holds_after_one_solve(monkeypatch, one_shape_solves):
+    box, local, _ = one_shape_solves
+    calls = scripted_linprog(monkeypatch, [local])
+    assert find_local_model(box) is not None
+    assert calls == [None]
+
+
+def test_solve_loop_answers_none_after_one_solve_when_t_exceeds_tol(monkeypatch, one_shape_solves):
+    box, _, signalling = one_shape_solves  # the signalling box's solution does not reconstruct the local box
+    calls = scripted_linprog(monkeypatch, [signalling])
+    assert find_local_model(box) is None
+    assert calls == [None]
+
+
+@pytest.mark.parametrize("second_holds", [True, False])
+def test_solve_loop_solves_a_refused_split_once_more_at_tight_tolerances(monkeypatch, one_shape_solves, second_holds):
+    box, local, signalling = one_shape_solves
+    refused = dataclasses.replace(signalling, fun=0.0)  # HiGHS reports t <= tol, the exact re-check refuses
+    calls = scripted_linprog(monkeypatch, [refused, local if second_holds else refused])
+    assert (find_local_model(box) is not None) == second_holds
+    assert calls == [None, ontic.TIGHT_TOLERANCES]
+
+
+def test_solve_loop_raises_when_the_tight_solve_fails(monkeypatch, one_shape_solves):
+    box, _, signalling = one_shape_solves
+    failed = ontic.LpResult(1, "HiGHS model status 14: Iteration limit reached", None, None, 1)
+    calls = scripted_linprog(monkeypatch, [dataclasses.replace(signalling, fun=0.0), failed])
+    with pytest.raises(SolverError, match="^LP solver failed: HiGHS model status 14: Iteration limit reached$"):
+        find_local_model(box)
+    assert calls == [None, ontic.TIGHT_TOLERANCES]
 
 
 # -- `ontic.linprog` on HiGHS against `scipy.optimize.linprog` --------------------------
@@ -798,14 +857,16 @@ def test_linprog_matches_scipy_linprog_bit_for_bit(settings, outcomes):
             assert np.array_equal(got.x, want.x), kind
 
 
-def test_linprog_reports_highs_status_on_an_iteration_limit():
+def test_linprog_reports_highs_status_on_an_iteration_limit(monkeypatch):
     box = CorrelationBox((3, 3), (2, 2), np.full((3, 3, 2, 2), 0.25))
     lp = ontic._local_lp(box)
     options = {"simplex_iteration_limit": 1}
     res = ontic.linprog(*lp, options=options)
     assert (res.status, res.x, res.nit) == (1, None, 1)
+    solve = ontic.linprog
+    monkeypatch.setattr(ontic, "linprog", lambda *args, **kwargs: solve(*lp, options=options))
     with pytest.raises(SolverError, match="HiGHS model status 14: Iteration limit reached"):
-        ontic._solve(lp, options)
+        find_local_model(box)
 
 
 def tiny_lp() -> ontic.HighsLp:
@@ -815,7 +876,7 @@ def tiny_lp() -> ontic.HighsLp:
 
 
 @pytest.mark.parametrize("feasibility, status", [(1e-3, 0), (0.05, 4)])
-def test_linprog_post_solve_check(feasibility, status):
+def test_linprog_post_solve_check(monkeypatch, isotropic_half, feasibility, status):
     # at a 0.05 feasibility tolerance HiGHS calls x = (0, 1) optimal; its slack of -0.01 misses 10 sqrt(1e-9)
     from scipy.optimize import linprog
 
@@ -824,8 +885,10 @@ def test_linprog_post_solve_check(feasibility, status):
     assert (res.status, res.fun, res.nit) == (want.status, want.fun, want.nit) and res.status == status
     assert np.array_equal(res.x, want.x)
     if status:
+        solve = ontic.linprog
+        monkeypatch.setattr(ontic, "linprog", lambda *args, **kwargs: solve(*lp, options=options))
         with pytest.raises(SolverError, match="misses the constraints"):
-            ontic._solve(lp, options)
+            find_local_model(isotropic_half)
 
 
 @pytest.mark.parametrize("options", [{"no_such_option": 1}, {"presolve": "sometimes"}, {"time_limit": "soon"}])
@@ -856,8 +919,8 @@ def test_linprog_checks_arrays_before_handing_them_to_highs(name, value, message
 
 
 def test_lp_shape_arrays_are_read_only():
-    shape = ontic._lp_shape((3, 3), (2, 3))
-    for array in (shape.a_maps, shape.c, *shape.A, shape.row_lower, shape.tail):
+    a_maps, lp = ontic._lp_shape((3, 3), (2, 3))
+    for array in (a_maps, lp.c, *lp.A, lp.row_lower, lp.row_upper):
         assert not array.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             array[0] = array[0]
@@ -869,7 +932,7 @@ def test_boxes_of_one_shape_share_all_but_row_upper():
     one, two = ontic._local_lp(first), ontic._local_lp(second)
     assert one.c is two.c and one.A is two.A and one.row_lower is two.row_lower
     assert one.row_upper is not two.row_upper and not np.array_equal(one.row_upper, two.row_upper)
-    tail = ontic._lp_shape((3, 2), (2, 3)).tail
+    tail = ontic._lp_shape((3, 2), (2, 3))[1].row_upper[2 * first.table.size :]
     for box, lp in ((first, one), (second, two)):
         assert lp.row_upper.flags.writeable  # the one array built per box
         assert np.array_equal(lp.row_upper, np.concatenate([box.table.ravel(), -box.table.ravel(), tail]))

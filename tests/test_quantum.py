@@ -8,6 +8,8 @@ from gptw import quantum as q
 from gptw.errors import DimensionMismatchError, ValidationError
 from gptw.theory import EPS_BRANCH, outcome_distribution
 
+from conftest import transpose_state
+
 
 # -- object invariants -----------------------------------------------------------
 
@@ -359,7 +361,7 @@ def test_singlet_optimal_box_chsh_value(singlet_optimal_box):
 def prepare_evolve_joint(rho_ab: q.DensityMatrix, m: q.Povm, o: q.Povm) -> np.ndarray:
     """Ensemble from the transposed marginal/POVM, then the recovered channel, then O."""
     rho_a = q.DensityMatrix(q.partial_trace(rho_ab.matrix, rho_ab.dims, keep=(0,)))
-    ens = q.leifer_ensemble(q.transpose_state(rho_a), q.transpose_povm(m))
+    ens = q.leifer_ensemble(transpose_state(rho_a), q.transpose_povm(m))
     chan = q.conditional_channel(rho_ab)
     joint = np.zeros((len(m), len(o)))
     for i, (w, rho_i) in enumerate(zip(ens.weights, ens.branches)):
