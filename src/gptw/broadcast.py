@@ -30,14 +30,13 @@ from .correlations import (
     chsh,
     is_bell_nonlocal,
 )
-from .errors import DimensionMismatchError, PreconditionError, ValidationError
+from .errors import DimensionMismatchError, PreconditionError
 from .theory import EPS_NORM
 
 if TYPE_CHECKING:  # only broadcast_commuting needs quantum; it imports it when called
     from .quantum import Channel, DensityMatrix
 
 COMMUTE_TOL = 1e-9
-EIGENBASIS_SEED = 7  # the random combinations `_common_eigenbasis` diagonalizes are drawn from this seed
 EIGEN_GAP = 1e-7  # `_common_eigenbasis`: eigenvalues closer than this, relative to the spectrum, share a block
 
 
@@ -69,48 +68,31 @@ def interference_flag(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL)
     return not pairwise_commuting(states, tol)
 
 
-def _common_eigenbasis(
-    mats: list[np.ndarray], rng: np.random.Generator, depth: int = 16
-) -> np.ndarray:
+def _common_eigenbasis(mats: list[np.ndarray]) -> np.ndarray:
     """Orthonormal basis simultaneously diagonalizing a commuting Hermitian family.
 
-    Diagonalizes a random Hermitian combination, then recurses into any
-    degenerate eigenspace with the operators projected onto it; subspaces on
-    which all operators are scalar accept any orthonormal basis.  `depth`
-    bounds the recursion (fresh random weights split a genuine block with
-    probability 1, so the bound only guards against pathological inputs).
+    Refines orthonormal blocks, starting from one block that spans the space:
+    each operator in turn is diagonalized on every block wider than one
+    column (as block^dagger M block), and the block splits wherever two
+    consecutive eigenvalues differ by more than EIGEN_GAP relative to that
+    spectrum.  An operator that commutes with the earlier ones keeps their
+    joint eigenspaces, so the blocks left after the last operator are joint
+    eigenspaces, and their columns side by side diagonalize every operator.
     """
     if not mats:
         raise PreconditionError("empty operator family")
-    if depth <= 0:
-        raise ValidationError("simultaneous diagonalization did not converge")
-    d = mats[0].shape[0]
-    weights = rng.normal(size=len(mats))
-    h = sum(w * m for w, m in zip(weights, mats))
-    h = 0.5 * (h + h.conj().T)
-    vals, vecs = np.linalg.eigh(h)
-    scale = max(1.0, float(np.max(np.abs(vals))))
-    columns: list[np.ndarray] = []
-    start = 0
-    for stop in range(1, d + 1):
-        if stop < d and vals[stop] - vals[stop - 1] <= EIGEN_GAP * scale:
-            continue
-        block = vecs[:, start:stop]
-        width = stop - start
-        if width == 1:
-            columns.append(block[:, 0])
-        else:
-            projected = [block.conj().T @ m @ block for m in mats]
-            if all(
-                np.max(np.abs(p - np.trace(p) / width * np.eye(width))) <= EIGEN_GAP * scale
-                for p in projected
-            ):
-                columns.extend(block.T)  # all scalar here: any orthonormal basis works
-            else:
-                sub = _common_eigenbasis(projected, rng, depth - 1)
-                columns.extend((block @ sub).T)
-        start = stop
-    return np.stack(columns, axis=1)
+    blocks = [np.eye(mats[0].shape[0], dtype=complex)]
+    for m in mats:
+        refined = []
+        for block in blocks:
+            if block.shape[1] == 1:
+                refined.append(block)
+                continue
+            vals, vecs = np.linalg.eigh(block.conj().T @ m @ block)
+            cuts = np.flatnonzero(np.diff(vals) > EIGEN_GAP * max(1.0, float(np.max(np.abs(vals))))) + 1
+            refined.extend(np.split(block @ vecs, cuts, axis=1))
+        blocks = refined
+    return np.hstack(blocks)
 
 
 @dataclass(frozen=True)
@@ -124,9 +106,12 @@ class BroadcastCheck:
 def broadcast_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL) -> tuple[Channel, BroadcastCheck]:
     """Broadcast channel for a pairwise-commuting family, with its marginal errors.
 
-    Measures in a common eigenbasis and reprepares the outcome on both
-    outputs; each output marginal then reproduces any input diagonal in that
-    basis.  Non-commuting input is rejected.
+    Measures in the common eigenbasis of `_common_eigenbasis` (deterministic:
+    the same family gives the same channel) and reprepares the outcome on
+    both outputs; each output marginal then reproduces any input diagonal in
+    that basis.  The errors are each state's worst output-marginal trace
+    distance, computed through the channel built.  Non-commuting input is
+    rejected.
     """
     if not states:
         raise PreconditionError("empty state family")
@@ -135,7 +120,7 @@ def broadcast_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TO
     from .quantum import Channel, partial_trace, trace_distance
 
     d = states[0].dim
-    basis = _common_eigenbasis([s.matrix for s in states], np.random.default_rng(EIGENBASIS_SEED))
+    basis = _common_eigenbasis([s.matrix for s in states])
     kraus = []
     for k in range(d):
         e = basis[:, k]

@@ -76,7 +76,7 @@ class CorrelationBox:
         self.n_parties = len(self.settings)
         if self.n_parties > MAX_PARTIES:
             raise ValidationError(f"at most {MAX_PARTIES} parties are supported, got {self.n_parties}")
-        tab = np.asarray(table, dtype=float)
+        tab = np.asarray(table)
         if tab.shape != self.settings + self.outcomes:
             raise ValidationError(f"table shape {tab.shape} != settings+outcomes {self.settings + self.outcomes}")
         self.table = probability_array(tab, "box entries", self.n_parties)

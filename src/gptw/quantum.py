@@ -50,6 +50,8 @@ def _as_complex_matrix(entries: np.ndarray | Sequence[Sequence[complex]], copy: 
     mat = np.array(entries, dtype=complex) if copy else np.asarray(entries, dtype=complex)
     if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
         raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
+    if not mat.size:
+        raise ValidationError(f"expected a non-empty matrix, got shape {mat.shape}")
     return mat
 
 
@@ -93,6 +95,7 @@ class DensityMatrix:
         return cls(np.eye(dim) / dim)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # inf and huge entries fail the checks below, not as warnings
 def _check_density(stack: np.ndarray, eigvals: np.ndarray | None = None) -> None:
     """`DensityMatrix`'s checks, with its messages, on every matrix of a (k, d, d) stack.
 
@@ -115,6 +118,7 @@ def _check_density(stack: np.ndarray, eigvals: np.ndarray | None = None) -> None
 class Povm:
     """A list of positive effects summing to the identity."""
 
+    @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
     def __init__(self, elements: Sequence[np.ndarray]) -> None:
         mats = [_as_complex_matrix(e, copy=False) for e in elements]  # np.stack below makes the one copy
         if not mats:
@@ -145,6 +149,7 @@ class Channel:
     several systems at once (e.g. a broadcaster) declares them here.
     """
 
+    @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
     def __init__(self, kraus: Sequence[np.ndarray], output_dims: Sequence[int] | None = None) -> None:
         ops = [np.asarray(k, dtype=complex) for k in kraus]
         if not ops:
@@ -152,6 +157,8 @@ class Channel:
         if ops[0].ndim != 2:
             raise ValidationError("Kraus operators must be matrices")
         d_out, d_in = ops[0].shape
+        if not ops[0].size:
+            raise ValidationError(f"Kraus operators must be non-empty, got shape {ops[0].shape}")
         if any(k.shape != (d_out, d_in) for k in ops):
             raise DimensionMismatchError("Kraus operators have mixed shapes")
         stack = np.stack(ops)  # the one copy: kraus_stack[k] is the k-th operator

@@ -31,10 +31,13 @@ RANK_RTOL = 1e-7  # relative singular-value threshold for affine ranks
 def probability_array(values: Any, what: str, conditions: int = 0) -> np.ndarray:
     """`values` as a read-only array of distributions over the axes after the first `conditions`.
 
-    Entries must be finite and within EPS_NORM of [0, 1] (then clipped to it), each distribution must sum to
+    Entries must be real, finite and within EPS_NORM of [0, 1] (then clipped to it), each distribution must sum to
     1 within EPS_NORM, and an empty array is refused.  `what` names the entries in the error message.
     """
-    p = np.asarray(values, dtype=float)
+    p = np.asarray(values)
+    if p.dtype.kind == "c":  # refused, not cast: NumPy would drop the imaginary parts with a warning
+        raise ValidationError(f"{what} must be real")
+    p = np.asarray(p, dtype=float)
     if p.size == 0:
         raise ValidationError(f"{what} are empty")
     # written so that NaN fails it: min and max propagate NaN
@@ -112,7 +115,7 @@ class OperationalTheory:
             raise ValidationError(f"table row references unknown transformation {trans!r}")
         if meas not in self._arities:
             raise ValidationError(f"table row references unknown measurement {meas!r}")
-        row = np.asarray(probs, dtype=float)
+        row = np.asarray(probs)
         if row.shape != (self._arities[meas],):
             raise ValidationError(
                 f"row {key}: expected {self._arities[meas]} outcomes, got shape {row.shape}"
@@ -163,7 +166,7 @@ class EnsemblePreparation:
     branches: tuple[Any, ...]
 
     def __init__(self, weights: Sequence[float], branches: Sequence[Any]) -> None:
-        w = np.asarray(weights, dtype=float)
+        w = np.asarray(weights)
         b = tuple(branches)
         if w.ndim != 1 or not b or len(b) != w.size:
             raise ValidationError("one weight per branch required")
@@ -186,7 +189,7 @@ class JointDistribution:
 
     def __init__(self, axes: Sequence[tuple[str, int]], probabilities: np.ndarray) -> None:
         ax = tuple((str(label), int(n)) for label, n in axes)
-        p = np.asarray(probabilities, dtype=float)
+        p = np.asarray(probabilities)
         if p.shape != tuple(n for _, n in ax):
             raise ValidationError(f"probabilities shape {p.shape} != axis arities {ax}")
         object.__setattr__(self, "axes", ax)

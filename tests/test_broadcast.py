@@ -1,8 +1,12 @@
 """Commutation boundary, eigenbasis broadcasting, and the monogamy-violation box."""
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptw import quantum as q
 from gptw.broadcast import (
@@ -15,7 +19,7 @@ from gptw.broadcast import (
     theorem1_construct,
 )
 from gptw.correlations import CorrelationBox, is_bell_nonlocal
-from gptw.errors import PreconditionError, ValidationError
+from gptw.errors import PreconditionError
 
 from conftest import pr_table, singlet_optimal_settings
 
@@ -114,30 +118,53 @@ def test_shared_degenerate_eigenspace_is_one_block(diagonals):
         assert marginal_errors(channel, s) <= COMMUTE_TOL
 
 
-class FixedWeights:
-    """Stands in for `_common_eigenbasis`'s generator: each `normal` call returns the next weights."""
-
-    def __init__(self, *weights):
-        self.weights = iter(weights)
-
-    def normal(self, size):
-        return np.array(next(self.weights), dtype=float)
-
-
-def test_common_eigenbasis_recursion_depth_guard_and_empty_family():
-    # weights (1, 1) give diag(1, 1, 0): one block of width 2, on which neither operator is scalar
-    mats = [np.diag([1.0, 0.0, 0.0]), np.diag([0.0, 1.0, 0.0])]
-    basis = _common_eigenbasis(mats, FixedWeights((1, 1), (1, 2)))
-    assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
-    for m in mats:
-        rotated = basis.conj().T @ m @ basis
-        assert np.allclose(rotated, np.diag(np.diag(rotated)), atol=1e-12)
-    with pytest.raises(ValidationError, match="did not converge"):  # weights that never split the block
-        _common_eigenbasis(mats, FixedWeights((1, 1), (1, 1)), depth=2)
+def test_common_eigenbasis_splits_a_degenerate_block_and_refuses_an_empty_family():
+    # diag(1, 0, 0) leaves one block of width 2, which only diag(0, 1, 0) splits; in a Haar frame the first
+    # operator's eigenvectors on that block are no eigenvectors of the second
+    u = q.haar_unitary(3, np.random.default_rng(17))
+    for frame in (np.eye(3), u):
+        mats = [frame @ np.diag(diagonal) @ frame.conj().T for diagonal in ([1.0, 0.0, 0.0], [0.0, 1.0, 0.0])]
+        basis = _common_eigenbasis(mats)
+        assert np.allclose(basis.conj().T @ basis, np.eye(3), atol=1e-12)
+        for m in mats:
+            rotated = basis.conj().T @ m @ basis
+            assert np.allclose(rotated, np.diag(np.diag(rotated)), atol=1e-12)
     with pytest.raises(PreconditionError):
-        _common_eigenbasis([], FixedWeights())
+        _common_eigenbasis([])
     with pytest.raises(PreconditionError):
         broadcast_commuting([])
+
+
+@st.composite
+def commuting_family(draw):
+    """1 to 4 commuting states in one Haar frame, d in {2, 3, 4, 6}.
+
+    Each member takes one of `levels` values on each basis vector (levels 1 is the scalar I/d), so members
+    repeat eigenvalues and a later member can split a block that every earlier one leaves degenerate.
+    Values are uniform or quarter-rounded, so zero eigenvalues and ties across levels occur too.
+    """
+    d = draw(st.sampled_from((2, 3, 4, 6)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    u = q.haar_unitary(d, rng)
+    states = []
+    for levels in draw(st.lists(st.integers(1, d), min_size=1, max_size=4)):
+        values = np.round(4 * rng.random(levels)) / 4 if draw(st.booleans()) else rng.random(levels)
+        spectrum = values[rng.integers(0, levels, d)]
+        spectrum = spectrum / spectrum.sum() if spectrum.sum() > 0 else np.full(d, 1 / d)
+        states.append(q.DensityMatrix(u @ np.diag(spectrum) @ u.conj().T))
+    return states
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(commuting_family())
+def test_common_eigenbasis_diagonalizes_every_order_of_a_commuting_family(states):
+    for order in itertools.permutations(states):
+        basis = _common_eigenbasis([s.matrix for s in order])
+        assert np.max(np.abs(basis.conj().T @ basis - np.eye(len(basis)))) <= 1e-12
+        for s in states:
+            rotated = basis.conj().T @ s.matrix @ basis
+            assert np.max(np.abs(rotated - np.diag(np.diag(rotated)))) <= 1e-9
+        assert broadcast_commuting(order)[1].max_error <= COMMUTE_TOL
 
 
 def test_non_commuting_family_rejected():

@@ -44,7 +44,6 @@ def test_channel_rejects_non_trace_preserving():
         q.Channel([np.diag([1.0, 0.5])])
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf inside the checks
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_entries_rejected(bad):
     broken = np.diag([1.0, 0.0]).astype(complex)
@@ -152,7 +151,6 @@ POVM_DEFECTS = [
 ]
 
 
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")  # inf - inf inside the checks
 @pytest.mark.parametrize("elements, message", POVM_DEFECTS)
 def test_povm_defect_messages(elements, message):
     with pytest.raises(ValidationError) as info:
