@@ -25,7 +25,7 @@ _EXPORTS = {
     "game": """FineGrainedReport GameReport GameStrategy UncertaintyTriple a3_strategy
         build_quadruple check_finegrained game_value max_sum_state simulate_game
         triples_from_theory win_probability FINEGRAINED_BOUND TSIRELSON_WIN""",
-    "ontic": """ChshRefutation ConditionViolation LocalModelCertificate NoncontextualVerdict
+    "ontic": """ConditionViolation LocalModelCertificate NoncontextualVerdict
         OnticModel certificate_to_ontic_model chsh_gate find_local_model
         noncontextual_chsh_bound predict validate_model""",
     "quantum": """Channel ChoiState DensityMatrix Povm bipartite_box born_table choi_of_channel

@@ -55,7 +55,7 @@ def pairwise_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL
     mats = [s.matrix for s in states]
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if commutator_norm(mats[i], mats[j]) > tol:
+            if not commutator_norm(mats[i], mats[j]) <= tol:  # a NaN tol fails
                 return False
     return True
 

@@ -128,9 +128,9 @@ def cmd_local_model(args, tol: float) -> Report:
         cert = ontic._fit_local_model(box, tol)  # `find_local_model` would run the gate again
         extra = {"method": "lp"}
     else:
-        cert, witness = None, refutation.witness
+        cert, (witness, margin) = None, refutation
         extra = {"method": "chsh", "a_settings": list(witness.a_settings),
-                 "b_settings": list(witness.b_settings), "margin": refutation.margin}
+                 "b_settings": list(witness.b_settings), "margin": margin}
     return Report(
         check="local-model", inputs=_digests(args, "box"), value=cert.residual if cert else None,
         bound=tol, passed=cert is not None, tol=tol,

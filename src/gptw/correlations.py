@@ -92,6 +92,8 @@ class CorrelationBox:
     def _check_settings(self, parties: Sequence[int], settings: Sequence[int]) -> None:
         """Refuse a setting that is not an integer in [0, settings[k]): NumPy would wrap a negative one."""
         for k, s in zip(parties, settings):
+            if isinstance(s, bool):  # NumPy would read it as a mask
+                raise ArityError(f"setting {s!r} of party {k} is a bool, not an integer")
             try:
                 s = operator.index(s)
             except TypeError:
@@ -230,15 +232,6 @@ def _chsh_table(box: CorrelationBox, first: int, second: int) -> tuple[np.ndarra
     return e[a0, b0] + e[a0, b1] + e[a1, b0] - e[a1, b1], a, b
 
 
-def _bipartite_chsh_table(box: CorrelationBox) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """`_chsh_table` of a bipartite two-outcome box, the only boxes the witness searches take."""
-    if box.n_parties != 2:
-        raise ArityError(f"the CHSH witness search needs a bipartite box, got {box.n_parties} parties")
-    if box.outcomes != (2, 2):
-        raise ArityError(f"the CHSH witness search needs two-outcome parties, got outcomes {box.outcomes}")
-    return _chsh_table(box, 0, 1)
-
-
 def _witness(values: np.ndarray, a_pairs: np.ndarray, b_pairs: np.ndarray, k: int) -> ChshValue:
     """The ChshValue at flat index k of a bipartite `_chsh_table`."""
     p, q = divmod(k, values.shape[1])
@@ -280,30 +273,34 @@ def exact_chsh_witness(box: CorrelationBox, tol: float) -> tuple[ChshValue, floa
     |B| first and in (a0, a1, b0, b1) order on ties.  Bipartite two-outcome
     boxes; a `tol` of inf or NaN gives margin None, and -inf the margin inf.
     """
-    table = values, a_pairs, b_pairs = _bipartite_chsh_table(box)
+    if box.n_parties != 2:
+        raise ArityError(f"the CHSH witness search needs a bipartite box, got {box.n_parties} parties")
+    if box.outcomes != (2, 2):
+        raise ArityError(f"the CHSH witness search needs two-outcome parties, got outcomes {box.outcomes}")
+    table = values, a_pairs, b_pairs = _chsh_table(box, 0, 1)
     size = np.abs(values).reshape(-1)
     threshold = 2.0 + tol
     floor = threshold - CHSH_ROUNDING * max(1.0, abs(threshold))
     k = int(size.argmax())
-    best = _witness(*table, k)
-    if not abs(best.value) > floor:  # a tol of inf or NaN makes the floor NaN
-        return best, None
-    # the indices come from the table, so the cells are gathered unchecked: the float-best witness's
-    # first, then the others' in chunks that bound the memory
-    p, q = divmod(k, values.shape[1])
-    margin = next(_exact_margins(box.table[a_pairs[p, _TERM_A], b_pairs[q, _TERM_B]][None], tol))
-    if margin is not None:
-        return best, margin
-    near = np.flatnonzero(size > floor)
-    rest = near[np.argsort(-size[near], kind="stable")][1:]  # the float-best leads: checked
+    if not size[k] > floor:  # a tol of inf or NaN makes the floor NaN
+        return _witness(*table, k), None
+
+    def chunks():  # (flat indices, a_terms rows, b_terms rows) of the witnesses to re-check, in order
+        p, q = divmod(k, values.shape[1])
+        yield [k], slice(p, p + 1), slice(q, q + 1)  # the float-best alone: slices index as cheaply as a scalar
+        near = np.flatnonzero(size > floor)  # reached only if the float-best fails: a nonlocal box never sorts
+        rest = near[np.argsort(-size[near], kind="stable")][1:]  # the float-best leads: checked
+        for start in range(0, len(rest), _SCAN_CHUNK):  # chunks bound the memory
+            chunk = rest[start : start + _SCAN_CHUNK]
+            yield chunk.tolist(), *np.divmod(chunk, values.shape[1])
+
+    # the indices come from the table, so the cells are gathered unchecked
     a_terms, b_terms = a_pairs[:, _TERM_A], b_pairs[:, _TERM_B]
-    for start in range(0, len(rest), _SCAN_CHUNK):
-        chunk = rest[start : start + _SCAN_CHUNK]
-        cells = box.table[a_terms[chunk // values.shape[1]], b_terms[chunk % values.shape[1]]]
-        for k, margin in zip(chunk.tolist(), _exact_margins(cells, tol)):
+    for ks, ps, qs in chunks():
+        for j, margin in zip(ks, _exact_margins(box.table[a_terms[ps], b_terms[qs]], tol)):
             if margin is not None:
-                return _witness(*table, k), margin
-    return best, None
+                return _witness(*table, j), margin
+    return _witness(*table, k), None
 
 
 @dataclass(frozen=True)
@@ -357,7 +354,7 @@ def check_no_signalling(box: CorrelationBox, tol: float = 1e-9) -> NoSignallingR
         spread = marg.max(axis=1) - marg.min(axis=1)
         devs = spread.max(axis=1)
         worst = max(worst, float(devs.max()))
-        for i in np.flatnonzero(devs > tol).tolist():
+        for i in np.flatnonzero(~(devs <= tol)).tolist():  # a NaN tol fails every subset setting
             # the complement settings at the two extremes of the widest entry
             column = marg[i, :, spread[i].argmax()].tolist()
             a, b = sorted((column.index(min(column)), column.index(max(column))))

@@ -132,7 +132,7 @@ def distribution_error(a: JointDistribution, b: JointDistribution) -> float:
 
 def _check_match(got: JointDistribution, want: JointDistribution, tol: float, what: str) -> None:
     worst = distribution_error(got, want)
-    if worst > tol:
+    if not worst <= tol:  # a NaN tol fails
         raise ValidationError(f"{what}: reconstruction off by {worst:.3e} (tol {tol:.1e})")
 
 

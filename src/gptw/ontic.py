@@ -59,7 +59,7 @@ import numpy as np
 
 from .correlations import ChshValue, CorrelationBox, exact_chsh_witness, is_bell_nonlocal
 from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, ValidationError
-from .theory import EPS_NORM
+from .theory import EPS_NORM, real_array
 
 LP_TOL = 1e-7
 # Caps 2 n_x * n_a**n_x * n_y * n_b: each of Bob's conditional weights q[alpha, y, b] enters 2 n_x fit
@@ -92,15 +92,15 @@ class OnticModel:
             raise ValidationError("ontic-state space is empty")
         if len(set(self.ontic_states)) != n:
             raise ValidationError("repeated ontic-state labels")
-        self.mu = {p: np.asarray(v, dtype=float) for p, v in mu.items()}
-        self.xi = {m: np.asarray(v, dtype=float) for m, v in xi.items()}
-        self.trans = {t: np.asarray(v, dtype=float) for t, v in trans.items()}
+        self.mu = {p: real_array(v, f"mu[{p!r}]") for p, v in mu.items()}
+        self.xi = {m: real_array(v, f"xi[{m!r}]") for m, v in xi.items()}
+        self.trans = {t: real_array(v, f"trans[{t!r}]") for t, v in trans.items()}
         for p, v in self.mu.items():
             if v.shape != (n,):
                 raise ValidationError(f"mu[{p!r}] must have one entry per ontic state")
         for m, v in self.xi.items():
-            if v.ndim != 2 or v.shape[1] != n:
-                raise ValidationError(f"xi[{m!r}] must have shape (arity, {n})")
+            if v.ndim != 2 or v.shape[1] != n or not len(v):
+                raise ValidationError(f"xi[{m!r}] must have shape (arity, {n}) with arity at least 1")
         for t, v in self.trans.items():
             if v.shape != (n, n):
                 raise ValidationError(f"trans[{t!r}] must be {n}x{n}")
@@ -127,52 +127,25 @@ def validate_model(model: OnticModel, tol: float = EPS_NORM) -> list[ConditionVi
     transformation matrix is column-stochastic.  At most one record per
     condition is returned, aggregating all offenders.
     """
-    violations: list[ConditionViolation] = []
-
-    bad1 = [
-        (p, lam)
-        for p, v in model.mu.items()
-        for lam in np.flatnonzero((v < -tol) | (v > 1 + tol))
-    ]
-    if bad1:
-        violations.append(
-            ConditionViolation(1, "mu value outside [0, 1]", tuple(bad1))
-        )
-    bad2 = [
-        (p, float(v.sum())) for p, v in model.mu.items() if abs(v.sum() - 1.0) > tol
-    ]
-    if bad2:
-        violations.append(ConditionViolation(2, "mu does not sum to 1", tuple(bad2)))
-
-    bad3 = [
-        (m, x, lam)
-        for m, v in model.xi.items()
-        for x, lam in zip(*np.where((v < -tol) | (v > 1 + tol)))
-    ]
-    if bad3:
-        violations.append(ConditionViolation(3, "xi value outside [0, 1]", tuple(bad3)))
-    bad4 = [
-        (m, lam, float(s))
-        for m, v in model.xi.items()
-        for lam, s in enumerate(v.sum(axis=0))
-        if abs(s - 1.0) > tol
-    ]
-    if bad4:
-        violations.append(
-            ConditionViolation(4, "xi outcomes do not sum to 1 at some ontic state", tuple(bad4))
-        )
-
+    # every comparison is written so that a NaN tol fails it, making every entry an offender
     bad5 = []
     for t, v in model.trans.items():
-        if (v < -tol).any():
+        if not (v >= -tol).all():
             bad5.append((t, "negative entry"))
-        cols = np.flatnonzero(np.abs(v.sum(axis=0) - 1.0) > tol)
-        bad5.extend((t, f"column {c}") for c in cols)
-    if bad5:
-        violations.append(
-            ConditionViolation(5, "transformation matrix not column-stochastic", tuple(bad5))
-        )
-    return violations
+        bad5.extend((t, f"column {c}") for c in np.flatnonzero(~(np.abs(v.sum(axis=0) - 1.0) <= tol)))
+    found = [
+        (1, "mu value outside [0, 1]",
+         [(p, lam) for p, v in model.mu.items() for lam in np.flatnonzero(~((v >= -tol) & (v <= 1 + tol)))]),
+        (2, "mu does not sum to 1",
+         [(p, float(v.sum())) for p, v in model.mu.items() if not abs(v.sum() - 1.0) <= tol]),
+        (3, "xi value outside [0, 1]",
+         [(m, x, lam) for m, v in model.xi.items() for x, lam in zip(*np.where(~((v >= -tol) & (v <= 1 + tol))))]),
+        (4, "xi outcomes do not sum to 1 at some ontic state",
+         [(m, lam, float(s)) for m, v in model.xi.items() for lam, s in enumerate(v.sum(axis=0))
+          if not abs(s - 1.0) <= tol]),
+        (5, "transformation matrix not column-stochastic", bad5),
+    ]
+    return [ConditionViolation(c, message, tuple(where)) for c, message, where in found if where]
 
 
 def predict(model: OnticModel, prep: str, trans: str, meas: str) -> np.ndarray:
@@ -238,30 +211,20 @@ def _exact_residual(box: CorrelationBox, a_maps: np.ndarray, b_maps: np.ndarray,
     return max(abs(math.fsum(cell)) for cell in terms)
 
 
-@dataclass(frozen=True)
-class ChshRefutation:
-    """A CHSH witness whose exact |B| exceeds 2 + 16 tol: no local box lies within tol."""
+def chsh_gate(box: CorrelationBox, tol: float) -> tuple[ChshValue, float] | None:
+    """`exact_chsh_witness(box, 16 * tol)`'s (witness, margin) if it refutes the box, else None.
 
-    witness: ChshValue
-    margin: float  # exact |B| - 2 - 16 tol, rounded to the nearest float (> 0)
-
-
-def chsh_gate(box: CorrelationBox, tol: float) -> ChshRefutation | None:
-    """A CHSH witness whose exact |B| exceeds 2 + 16 tol, if one exists; else None.
-
-    Applies to bipartite two-outcome boxes with at least two settings per
-    party and a finite `16 * tol`; any other box gets None and goes to the LP.
-    A box whose CHSH table exceeds `correlations.MAX_CHSH_ENTRIES` raises
-    SizeLimitError instead.
-    The float-best witness is re-checked exactly first, then every other
-    setting pair within rounding of the threshold
-    (`correlations.exact_chsh_witness`).  A refuted box has no local box
-    within `tol`: see the module docstring.
+    The margin is the exact |B| - 2 - 16 tol, rounded to the nearest float
+    (> 0).  Applies to bipartite two-outcome boxes with at least two settings
+    per party and a finite `16 * tol`; any other box gets None and goes to the
+    LP.  A box whose CHSH table exceeds `correlations.MAX_CHSH_ENTRIES`
+    raises SizeLimitError instead.  A refuted box has no local box within
+    `tol`: see the module docstring.
     """
     if box.n_parties != 2 or box.outcomes != (2, 2) or min(box.settings) < 2 or not np.isfinite(16 * tol):
         return None
     witness, margin = exact_chsh_witness(box, 16 * tol)
-    return None if margin is None else ChshRefutation(witness, margin)
+    return None if margin is None else (witness, margin)
 
 
 class ColumnMatrix(NamedTuple):
@@ -498,7 +461,7 @@ def _certificate(box: CorrelationBox, a_maps: np.ndarray, x: np.ndarray, tol: fl
     keep = np.flatnonzero(raw > 1e-12)
     a_kept, b_kept, w_kept = a_maps[keep // lengths.shape[1]], b_maps.reshape(-1, n_y)[keep], raw[keep]
     residual = _exact_residual(box, a_kept, b_kept, w_kept)
-    if residual > tol:
+    if not residual <= tol:  # a NaN tol certifies nothing
         return None
     strategies = zip(map(tuple, a_kept.tolist()), map(tuple, b_kept.tolist()))
     return LocalModelCertificate(dict(zip(strategies, w_kept.tolist())), residual)
@@ -550,7 +513,7 @@ def _fit_local_model(box: CorrelationBox, tol: float) -> LocalModelCertificate |
         if res.status != 0:
             raise SolverError(f"LP solver failed: {res.message}")
         cert = _certificate(box, a_maps, res.x, tol)
-        if cert is not None or res.fun > tol:
+        if cert is not None or not res.fun <= tol:  # a NaN tol gets no second solve
             return cert
     return None
 

@@ -38,7 +38,7 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .correlations import CorrelationBox
-from .errors import DimensionMismatchError, ValidationError
+from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .theory import EPS_BRANCH, EnsemblePreparation, Measurement, OperationalTheory
 
 ATOL = 1e-10  # hermiticity / positivity / trace / eigenvalue-cutoff tolerance for quantum objects
@@ -85,10 +85,13 @@ class DensityMatrix:
         self.matrix = mat
 
     @classmethod
+    @np.errstate(over="ignore")  # a huge entry gives norm inf, refused below
     def pure(cls, vec: Sequence[complex], dims: Sequence[int] | None = None) -> "DensityMatrix":
         v = np.asarray(vec, dtype=complex).reshape(-1)
-        v = v / np.linalg.norm(v)
-        return cls(np.outer(v, v.conj()), dims)
+        norm = np.linalg.norm(v)
+        if not 0 < norm < np.inf:  # NaN fails too
+            raise ValidationError(f"a pure state needs a nonzero finite vector, got norm {norm}")
+        return cls(np.outer(v / norm, (v / norm).conj()), dims)
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
@@ -226,7 +229,7 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     n = len(dims)
     keep = tuple(keep)
     if list(keep) != sorted(keep):
-        raise ValueError("keep indices must be ascending")
+        raise PreconditionError(f"keep indices must be ascending, got {keep}")
     tensor = np.asarray(mat, dtype=complex).reshape(dims + dims)
     n_rows = n
     for i in sorted((i for i in range(n) if i not in keep), reverse=True):

@@ -28,16 +28,24 @@ EPS_BRANCH = 1e-12  # an ensemble branch of at most this weight never contribute
 RANK_RTOL = 1e-7  # relative singular-value threshold for affine ranks
 
 
+def real_array(values: Any, what: str) -> np.ndarray:
+    """`values` as a float array; a ValidationError, with no warning, unless every entry is a real number."""
+    try:
+        p = np.asarray(values)
+        if p.dtype.kind in "biufO":  # complex is refused, not cast: NumPy would drop the imaginary parts
+            return np.asarray(p, dtype=float)
+    except (TypeError, ValueError, OverflowError):  # a ragged list, a complex or other object, an int over 1e308
+        pass
+    raise ValidationError(f"{what} must be real numbers")
+
+
 def probability_array(values: Any, what: str, conditions: int = 0) -> np.ndarray:
     """`values` as a read-only array of distributions over the axes after the first `conditions`.
 
     Entries must be real, finite and within EPS_NORM of [0, 1] (then clipped to it), each distribution must sum to
     1 within EPS_NORM, and an empty array is refused.  `what` names the entries in the error message.
     """
-    p = np.asarray(values)
-    if p.dtype.kind == "c":  # refused, not cast: NumPy would drop the imaginary parts with a warning
-        raise ValidationError(f"{what} must be real")
-    p = np.asarray(p, dtype=float)
+    p = real_array(values, what)
     if p.size == 0:
         raise ValidationError(f"{what} are empty")
     # written so that NaN fails it: min and max propagate NaN
@@ -314,7 +322,7 @@ def operationally_equivalent(
             continue
         if theory.has_row(prep_b, t, m):
             other = outcome_distribution(theory, prep_b, t, m)
-            if np.max(np.abs(row - other)) > tol:
+            if not np.max(np.abs(row - other)) <= tol:  # a NaN tol fails
                 return False
     return True
 

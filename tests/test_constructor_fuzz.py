@@ -20,6 +20,7 @@ from hypothesis.extra import numpy as hnp
 from gptw import quantum as q
 from gptw.correlations import CorrelationBox
 from gptw.errors import GptwError
+from gptw.ontic import OnticModel
 from gptw.theory import EnsemblePreparation, JointDistribution, OperationalTheory
 
 from conftest import pr_table
@@ -62,6 +63,17 @@ def theory(arr: np.ndarray) -> OperationalTheory:
     return OperationalTheory(["p"], ["I"], [("m", arr.shape[0] if arr.ndim else 1)], {("p", "I", "m"): arr})
 
 
+def ontic_model(slot: int):
+    """An `OnticModel` whose only mu (slot 0), xi (1) or trans (2) entry is the array, one state per last-axis entry."""
+
+    def build(arr: np.ndarray) -> OnticModel:
+        entries: list[dict] = [{}, {}, {}]
+        entries[slot] = {"x": arr}
+        return OnticModel([f"l{i}" for i in range(arr.shape[-1] if arr.ndim else 1)], *entries)
+
+    return build
+
+
 CONSTRUCTORS = {
     "density": q.DensityMatrix,
     "povm": lambda arr: q.Povm(as_list(arr)),
@@ -70,6 +82,9 @@ CONSTRUCTORS = {
     "ensemble": lambda arr: EnsemblePreparation(arr, [f"q{i}" for i in range(arr.size)]),
     "joint": lambda arr: JointDistribution([(f"x{k}", n) for k, n in enumerate(arr.shape)], arr),
     "theory row": theory,
+    "ontic mu": ontic_model(0),
+    "ontic xi": ontic_model(1),
+    "ontic trans": ontic_model(2),
 }
 VALID = {
     "density": [np.eye(2) / 2, np.diag([1.0, 0.0, 0.0]), q.ginibre_state(4, np.random.default_rng(0)).matrix],
@@ -79,6 +94,9 @@ VALID = {
     "ensemble": [np.array([0.5, 0.5]), np.array([1.0])],
     "joint": [np.full((2, 3), 1 / 6)],
     "theory row": [np.array([0.25, 0.75])],
+    "ontic mu": [np.array([0.5, 0.5])],
+    "ontic xi": [np.array([[1.0, 0.0], [0.0, 1.0]]), np.full((3, 2), 1 / 3)],
+    "ontic trans": [np.eye(2), np.full((3, 3), 1 / 3)],
 }
 
 

@@ -173,6 +173,23 @@ def test_non_integer_setting_is_an_arity_error(pr_box, call):
         call(pr_box)
 
 
+@pytest.mark.parametrize(
+    "parties, call",
+    [
+        (2, lambda box: box.prob((True, 0))),
+        (2, lambda box: chsh(box, True, False, 0, 1)),
+        (3, lambda box: chsh(box, spectator_settings=(True,))),
+        (2, lambda box: box.marginal([0], [True])),
+    ],
+    ids=["prob", "chsh", "chsh-spectator", "marginal-spectator"],
+)
+def test_bool_setting_is_an_arity_error(parties, call):
+    # NumPy reads a bool in an index tuple as a mask: prob((True, 0)) would be p(ab|x=0) at every y
+    box = random_signalling_box((2,) * parties, np.random.default_rng(23))
+    with pytest.raises(ArityError, match="setting True of party . is a bool"):
+        call(box)
+
+
 def test_numpy_integer_settings_are_accepted(pr_box):
     one = np.int64(1)
     assert np.array_equal(pr_box.prob((np.int32(0), one)), pr_box.prob((0, 1)))

@@ -6,7 +6,7 @@ import itertools
 import numpy as np
 import pytest
 
-from gptw import quantum as q
+from gptw import duality, quantum as q
 from gptw.duality import (
     CONSTRUCTION_TOL,
     _check_match,
@@ -543,3 +543,13 @@ def test_a_transpose_passes_the_density_check_iff_its_matrix_does(kind):
             assert _density_outcome(m.T[None], vals) == outcomes[-1]
     raised = sum(o is not None for o in outcomes)
     assert 0 < raised < len(outcomes)  # both sides of each check are reached
+
+
+def test_spatial_to_temporal_refuses_a_wrong_reconstruction(monkeypatch):
+    # a recovered channel replaced by the identity: only `_check_match` stands between it and the caller
+    state = q.ginibre_state(4, np.random.default_rng(28))
+    spatial = spatial_scenario(q.DensityMatrix(state.matrix, dims=(2, 2)), [q.z_basis(), q.x_basis()])
+    spatial_to_temporal(spatial)
+    monkeypatch.setattr(duality, "_conditional_channel", lambda joint, *_: q.Channel.identity(joint.dims[1]))
+    with pytest.raises(ValidationError, match="spatial_to_temporal: reconstruction off by"):
+        spatial_to_temporal(spatial)

@@ -24,7 +24,7 @@ PUBLIC_NAMES = {
     "game": "FineGrainedReport GameReport GameStrategy UncertaintyTriple a3_strategy build_quadruple "
     "check_finegrained game_value max_sum_state simulate_game triples_from_theory win_probability "
     "FINEGRAINED_BOUND TSIRELSON_WIN",
-    "ontic": "ChshRefutation ConditionViolation LocalModelCertificate NoncontextualVerdict OnticModel "
+    "ontic": "ConditionViolation LocalModelCertificate NoncontextualVerdict OnticModel "
     "certificate_to_ontic_model chsh_gate find_local_model noncontextual_chsh_bound predict validate_model",
     "quantum": "Channel ChoiState DensityMatrix Povm bipartite_box born_table choi_of_channel "
     "conditional_channel ginibre_state leifer_ensemble multipartite_box partial_trace random_povm "
@@ -37,6 +37,7 @@ PUBLIC_NAMES = {
 DELETED_NAMES = {
     "correlations": "chsh_prepare_measure correlator",
     "duality": "verify_ocj",
+    "ontic": "ChshRefutation",
     "quantum": "kraus_from_choi marginal_channel transpose_state",
 }
 

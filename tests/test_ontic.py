@@ -17,7 +17,7 @@ from scipy.sparse import csc_array
 
 from gptw import ontic
 from gptw import quantum as q
-from gptw.correlations import CorrelationBox, is_bell_nonlocal
+from gptw.correlations import CorrelationBox, exact_chsh_witness, is_bell_nonlocal
 from gptw.errors import SizeLimitError, SolverError, UnknownIdError
 from gptw.ontic import (
     LocalModelCertificate,
@@ -499,8 +499,8 @@ def test_chsh_gate_margin_is_exact():
             margin = fraction_chsh_margin(box, tol)
             assert (refutation is not None) == (margin > 0)
             if refutation is not None:
-                assert refutation.margin == float(margin)
-                assert refutation.witness == is_bell_nonlocal(box)[1]
+                assert refutation == (is_bell_nonlocal(box)[1], float(margin))
+                assert refutation == exact_chsh_witness(box, 16 * tol)
 
 
 def test_chsh_gate_scales_tol_by_sixteen_exactly(pr_box, deterministic_box):
@@ -510,8 +510,8 @@ def test_chsh_gate_scales_tol_by_sixteen_exactly(pr_box, deterministic_box):
     table[1, 1, 0, 1] = 32 * t
     box = CorrelationBox((2, 2), (2, 2), table)
     assert abs(is_bell_nonlocal(box)[1].value) == 2.0  # the float |B| cannot tell
-    refutation = ontic.chsh_gate(box, t)
-    assert refutation.margin == float(fraction_chsh_margin(box, t)) == 16 * t
+    _, margin = ontic.chsh_gate(box, t)
+    assert margin == float(fraction_chsh_margin(box, t)) == 16 * t
     assert ontic.chsh_gate(box, 2 * t) is None  # a tie: |B| = 2 + 16 (2 t)
     # 16 tol overflows to inf: the box goes to the LP, and no exact check sees an infinite tol
     assert ontic.chsh_gate(pr_box, 1e308) is None
