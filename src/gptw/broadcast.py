@@ -44,7 +44,7 @@ def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Max-entry norm of [a, b] = ab - ba."""
     a = np.asarray(a, dtype=complex)
     b = np.asarray(b, dtype=complex)
-    return float(np.max(np.abs(a @ b - b @ a)))
+    return float(np.abs(a @ b - b @ a).max())
 
 
 def pairwise_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL) -> bool:
@@ -89,7 +89,7 @@ def _common_eigenbasis(mats: list[np.ndarray]) -> np.ndarray:
                 refined.append(block)
                 continue
             vals, vecs = np.linalg.eigh(block.conj().T @ m @ block)
-            cuts = np.flatnonzero(np.diff(vals) > EIGEN_GAP * max(1.0, float(np.max(np.abs(vals))))) + 1
+            cuts = np.flatnonzero(np.diff(vals) > EIGEN_GAP * max(1.0, float(np.abs(vals).max()))) + 1
             refined.extend(np.split(block @ vecs, cuts, axis=1))
         blocks = refined
     return np.hstack(blocks)
@@ -110,29 +110,27 @@ def broadcast_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TO
     the same family gives the same channel) and reprepares the outcome on
     both outputs; each output marginal then reproduces any input diagonal in
     that basis.  The errors are each state's worst output-marginal trace
-    distance, computed through the channel built.  Non-commuting input is
+    distance, computed through the channel built: one `apply` on the stacked
+    family, both marginals as traces of the stacked outputs, and every
+    distance from one batched `trace_distance`.  Non-commuting input is
     rejected.
     """
     if not states:
         raise PreconditionError("empty state family")
     if not pairwise_commuting(states, tol):
         raise PreconditionError("states do not commute pairwise; broadcasting impossible")
-    from .quantum import Channel, partial_trace, trace_distance
+    from .quantum import Channel, trace_distance
 
     d = states[0].dim
-    basis = _common_eigenbasis([s.matrix for s in states])
-    kraus = []
-    for k in range(d):
-        e = basis[:, k]
-        kraus.append(np.outer(np.kron(e, e), e.conj()))
+    mats = np.array([s.matrix for s in states])
+    cols = _common_eigenbasis(list(mats)).T  # cols[k] is the k-th basis vector e_k
+    pairs = (cols[:, :, None] * cols[:, None, :]).reshape(d, d * d)  # pairs[k] = kron(e_k, e_k)
+    kraus = pairs[:, :, None] * cols.conj()[:, None, :]  # K_k = |e_k e_k><e_k|
     channel = Channel(kraus, output_dims=(d, d))
-    errors = []
-    for s in states:
-        out = channel.apply(s.matrix)
-        err_a = trace_distance(partial_trace(out, (d, d), keep=(0,)), s.matrix)
-        err_b = trace_distance(partial_trace(out, (d, d), keep=(1,)), s.matrix)
-        errors.append(max(err_a, err_b))
-    return channel, BroadcastCheck(tuple(errors), max(errors))
+    out = channel.apply(mats).reshape(len(mats), d, d, d, d)  # axes (state, a, b, a', b')
+    marginals = np.stack([np.trace(out, axis1=2, axis2=4), np.trace(out, axis1=1, axis2=3)], axis=1)
+    errors = trace_distance(marginals, np.stack([mats, mats], axis=1)).max(axis=1)
+    return channel, BroadcastCheck(tuple(errors.tolist()), float(errors.max()))
 
 
 @dataclass(frozen=True)

@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityError, SizeLimitError, ValidationError
-from .theory import probability_array
+from .theory import probability_array, real_array
 
 MAX_PARTIES = 3  # the largest box every check here handles
 # the most B values one CHSH table holds: square binary boxes up to 64 settings, tripartite up to 28
@@ -76,7 +76,7 @@ class CorrelationBox:
         self.n_parties = len(self.settings)
         if self.n_parties > MAX_PARTIES:
             raise ValidationError(f"at most {MAX_PARTIES} parties are supported, got {self.n_parties}")
-        tab = np.asarray(table)
+        tab = real_array(table, "box entries")
         if tab.shape != self.settings + self.outcomes:
             raise ValidationError(f"table shape {tab.shape} != settings+outcomes {self.settings + self.outcomes}")
         self.table = probability_array(tab, "box entries", self.n_parties)

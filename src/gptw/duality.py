@@ -16,16 +16,20 @@ full joint distribution -- branch index included -- is preserved:
                         ensemble average), first-party measurement = the
                         transpose of the ensemble's recovered POVM
 
-All transposes are computational-basis.  Each stage works on the stacked
-branches and effects, one NumPy call per stage.  Each marginal (rho_A one
-way, rho_bar the other) is decomposed once, by one `eigh` of its transpose:
-that spectrum serves the marginal's PSD check, the square root and the inverse
-square root with its support.  A matrix passes the validating checks iff its
-transpose does, up to the rounding of its eigenvalues, so each such pair is
-checked once: the marginal, and the first-party POVM, whose transpose goes to
-the ensemble as a bare effect stack.  Both directions verify
-the distribution equality they promise and raise ValidationError if the
-reconstruction misses it, so a returned scenario is already checked.
+All transposes are computational-basis.  Each stage's arithmetic runs on the
+stacked branches, effects and Kraus operators: the branch weights as one
+matrix-vector product, the branch states as one stacked product, the channel
+as two matrix products on the stack of weighted branches (`Channel.apply`).
+Python loops only to wrap each checked branch matrix as a state.  Each
+marginal (rho_A one way, rho_bar the other) is decomposed once, by one `eigh`
+of its transpose: that spectrum serves the marginal's PSD check, the square
+root and the inverse square root with its support.  A matrix passes the
+validating checks iff its transpose does, up to the rounding of its
+eigenvalues, so each such pair is checked once: the marginal, and the
+first-party POVM, whose transpose goes to the ensemble as a bare effect stack.
+Both directions verify the distribution equality they promise and raise
+ValidationError if the reconstruction misses it, so a returned scenario is
+already checked.
 Supports 2 and 3 total systems (one upstream system plus 1 or 2 outputs).
 """
 from __future__ import annotations
@@ -39,7 +43,6 @@ from .quantum import (
     Channel,
     DensityMatrix,
     Povm,
-    partial_trace,
     _born,
     _conditional_channel,
     _inv_sqrt_from,
@@ -127,7 +130,7 @@ def distribution_error(a: JointDistribution, b: JointDistribution) -> float:
     """max |a - b| over the entries of two joint distributions of one shape."""
     if a.probabilities.shape != b.probabilities.shape:
         raise ArityError(f"distribution shapes differ: {a.probabilities.shape} vs {b.probabilities.shape}")
-    return float(np.max(np.abs(a.probabilities - b.probabilities)))
+    return float(np.abs(a.probabilities - b.probabilities).max())
 
 
 def _check_match(got: JointDistribution, want: JointDistribution, tol: float, what: str) -> None:
@@ -146,7 +149,8 @@ def spatial_to_temporal(spatial: SpatialScenario, tol: float = CONSTRUCTION_TOL)
     if len(dims) not in (2, 3):
         raise DimensionMismatchError("2 or 3 parties supported")
     d_a = dims[0]
-    rho_a = partial_trace(spatial.state.matrix, (d_a, spatial.state.dim // d_a), keep=(0,))
+    d_rest = spatial.state.dim // d_a
+    rho_a = np.trace(spatial.state.matrix.reshape(d_a, d_rest, d_a, d_rest), axis1=1, axis2=3)
     rho_a_t, vals, eigvecs = _transposed_state(rho_a)
     ensemble = _leifer_ensemble(rho_a_t, spatial.povms[0].element_stack.transpose(0, 2, 1), _sqrt_from(vals, eigvecs))
     # rho_A = conj(rho_A^T): its eigenvectors are the conjugated ones
@@ -174,7 +178,7 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
     effects = np.zeros((len(live), d, d), dtype=complex)
     effects[live] = 0.5 * (e + e.conj().transpose(0, 2, 1))
     leftover = np.eye(d) - support
-    if np.max(np.abs(leftover)) > 1e-12:
+    if np.abs(leftover).max() > 1e-12:
         effects[-1] += leftover  # complete the POVM off the support
     first_meas = Povm(effects.transpose(0, 2, 1))  # the transpose of the POVM inducing the ensemble
 

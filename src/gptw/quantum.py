@@ -45,14 +45,23 @@ ATOL = 1e-10  # hermiticity / positivity / trace / eigenvalue-cutoff tolerance f
 CHOI_ATOL = 1e-9
 
 
-def _as_complex_matrix(entries: np.ndarray | Sequence[Sequence[complex]], copy: bool = True) -> np.ndarray:
-    # a fresh copy that callers freeze; copy=False is for callers that copy the result themselves
-    mat = np.array(entries, dtype=complex) if copy else np.asarray(entries, dtype=complex)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-        raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-    if not mat.size:
-        raise ValidationError(f"expected a non-empty matrix, got shape {mat.shape}")
-    return mat
+def _complex_array(entries, what: str) -> np.ndarray:
+    """`entries` as a new complex array for callers to freeze; a GptwError, with no warning, unless all are numbers.
+
+    A ragged list (matrices of several shapes, rows of several lengths) is a
+    DimensionMismatchError; strings, other objects and ints over the float
+    range are a ValidationError.
+    """
+    try:
+        arr = np.asarray(entries)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise DimensionMismatchError(f"{what} have mixed dimensions") from None
+    try:
+        if arr.dtype.kind in "biufcO":  # strings are refused, not parsed: NumPy reads '1' as 1
+            return np.array(arr, dtype=complex)
+    except (TypeError, ValueError, OverflowError):  # an object entry that is not a number, an int over 1e308
+        pass
+    raise ValidationError(f"{what} must be numbers")
 
 
 class DensityMatrix:
@@ -63,7 +72,11 @@ class DensityMatrix:
     """
 
     def __init__(self, entries, dims: Sequence[int] | None = None) -> None:
-        mat = _as_complex_matrix(entries)
+        mat = _complex_array(entries, "density matrix entries")
+        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
+            raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
+        if not mat.size:
+            raise ValidationError(f"expected a non-empty matrix, got shape {mat.shape}")
         _check_density(mat[None])
         self._freeze(mat, dims)
 
@@ -87,7 +100,7 @@ class DensityMatrix:
     @classmethod
     @np.errstate(over="ignore")  # a huge entry gives norm inf, refused below
     def pure(cls, vec: Sequence[complex], dims: Sequence[int] | None = None) -> "DensityMatrix":
-        v = np.asarray(vec, dtype=complex).reshape(-1)
+        v = _complex_array(vec, "pure state amplitudes").reshape(-1)
         norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:  # NaN fails too
             raise ValidationError(f"a pure state needs a nonzero finite vector, got norm {norm}")
@@ -108,7 +121,7 @@ def _check_density(stack: np.ndarray, eigvals: np.ndarray | None = None) -> None
     check kind is reported, and within it the first matrix.
     """
     # negated so that NaN and inf fail it: they make the difference non-finite
-    if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= ATOL:
+    if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= ATOL:
         raise ValidationError("density matrix is not finite and Hermitian")
     traces = np.trace(stack, axis1=1, axis2=2)
     for k, t in enumerate(traces.tolist()):  # a Python loop: a stack holds a few states, often one
@@ -122,19 +135,20 @@ class Povm:
     """A list of positive effects summing to the identity."""
 
     @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
-    def __init__(self, elements: Sequence[np.ndarray]) -> None:
-        mats = [_as_complex_matrix(e, copy=False) for e in elements]  # np.stack below makes the one copy
-        if not mats:
+    def __init__(self, elements: Sequence[np.ndarray] | np.ndarray) -> None:
+        stack = _complex_array(elements, "POVM elements")  # element_stack[k] is the k-th effect
+        if stack.shape[:1] == (0,):
             raise ValidationError("POVM needs at least one element")
-        d = mats[0].shape[0]
-        if any(e.shape != (d, d) for e in mats):
-            raise DimensionMismatchError("POVM elements have mixed dimensions")
-        stack = np.stack(mats)  # element_stack[k] is the k-th effect
-        if not np.max(np.abs(stack - stack.conj().transpose(0, 2, 1))) <= ATOL:
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
+            raise ValidationError(f"expected a square matrix, got shape {stack.shape[1:]}")
+        if not stack.size:
+            raise ValidationError(f"expected a non-empty matrix, got shape {stack.shape[1:]}")
+        d = stack.shape[1]
+        if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= ATOL:
             raise ValidationError("POVM element is not finite and Hermitian")
         if np.linalg.eigvalsh(stack).min() < -ATOL:
             raise ValidationError("POVM element is not positive semidefinite")
-        if np.max(np.abs(stack.sum(axis=0) - np.eye(d))) > ATOL:
+        if np.abs(stack.sum(axis=0) - np.eye(d)).max() > ATOL:
             raise ValidationError("POVM elements do not sum to the identity")
         stack.flags.writeable = False
         self.element_stack = stack
@@ -153,20 +167,17 @@ class Channel:
     """
 
     @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
-    def __init__(self, kraus: Sequence[np.ndarray], output_dims: Sequence[int] | None = None) -> None:
-        ops = [np.asarray(k, dtype=complex) for k in kraus]
-        if not ops:
+    def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, output_dims: Sequence[int] | None = None) -> None:
+        stack = _complex_array(kraus, "Kraus operators")  # kraus_stack[k] is the k-th operator
+        if stack.shape[:1] == (0,):
             raise ValidationError("channel needs at least one Kraus operator")
-        if ops[0].ndim != 2:
+        if stack.ndim != 3:
             raise ValidationError("Kraus operators must be matrices")
-        d_out, d_in = ops[0].shape
-        if not ops[0].size:
-            raise ValidationError(f"Kraus operators must be non-empty, got shape {ops[0].shape}")
-        if any(k.shape != (d_out, d_in) for k in ops):
-            raise DimensionMismatchError("Kraus operators have mixed shapes")
-        stack = np.stack(ops)  # the one copy: kraus_stack[k] is the k-th operator
+        d_out, d_in = stack.shape[1:]
+        if not stack.size:
+            raise ValidationError(f"Kraus operators must be non-empty, got shape {stack.shape[1:]}")
         flat = stack.reshape(-1, d_in)
-        if not np.max(np.abs(flat.conj().T @ flat - np.eye(d_in))) <= ATOL:
+        if not np.abs(flat.conj().T @ flat - np.eye(d_in)).max() <= ATOL:
             raise ValidationError("Kraus operators are not finite and trace preserving")
         stack.flags.writeable = False
         self.kraus_stack = stack
@@ -185,17 +196,27 @@ class Channel:
 
     @classmethod
     def unitary(cls, u: np.ndarray) -> "Channel":
-        return cls([np.asarray(u, dtype=complex)])
+        return cls([u])
 
     def apply(self, rho: np.ndarray) -> np.ndarray:
-        """Apply to a raw matrix (not necessarily normalized), or to a stack of them along leading axes."""
+        """Apply to a raw matrix (not necessarily normalized), or to a stack of them along leading axes.
+
+        sum_k K_k rho K_k^dagger as two matrix products per input: the Kraus
+        operators stacked as rows, (k d_out, d_in) @ rho, gives every K_k rho;
+        regrouped side by side as (d_out, k d_in), they meet the adjoints
+        stacked as rows, (k d_in, d_out), and that one product sums over k.
+        """
         rho = np.asarray(rho, dtype=complex)
         if rho.shape[-2:] != (self.dim_in, self.dim_in):
             raise DimensionMismatchError(
                 f"channel expects a {self.dim_in}x{self.dim_in} input, got {rho.shape}"
             )
         stack = self.kraus_stack
-        return (stack @ rho[..., None, :, :] @ stack.conj().transpose(0, 2, 1)).sum(axis=-3)
+        k, d_out, d_in = stack.shape
+        lead = rho.shape[:-2]
+        left = (stack.reshape(k * d_out, d_in) @ rho).reshape(lead + (k, d_out, d_in))
+        side_by_side = left.swapaxes(-3, -2).reshape(lead + (d_out, k * d_in))
+        return side_by_side @ stack.conj().transpose(0, 2, 1).reshape(k * d_in, d_out)
 
 
 @dataclass(frozen=True)
@@ -224,13 +245,18 @@ class ChoiState:
 
 
 def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
-    """Trace out all subsystems not listed in `keep` (which must be ascending)."""
+    """Trace out all subsystems not listed in `keep` (which must be strictly ascending)."""
     dims = tuple(dims)
     n = len(dims)
     keep = tuple(keep)
-    if list(keep) != sorted(keep):
-        raise PreconditionError(f"keep indices must be ascending, got {keep}")
-    tensor = np.asarray(mat, dtype=complex).reshape(dims + dims)
+    if any(b <= a for a, b in zip(keep, keep[1:])):
+        raise PreconditionError(f"keep indices must be strictly ascending, got {keep}")
+    if keep and not (0 <= keep[0] and keep[-1] < n):
+        raise PreconditionError(f"keep indices must lie in 0..{n - 1}, got {keep}")
+    mat = _complex_array(mat, "matrix entries")
+    if any(x < 1 for x in dims) or mat.shape != (math.prod(dims),) * 2:
+        raise DimensionMismatchError(f"dims {dims} do not factor a square matrix of shape {mat.shape}")
+    tensor = mat.reshape(dims + dims)
     n_rows = n
     for i in sorted((i for i in range(n) if i not in keep), reverse=True):
         tensor = np.trace(tensor, axis1=i, axis2=i + n_rows)
@@ -280,10 +306,19 @@ def _transposed_state(mat: np.ndarray) -> tuple[DensityMatrix, np.ndarray, np.nd
     return DensityMatrix._checked(mat_t), vals, vecs
 
 
-def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
-    """(1/2) * trace norm of (a - b) for Hermitian a, b."""
-    diff = np.asarray(a, dtype=complex) - np.asarray(b, dtype=complex)
-    return 0.5 * float(np.sum(np.abs(np.linalg.eigvalsh(diff))))
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
+    """(1/2) * trace norm of (a - b) for Hermitian a, b.
+
+    Stacks of matrices along matching leading axes give one distance per
+    pair, from one batched `eigvalsh`; two matrices give a float.
+    """
+    a = _complex_array(a, "matrix entries")
+    b = _complex_array(b, "matrix entries")
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
+        raise DimensionMismatchError(
+            f"trace_distance needs square matrices of one shape, got {a.shape} and {b.shape}"
+        )
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -445,13 +480,19 @@ def _conditional_channel(state: DensityMatrix, inv_sqrt: np.ndarray, support: np
     dims = state.dims
     d_a = dims[0]
     d_b = state.dim // d_a
-    dress = np.kron(inv_sqrt, np.eye(d_b))
+    dress = _kron(inv_sqrt, np.eye(d_b))
     j_mat = dress @ state.matrix @ dress
     comp = np.eye(d_a) - support
-    if np.max(np.abs(comp)) > ATOL:
-        j_mat = j_mat + np.kron(comp, np.eye(d_b) / d_b)
+    if np.abs(comp).max() > ATOL:
+        j_mat = j_mat + _kron(comp, np.eye(d_b) / d_b)
     j_mat = 0.5 * (j_mat + j_mat.conj().T)
     return Channel(_kraus_from_in_out(j_mat, d_a, d_b), output_dims=dims[1:])
+
+
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron(a, b) of two square matrices, bit for bit, as one broadcast product and a reshape."""
+    n = a.shape[0] * b.shape[0]
+    return (a[:, None, :, None] * b[None, :, None, :]).reshape(n, n)
 
 
 def leifer_ensemble(rho: DensityMatrix, povm: Povm) -> EnsemblePreparation:
@@ -468,7 +509,7 @@ def leifer_ensemble(rho: DensityMatrix, povm: Povm) -> EnsemblePreparation:
 
 def _leifer_ensemble(rho: DensityMatrix, effects: np.ndarray, root: np.ndarray) -> EnsemblePreparation:
     """`leifer_ensemble` along a checked effect stack of rho's dimension, with sqrt(rho) computed by the caller."""
-    weights = np.einsum("ij,kji->k", rho.matrix, effects).real  # Tr(rho M_k)
+    weights = (effects.reshape(len(effects), -1) @ rho.matrix.T.reshape(-1)).real  # Tr(rho M_k) as one matvec
     live = weights > EPS_BRANCH
     branches = root @ effects[live] @ root / weights[live][:, None, None]
     _check_density(branches)
@@ -588,4 +629,4 @@ def random_channel(dim_in: int, dim_out: int, kraus_count: int, rng: np.random.G
         size=(dim_out * kraus_count, dim_in)
     )
     q, _ = np.linalg.qr(g)  # columns orthonormal: q^dagger q = I_{dim_in}
-    return Channel([q[k * dim_out : (k + 1) * dim_out, :] for k in range(kraus_count)])
+    return Channel(q.reshape(kraus_count, dim_out, -1))  # row block k is the k-th Kraus operator

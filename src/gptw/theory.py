@@ -123,7 +123,7 @@ class OperationalTheory:
             raise ValidationError(f"table row references unknown transformation {trans!r}")
         if meas not in self._arities:
             raise ValidationError(f"table row references unknown measurement {meas!r}")
-        row = np.asarray(probs)
+        row = real_array(probs, f"row {key}: probabilities")
         if row.shape != (self._arities[meas],):
             raise ValidationError(
                 f"row {key}: expected {self._arities[meas]} outcomes, got shape {row.shape}"
@@ -174,7 +174,7 @@ class EnsemblePreparation:
     branches: tuple[Any, ...]
 
     def __init__(self, weights: Sequence[float], branches: Sequence[Any]) -> None:
-        w = np.asarray(weights)
+        w = real_array(weights, "ensemble weights")
         b = tuple(branches)
         if w.ndim != 1 or not b or len(b) != w.size:
             raise ValidationError("one weight per branch required")
@@ -197,7 +197,7 @@ class JointDistribution:
 
     def __init__(self, axes: Sequence[tuple[str, int]], probabilities: np.ndarray) -> None:
         ax = tuple((str(label), int(n)) for label, n in axes)
-        p = np.asarray(probabilities)
+        p = real_array(probabilities, "joint distribution entries")
         if p.shape != tuple(n for _, n in ax):
             raise ValidationError(f"probabilities shape {p.shape} != axis arities {ax}")
         object.__setattr__(self, "axes", ax)

@@ -60,6 +60,17 @@ def marginal_errors(channel: q.Channel, state: q.DensityMatrix) -> float:
     )
 
 
+@pytest.mark.parametrize("d", [2, 3, 4, 6])
+def test_batched_errors_equal_the_per_state_loop(d):
+    rng = np.random.default_rng(290 + d)
+    u = q.haar_unitary(d, rng)
+    family = [q.DensityMatrix(u @ np.diag(rng.dirichlet(np.ones(d))) @ u.conj().T) for _ in range(4)]
+    channel, check = broadcast_commuting(family)
+    loop = [marginal_errors(channel, s) for s in family]
+    assert np.abs(np.array(check.errors) - loop).max() <= 1e-15
+    assert check.max_error == max(check.errors)
+
+
 def test_classical_diagonal_broadcast_exact():
     states = [q.DensityMatrix(np.diag([0.3, 0.7])), q.DensityMatrix(np.diag([1.0, 0.0]))]
     channel, check = broadcast_commuting(states)

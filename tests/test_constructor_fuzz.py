@@ -2,7 +2,8 @@
 
 Two kinds of input: arbitrary float or complex arrays of any shape (zero-size
 ones included, with NaN, infinities and huge entries), and near misses, valid
-arrays with one or two entries replaced.  The loaders are fuzzed in
+arrays with one or two entries replaced.  Input that is never valid, ragged
+lists and strings, must raise a GptwError.  The loaders are fuzzed in
 `test_loader_fuzz.py`; these call the constructors directly, so a check that
 a loader happens to run first cannot hide a constructor's traceback or
 warning.  Runs are derandomized, so tier-1 sees the same examples each time.
@@ -111,6 +112,42 @@ def test_constructor_returns_or_raises_gptw_error_without_warning(kind):
                 CONSTRUCTORS[kind](arr)
             except GptwError:
                 pass
+
+    check()
+
+
+NUMBER = st.floats() | st.complex_numbers() | st.integers()
+RAGGED = st.lists(st.lists(NUMBER, max_size=3), min_size=2, max_size=3).filter(
+    lambda rows: len({len(r) for r in rows}) > 1
+) | st.tuples(st.integers(1, 3), st.integers(1, 3)).filter(lambda n: n[0] != n[1]).map(
+    lambda n: [np.eye(n[0]), np.eye(n[1])]  # matrices of two sizes
+)
+STRINGS = hnp.arrays(
+    hnp.unicode_string_dtypes(max_len=2), hnp.array_shapes(min_dims=1, max_dims=3, min_side=1, max_side=3)
+).flatmap(lambda arr: st.sampled_from([arr, arr.tolist()]))
+MALFORMED = {  # each kind's constructor with the drawn value in its array argument
+    "density": q.DensityMatrix,
+    "povm": q.Povm,
+    "channel": q.Channel,
+    "box": lambda x: CorrelationBox((2,), (2,), x),
+    "ensemble": lambda x: EnsemblePreparation(x, ["p", "q"]),
+    "joint": lambda x: JointDistribution([("x", 2)], x),
+    "theory row": lambda x: OperationalTheory(["p"], ["I"], [("m", 2)], {("p", "I", "m"): x}),
+    "ontic mu": lambda x: OnticModel(["l0", "l1"], {"x": x}, {}, {}),
+    "ontic xi": lambda x: OnticModel(["l0", "l1"], {}, {"x": x}, {}),
+    "ontic trans": lambda x: OnticModel(["l0", "l1"], {}, {}, {"x": x}),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(MALFORMED))
+def test_ragged_and_string_input_raises_gptw_error_without_warning(kind):
+    @FUZZ
+    @given(RAGGED | STRINGS)
+    def check(value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(GptwError):
+                MALFORMED[kind](value)
 
     check()
 

@@ -5,6 +5,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gptw import duality, quantum as q
 from gptw.duality import (
@@ -553,3 +555,47 @@ def test_spatial_to_temporal_refuses_a_wrong_reconstruction(monkeypatch):
     monkeypatch.setattr(duality, "_conditional_channel", lambda joint, *_: q.Channel.identity(joint.dims[1]))
     with pytest.raises(ValidationError, match="spatial_to_temporal: reconstruction off by"):
         spatial_to_temporal(spatial)
+
+
+# -- round-trip properties ------------------------------------------------------
+
+ROUND_TRIP = settings(derandomize=True, database=None, max_examples=40, deadline=None)
+ROUND_TRIP_INPUTS = st.tuples(st.integers(0, 2**32 - 1), st.sampled_from([2, 3]), st.sampled_from([1, 2]))
+
+
+def round_trip_inputs(seed: int, d: int, rest: int) -> tuple[np.random.Generator, q.DensityMatrix, list[q.Povm]]:
+    """A Ginibre state on dims (d, d) (rest 1) or (d, 2, 2) (rest 2), one random POVM per party, and the generator."""
+    rng = np.random.default_rng(seed)
+    dims = (d, d) if rest == 1 else (d, 2, 2)
+    state = q.ginibre_state(int(np.prod(dims)), rng, dims=dims)
+    return rng, state, [q.random_povm(k, k, rng) for k in dims]
+
+
+def round_trip(state: q.DensityMatrix, povms: list[q.Povm]) -> tuple[np.ndarray, np.ndarray]:
+    """The distributions of spatial_to_temporal and of temporal_to_spatial after it."""
+    temporal = spatial_to_temporal(spatial_scenario(state, povms))
+    return temporal.distribution.probabilities, temporal_to_spatial(temporal).distribution.probabilities
+
+
+@ROUND_TRIP
+@given(ROUND_TRIP_INPUTS)
+def test_local_unitaries_leave_the_round_trip_distributions_unchanged(inputs):
+    rng, state, povms = round_trip_inputs(*inputs)
+    units = [q.haar_unitary(p.dim, rng) for p in povms]
+    u = units[0]
+    for v in units[1:]:
+        u = np.kron(u, v)
+    rotated = q.DensityMatrix(u @ state.matrix @ u.conj().T, dims=state.dims)
+    rotated_povms = [q.Povm(v @ p.element_stack @ v.conj().T) for v, p in zip(units, povms)]
+    for got, want in zip(round_trip(rotated, rotated_povms), round_trip(state, povms)):
+        assert np.abs(got - want).max() <= 1e-12
+
+
+@ROUND_TRIP
+@given(ROUND_TRIP_INPUTS)
+def test_permuting_the_first_partys_effects_permutes_the_branch_axis(inputs):
+    rng, state, povms = round_trip_inputs(*inputs)
+    perm = rng.permutation(len(povms[0]))
+    permuted = [q.Povm(povms[0].element_stack[perm])] + povms[1:]
+    for got, want in zip(round_trip(state, permuted), round_trip(state, povms)):
+        assert np.abs(got - want[perm]).max() <= 1e-12

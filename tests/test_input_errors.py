@@ -10,6 +10,7 @@ from __future__ import annotations
 import math
 import runpy
 import sys
+from functools import partial
 
 import numpy as np
 import pytest
@@ -95,6 +96,20 @@ INPUT_ERRORS = {
                                   ValidationError, "does not reduce"),
     "partial_trace keep order": (lambda: q.partial_trace(np.eye(4) / 4, (2, 2), (1, 0)),
                                  PreconditionError, "ascending"),
+    "partial_trace repeated keep": (lambda: q.partial_trace(np.eye(4) / 4, (2, 2), (0, 0)),
+                                    PreconditionError, "strictly ascending"),
+    "partial_trace keep past the last": (lambda: q.partial_trace(np.eye(4) / 4, (2, 2), (2,)),
+                                         PreconditionError, r"lie in 0\.\.1"),
+    "partial_trace negative keep": (lambda: q.partial_trace(np.eye(4) / 4, (2, 2), (-1,)),
+                                    PreconditionError, r"lie in 0\.\.1"),
+    "partial_trace dims": (lambda: q.partial_trace(np.eye(4) / 4, (3, 2), (0,)),
+                           DimensionMismatchError, r"dims \(3, 2\) do not factor"),
+    "partial_trace negative dims": (lambda: q.partial_trace(np.eye(4) / 4, (-2, -2), (0,)),
+                                    DimensionMismatchError, "do not factor"),
+    "trace_distance shapes": (lambda: q.trace_distance(np.eye(2), np.eye(3)),
+                              DimensionMismatchError, "square matrices of one shape"),
+    "trace_distance not square": (lambda: q.trace_distance(np.ones((2, 3)), np.ones((2, 3))),
+                                  DimensionMismatchError, "square matrices of one shape"),
     "mat_sqrt not PSD": (lambda: q.mat_sqrt(np.diag([1.0, -1.0])), ValidationError, "not PSD"),
     "born_table empty": (lambda: q.born_table({}, {"z": q.z_basis()}), ValidationError, "at least one state"),
     "born_table state dims": (lambda: q.born_table({"a": MIXED2, "b": q.DensityMatrix.maximally_mixed(3)},
@@ -124,6 +139,32 @@ INPUT_ERRORS = {
     "operationally_equivalent unknown": (lambda: th.operationally_equivalent(partial_theory(), "p", "r"),
                                          UnknownIdError, "unknown preparation 'r'"),
 }
+RAGGED = [[0.5], [0.25, 0.25]]
+STRINGS = [["a"]]
+TABLE_CONSTRUCTORS = {  # each refuses a ragged list or strings in its cast, before any shape check
+    "box": (lambda x: CorrelationBox((2,), (2,), x), "box entries"),
+    "ensemble": (lambda x: th.EnsemblePreparation(x, ["p", "q"]), "ensemble weights"),
+    "joint": (lambda x: th.JointDistribution([("x", 2)], x), "joint distribution entries"),
+    "theory row": (lambda x: th.OperationalTheory(["p"], ["I"], [("m", 2)], {("p", "I", "m"): x}),
+                   r"row \('p', 'I', 'm'\): probabilities"),
+}
+QUANTUM_CONSTRUCTORS = {
+    "density": (q.DensityMatrix, "density matrix entries"),
+    "pure": (q.DensityMatrix.pure, "pure state amplitudes"),
+    "povm": (q.Povm, "POVM elements"),
+    "channel": (q.Channel, "Kraus operators"),
+    "partial_trace": (lambda x: q.partial_trace(x, (1,), (0,)), "matrix entries"),
+    "trace_distance": (lambda x: q.trace_distance(x, x), "matrix entries"),
+}
+for kind, (build, what) in TABLE_CONSTRUCTORS.items():
+    INPUT_ERRORS[f"{kind} ragged"] = (partial(build, RAGGED), ValidationError, f"{what} must be real numbers")
+    INPUT_ERRORS[f"{kind} strings"] = (partial(build, STRINGS), ValidationError, f"{what} must be real numbers")
+for kind, (build, what) in QUANTUM_CONSTRUCTORS.items():
+    INPUT_ERRORS[f"{kind} ragged"] = (partial(build, RAGGED), DimensionMismatchError, f"{what} have mixed dimensions")
+    INPUT_ERRORS[f"{kind} strings"] = (partial(build, STRINGS), ValidationError, f"{what} must be numbers")
+    INPUT_ERRORS[f"{kind} numeric strings"] = (partial(build, [["1"]]), ValidationError, f"{what} must be numbers")
+INPUT_ERRORS["density object"] = (partial(q.DensityMatrix, [[object()]]), ValidationError, "must be numbers")
+INPUT_ERRORS["channel huge int"] = (partial(q.Channel, [[[10**400]]]), ValidationError, "must be numbers")
 
 
 @pytest.mark.parametrize("name", sorted(INPUT_ERRORS))

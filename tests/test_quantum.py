@@ -114,6 +114,29 @@ def test_channel_keeps_one_read_only_kraus_stack():
         assert np.max(np.abs(stacked - loop)) < 1e-14
 
 
+def kraus_sum(chan: q.Channel, rho: np.ndarray) -> np.ndarray:
+    """sum_k K_k rho K_k^dagger as one (..., k, d_out, d_out) product summed over k: `Channel.apply`'s oracle."""
+    stack = chan.kraus_stack
+    return (stack @ rho[..., None, :, :] @ stack.conj().transpose(0, 2, 1)).sum(axis=-3)
+
+
+# (d_in, d_out, Kraus count): 1, 2 and d_in d_out operators; a 3 -> 2 channel needs at least 2
+APPLY_SHAPES = [(d, d_out, k) for d, d_out in [(2, 2), (3, 3), (2, 3), (2, 4)] for k in (1, 2, d * d_out)]
+APPLY_SHAPES += [(3, 2, 2), (3, 2, 6)]
+
+
+@pytest.mark.parametrize("lead", [(), (3,), (2, 3)], ids=["matrix", "stack", "grid"])
+@pytest.mark.parametrize("d_in, d_out, kraus_count", APPLY_SHAPES)
+def test_apply_equals_the_kraus_sum(d_in, d_out, kraus_count, lead):
+    rng = np.random.default_rng(29 * d_in + d_out + 100 * kraus_count)
+    chan = q.random_channel(d_in, d_out, kraus_count, rng)
+    shape = lead + (d_in, d_in)
+    rho = rng.normal(size=shape) + 1j * rng.normal(size=shape)  # raw matrices: neither Hermitian nor normalized
+    got = chan.apply(rho)
+    assert got.shape == lead + (d_out, d_out)
+    assert np.abs(got - kraus_sum(chan, rho)).max() < 1e-13
+
+
 def test_channel_rejects_mixed_kraus_shapes():
     with pytest.raises(DimensionMismatchError):
         q.Channel([np.eye(2), np.eye(3)])
