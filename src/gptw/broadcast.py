@@ -31,7 +31,7 @@ from .correlations import (
     is_bell_nonlocal,
 )
 from .errors import DimensionMismatchError, PreconditionError
-from .theory import EPS_NORM
+from .theory import EPS_NORM, number_array
 
 if TYPE_CHECKING:  # only broadcast_commuting needs quantum; it imports it when called
     from .quantum import Channel, DensityMatrix
@@ -42,8 +42,10 @@ EIGEN_GAP = 1e-7  # `_common_eigenbasis`: eigenvalues closer than this, relative
 
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
     """Max-entry norm of [a, b] = ab - ba."""
-    a = np.asarray(a, dtype=complex)
-    b = np.asarray(b, dtype=complex)
+    a = number_array(a, "matrix entries", complex)
+    b = number_array(b, "matrix entries", complex)
+    if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
+        raise DimensionMismatchError(f"commutator_norm needs non-empty square matrices of one shape: {a.shape} {b.shape}")
     return float(np.abs(a @ b - b @ a).max())
 
 

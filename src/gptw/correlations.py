@@ -41,7 +41,7 @@ from typing import Sequence
 import numpy as np
 
 from .errors import ArityError, SizeLimitError, ValidationError
-from .theory import probability_array, real_array
+from .theory import integer, probability_array
 
 MAX_PARTIES = 3  # the largest box every check here handles
 # the most B values one CHSH table holds: square binary boxes up to 64 settings, tripartite up to 28
@@ -69,17 +69,14 @@ class CorrelationBox:
     def __init__(
         self, settings: Sequence[int], outcomes: Sequence[int], table: np.ndarray
     ) -> None:
-        self.settings = tuple(int(s) for s in settings)
-        self.outcomes = tuple(int(o) for o in outcomes)
+        self.settings = tuple(integer(s, "setting count") for s in settings)
+        self.outcomes = tuple(integer(o, "outcome count") for o in outcomes)
         if len(self.settings) != len(self.outcomes) or not self.settings:
             raise ValidationError("settings and outcomes must list one entry per party")
         self.n_parties = len(self.settings)
         if self.n_parties > MAX_PARTIES:
             raise ValidationError(f"at most {MAX_PARTIES} parties are supported, got {self.n_parties}")
-        tab = real_array(table, "box entries")
-        if tab.shape != self.settings + self.outcomes:
-            raise ValidationError(f"table shape {tab.shape} != settings+outcomes {self.settings + self.outcomes}")
-        self.table = probability_array(tab, "box entries", self.n_parties)
+        self.table = probability_array(table, "box entries", self.settings + self.outcomes, self.n_parties)
 
     def prob(self, settings: Sequence[int]) -> np.ndarray:
         """Outcome distribution (shape = outcomes) for one setting tuple."""

@@ -21,7 +21,7 @@ class ArityError(GptwError, ValueError):
 
 
 class DimensionMismatchError(GptwError, ValueError):
-    """Quantum objects with incompatible Hilbert-space dimensions."""
+    """Quantum objects of incompatible Hilbert-space dimensions, or a ragged list: rows or matrices of several shapes."""
 
 
 class PreconditionError(GptwError, ValueError):

@@ -59,7 +59,7 @@ import numpy as np
 
 from .correlations import ChshValue, CorrelationBox, exact_chsh_witness, is_bell_nonlocal
 from .errors import ArityError, SizeLimitError, SolverError, UnknownIdError, ValidationError
-from .theory import EPS_NORM, real_array
+from .theory import EPS_NORM, number_array
 
 LP_TOL = 1e-7
 # Caps 2 n_x * n_a**n_x * n_y * n_b: each of Bob's conditional weights q[alpha, y, b] enters 2 n_x fit
@@ -92,9 +92,9 @@ class OnticModel:
             raise ValidationError("ontic-state space is empty")
         if len(set(self.ontic_states)) != n:
             raise ValidationError("repeated ontic-state labels")
-        self.mu = {p: real_array(v, f"mu[{p!r}]") for p, v in mu.items()}
-        self.xi = {m: real_array(v, f"xi[{m!r}]") for m, v in xi.items()}
-        self.trans = {t: real_array(v, f"trans[{t!r}]") for t, v in trans.items()}
+        self.mu = {p: number_array(v, f"mu[{p!r}]") for p, v in mu.items()}
+        self.xi = {m: number_array(v, f"xi[{m!r}]") for m, v in xi.items()}
+        self.trans = {t: number_array(v, f"trans[{t!r}]") for t, v in trans.items()}
         for p, v in self.mu.items():
             if v.shape != (n,):
                 raise ValidationError(f"mu[{p!r}] must have one entry per ontic state")

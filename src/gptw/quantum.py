@@ -39,29 +39,18 @@ import numpy as np
 
 from .correlations import CorrelationBox
 from .errors import DimensionMismatchError, PreconditionError, ValidationError
-from .theory import EPS_BRANCH, EnsemblePreparation, Measurement, OperationalTheory
+from .theory import EPS_BRANCH, EnsemblePreparation, Measurement, OperationalTheory, integer, number_array
 
 ATOL = 1e-10  # hermiticity / positivity / trace / eigenvalue-cutoff tolerance for quantum objects
 CHOI_ATOL = 1e-9
 
 
-def _complex_array(entries, what: str) -> np.ndarray:
-    """`entries` as a new complex array for callers to freeze; a GptwError, with no warning, unless all are numbers.
-
-    A ragged list (matrices of several shapes, rows of several lengths) is a
-    DimensionMismatchError; strings, other objects and ints over the float
-    range are a ValidationError.
-    """
-    try:
-        arr = np.asarray(entries)
-    except ValueError:  # NumPy's "inhomogeneous shape"
-        raise DimensionMismatchError(f"{what} have mixed dimensions") from None
-    try:
-        if arr.dtype.kind in "biufcO":  # strings are refused, not parsed: NumPy reads '1' as 1
-            return np.array(arr, dtype=complex)
-    except (TypeError, ValueError, OverflowError):  # an object entry that is not a number, an int over 1e308
-        pass
-    raise ValidationError(f"{what} must be numbers")
+def _matrix(entries, what: str) -> np.ndarray:
+    """`entries` as a new complex matrix; a GptwError unless they are numbers in one non-empty square matrix."""
+    mat = number_array(entries, what, complex)
+    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or not mat.size:
+        raise ValidationError(f"expected a non-empty square matrix, got shape {mat.shape}")
+    return mat
 
 
 class DensityMatrix:
@@ -72,11 +61,7 @@ class DensityMatrix:
     """
 
     def __init__(self, entries, dims: Sequence[int] | None = None) -> None:
-        mat = _complex_array(entries, "density matrix entries")
-        if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
-            raise ValidationError(f"expected a square matrix, got shape {mat.shape}")
-        if not mat.size:
-            raise ValidationError(f"expected a non-empty matrix, got shape {mat.shape}")
+        mat = _matrix(entries, "density matrix entries")
         _check_density(mat[None])
         self._freeze(mat, dims)
 
@@ -90,7 +75,7 @@ class DensityMatrix:
     def _freeze(self, mat: np.ndarray, dims: Sequence[int] | None) -> None:
         d = mat.shape[0]
         self.dim = d
-        self.dims = tuple(int(x) for x in dims) if dims is not None else (d,)
+        self.dims = (d,) if dims is None else tuple(integer(x, "dims entry") for x in dims)
         # math.prod on Python ints: np.prod wraps in int64, so (3, 6148914691236517206) would give 2
         if any(x < 1 for x in self.dims) or math.prod(self.dims) != d:
             raise DimensionMismatchError(f"dims {self.dims} do not factor dimension {d}")
@@ -100,7 +85,7 @@ class DensityMatrix:
     @classmethod
     @np.errstate(over="ignore")  # a huge entry gives norm inf, refused below
     def pure(cls, vec: Sequence[complex], dims: Sequence[int] | None = None) -> "DensityMatrix":
-        v = _complex_array(vec, "pure state amplitudes").reshape(-1)
+        v = number_array(vec, "pure state amplitudes", complex).reshape(-1)
         norm = np.linalg.norm(v)
         if not 0 < norm < np.inf:  # NaN fails too
             raise ValidationError(f"a pure state needs a nonzero finite vector, got norm {norm}")
@@ -108,6 +93,8 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
+        if integer(dim, "dimension") < 1:
+            raise ValidationError(f"dimension must be >= 1, got {dim}")
         return cls(np.eye(dim) / dim)
 
 
@@ -136,13 +123,11 @@ class Povm:
 
     @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
     def __init__(self, elements: Sequence[np.ndarray] | np.ndarray) -> None:
-        stack = _complex_array(elements, "POVM elements")  # element_stack[k] is the k-th effect
+        stack = number_array(elements, "POVM elements", complex)  # element_stack[k] is the k-th effect
         if stack.shape[:1] == (0,):
             raise ValidationError("POVM needs at least one element")
-        if stack.ndim != 3 or stack.shape[1] != stack.shape[2]:
-            raise ValidationError(f"expected a square matrix, got shape {stack.shape[1:]}")
-        if not stack.size:
-            raise ValidationError(f"expected a non-empty matrix, got shape {stack.shape[1:]}")
+        if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
+            raise ValidationError(f"expected a non-empty square matrix, got shape {stack.shape[1:]}")
         d = stack.shape[1]
         if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= ATOL:
             raise ValidationError("POVM element is not finite and Hermitian")
@@ -168,14 +153,12 @@ class Channel:
 
     @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, output_dims: Sequence[int] | None = None) -> None:
-        stack = _complex_array(kraus, "Kraus operators")  # kraus_stack[k] is the k-th operator
+        stack = number_array(kraus, "Kraus operators", complex)  # kraus_stack[k] is the k-th operator
         if stack.shape[:1] == (0,):
             raise ValidationError("channel needs at least one Kraus operator")
-        if stack.ndim != 3:
-            raise ValidationError("Kraus operators must be matrices")
+        if stack.ndim != 3 or not stack.size:
+            raise ValidationError(f"Kraus operators must be non-empty matrices, got shape {stack.shape[1:]}")
         d_out, d_in = stack.shape[1:]
-        if not stack.size:
-            raise ValidationError(f"Kraus operators must be non-empty, got shape {stack.shape[1:]}")
         flat = stack.reshape(-1, d_in)
         if not np.abs(flat.conj().T @ flat - np.eye(d_in)).max() <= ATOL:
             raise ValidationError("Kraus operators are not finite and trace preserving")
@@ -184,11 +167,9 @@ class Channel:
         self.kraus = tuple(stack)  # read-only views into the stack
         self.dim_in = d_in
         self.dim_out = d_out
-        self.output_dims = tuple(int(x) for x in output_dims) if output_dims is not None else (d_out,)
+        self.output_dims = (d_out,) if output_dims is None else tuple(integer(x, "output dim") for x in output_dims)
         if any(x < 1 for x in self.output_dims) or math.prod(self.output_dims) != d_out:
-            raise DimensionMismatchError(
-                f"output_dims {self.output_dims} do not factor output dimension {d_out}"
-            )
+            raise DimensionMismatchError(f"output_dims {self.output_dims} do not factor output dimension {d_out}")
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
@@ -206,7 +187,7 @@ class Channel:
         regrouped side by side as (d_out, k d_in), they meet the adjoints
         stacked as rows, (k d_in, d_out), and that one product sums over k.
         """
-        rho = np.asarray(rho, dtype=complex)
+        rho = number_array(rho, "channel input entries", complex)
         if rho.shape[-2:] != (self.dim_in, self.dim_in):
             raise DimensionMismatchError(
                 f"channel expects a {self.dim_in}x{self.dim_in} input, got {rho.shape}"
@@ -246,14 +227,14 @@ class ChoiState:
 
 def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> np.ndarray:
     """Trace out all subsystems not listed in `keep` (which must be strictly ascending)."""
-    dims = tuple(dims)
+    dims = tuple(integer(x, "dims entry") for x in dims)
     n = len(dims)
     keep = tuple(keep)
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise PreconditionError(f"keep indices must be strictly ascending, got {keep}")
     if keep and not (0 <= keep[0] and keep[-1] < n):
         raise PreconditionError(f"keep indices must lie in 0..{n - 1}, got {keep}")
-    mat = _complex_array(mat, "matrix entries")
+    mat = number_array(mat, "matrix entries", complex)
     if any(x < 1 for x in dims) or mat.shape != (math.prod(dims),) * 2:
         raise DimensionMismatchError(f"dims {dims} do not factor a square matrix of shape {mat.shape}")
     tensor = mat.reshape(dims + dims)
@@ -261,13 +242,13 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     for i in sorted((i for i in range(n) if i not in keep), reverse=True):
         tensor = np.trace(tensor, axis1=i, axis2=i + n_rows)
         n_rows -= 1
-    d_keep = int(np.prod([dims[i] for i in keep])) if keep else 1
+    d_keep = math.prod(dims[i] for i in keep)
     return tensor.reshape(d_keep, d_keep)
 
 
 def mat_sqrt(mat: np.ndarray) -> np.ndarray:
     """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    return _sqrt_from(*np.linalg.eigh(np.asarray(mat, dtype=complex)))
+    return _sqrt_from(*np.linalg.eigh(_matrix(mat, "matrix entries")))
 
 
 def _sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
@@ -280,7 +261,7 @@ def _sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
 
 def _psd_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Pseudo-inverse square root on the support; returns (rho^{-1/2}, support projector)."""
-    return _inv_sqrt_from(*np.linalg.eigh(np.asarray(mat, dtype=complex)))
+    return _inv_sqrt_from(*np.linalg.eigh(mat))
 
 
 def _inv_sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -312,8 +293,8 @@ def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
     Stacks of matrices along matching leading axes give one distance per
     pair, from one batched `eigvalsh`; two matrices give a float.
     """
-    a = _complex_array(a, "matrix entries")
-    b = _complex_array(b, "matrix entries")
+    a = number_array(a, "matrix entries", complex)
+    b = number_array(b, "matrix entries", complex)
     if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatchError(
             f"trace_distance needs square matrices of one shape, got {a.shape} and {b.shape}"
@@ -551,8 +532,8 @@ KET_MINUS = np.array([1, -1], dtype=complex) / np.sqrt(2)
 
 def povm_from_observable(obs: np.ndarray) -> Povm:
     """Two-outcome projective POVM (P_+, P_-) of a +/-1-spectrum observable."""
-    obs = np.asarray(obs, dtype=complex)
-    return Povm([(np.eye(obs.shape[0]) + obs) / 2, (np.eye(obs.shape[0]) - obs) / 2])
+    obs = _matrix(obs, "observable entries")
+    return Povm([(np.eye(len(obs)) + obs) / 2, (np.eye(len(obs)) - obs) / 2])
 
 
 def z_basis() -> Povm:
@@ -624,7 +605,9 @@ def random_projective_qubit(rng: np.random.Generator) -> Povm:
 
 
 def random_channel(dim_in: int, dim_out: int, kraus_count: int, rng: np.random.Generator) -> Channel:
-    """Random channel via a Haar-ish isometry split into Kraus blocks."""
+    """Random channel via a Haar-ish isometry split into Kraus blocks; refused if kraus_count * dim_out < dim_in."""
+    if kraus_count * dim_out < dim_in:  # the reduced QR below would have only kraus_count * dim_out columns
+        raise PreconditionError(f"an isometry needs kraus_count * dim_out >= {dim_in}, got {kraus_count} * {dim_out}")
     g = rng.normal(size=(dim_out * kraus_count, dim_in)) + 1j * rng.normal(
         size=(dim_out * kraus_count, dim_in)
     )

@@ -11,41 +11,64 @@ Conventions:
     `gptw.correlations` as the map a -> (-1)**a
   * rows for the identity transformation must exist for every
     (preparation, measurement) pair; other rows may be partial
-  * normalization and range checks use EPS_NORM = 1e-9, in one place:
-    `probability_array`
+  * a table's shape, normalization and range checks (EPS_NORM = 1e-9) live
+    in one place, `probability_array`; its one cast, `number_array`, is also
+    the quantum layer's
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import ArityError, UnknownIdError, ValidationError
+from .errors import ArityError, DimensionMismatchError, UnknownIdError, ValidationError
 
 EPS_NORM = 1e-9
 EPS_BRANCH = 1e-12  # an ensemble branch of at most this weight never contributes
 RANK_RTOL = 1e-7  # relative singular-value threshold for affine ranks
 
 
-def real_array(values: Any, what: str) -> np.ndarray:
-    """`values` as a float array; a ValidationError, with no warning, unless every entry is a real number."""
-    try:
-        p = np.asarray(values)
-        if p.dtype.kind in "biufO":  # complex is refused, not cast: NumPy would drop the imaginary parts
-            return np.asarray(p, dtype=float)
-    except (TypeError, ValueError, OverflowError):  # a ragged list, a complex or other object, an int over 1e308
-        pass
-    raise ValidationError(f"{what} must be real numbers")
+def number_array(values: Any, what: str, dtype: type = float) -> np.ndarray:
+    """`values` as a new float or complex array, for callers to freeze; a GptwError, with no warning, unless numbers.
 
-
-def probability_array(values: Any, what: str, conditions: int = 0) -> np.ndarray:
-    """`values` as a read-only array of distributions over the axes after the first `conditions`.
-
-    Entries must be real, finite and within EPS_NORM of [0, 1] (then clipped to it), each distribution must sum to
-    1 within EPS_NORM, and an empty array is refused.  `what` names the entries in the error message.
+    A ragged list is a DimensionMismatchError.  Strings, other objects, ints over the float range and, for a float
+    `dtype`, complex entries are a ValidationError: NumPy would read '1' as 1 and drop imaginary parts.
     """
-    p = real_array(values, what)
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # NumPy's "inhomogeneous shape"
+        raise DimensionMismatchError(f"{what} have mixed dimensions") from None
+    real = dtype is float
+    try:
+        if arr.dtype.kind in ("biufO" if real else "biufcO"):
+            return np.array(arr, dtype=dtype)
+    except (TypeError, ValueError, OverflowError):  # an object entry that is not a number, an int over 1e308
+        pass
+    raise ValidationError(f"{what} must be {'real numbers' if real else 'numbers'}")
+
+
+def integer(value: Any, what: str) -> int:
+    """`value` as an int, NumPy's included; a ValidationError for a bool, float or string, which `int()` would take."""
+    try:
+        if not isinstance(value, bool):
+            return operator.index(value)
+    except TypeError:
+        pass
+    raise ValidationError(f"{what} must be an integer, got {value!r}")
+
+
+def probability_array(values: Any, what: str, shape: tuple[int, ...], conditions: int = 0) -> np.ndarray:
+    """`values` as a read-only array of `shape`, distributions over the axes after the first `conditions`.
+
+    One `number_array` cast, then the checks: the shape must be `shape`, an empty array is refused, entries must be
+    finite and within EPS_NORM of [0, 1] (then clipped to it), and each distribution must sum to 1 within
+    EPS_NORM.  `what` names the entries in the error message.
+    """
+    p = number_array(values, what)
+    if p.shape != shape:
+        raise ValidationError(f"{what} have shape {p.shape}, expected {shape}")
     if p.size == 0:
         raise ValidationError(f"{what} are empty")
     # written so that NaN fails it: min and max propagate NaN
@@ -70,6 +93,7 @@ class Measurement:
     arity: int
 
     def __post_init__(self) -> None:
+        object.__setattr__(self, "arity", integer(self.arity, f"measurement {self.id!r}: arity"))
         if self.arity < 1:
             raise ValidationError(f"measurement {self.id!r}: arity must be >= 1")
 
@@ -123,12 +147,7 @@ class OperationalTheory:
             raise ValidationError(f"table row references unknown transformation {trans!r}")
         if meas not in self._arities:
             raise ValidationError(f"table row references unknown measurement {meas!r}")
-        row = real_array(probs, f"row {key}: probabilities")
-        if row.shape != (self._arities[meas],):
-            raise ValidationError(
-                f"row {key}: expected {self._arities[meas]} outcomes, got shape {row.shape}"
-            )
-        return probability_array(row, f"row {key}: probabilities")
+        return probability_array(probs, f"row {key}: probabilities", (self._arities[meas],))
 
     # -- read-only views -------------------------------------------------
 
@@ -174,11 +193,8 @@ class EnsemblePreparation:
     branches: tuple[Any, ...]
 
     def __init__(self, weights: Sequence[float], branches: Sequence[Any]) -> None:
-        w = real_array(weights, "ensemble weights")
         b = tuple(branches)
-        if w.ndim != 1 or not b or len(b) != w.size:
-            raise ValidationError("one weight per branch required")
-        w = probability_array(w, "ensemble weights")
+        w = probability_array(weights, "ensemble weights", (len(b),))
         if len(set(b)) != len(b):
             raise ValidationError("ensemble branches must be distinct")
         object.__setattr__(self, "weights", w)
@@ -196,12 +212,10 @@ class JointDistribution:
     probabilities: np.ndarray
 
     def __init__(self, axes: Sequence[tuple[str, int]], probabilities: np.ndarray) -> None:
-        ax = tuple((str(label), int(n)) for label, n in axes)
-        p = real_array(probabilities, "joint distribution entries")
-        if p.shape != tuple(n for _, n in ax):
-            raise ValidationError(f"probabilities shape {p.shape} != axis arities {ax}")
+        ax = tuple((str(label), integer(n, f"axis {label!r}: size")) for label, n in axes)
         object.__setattr__(self, "axes", ax)
-        object.__setattr__(self, "probabilities", probability_array(p, "joint distribution entries"))
+        p = probability_array(probabilities, "joint distribution entries", tuple(n for _, n in ax))
+        object.__setattr__(self, "probabilities", p)
 
 
 @dataclass(frozen=True)

@@ -143,7 +143,7 @@ def test_born_is_tensordot_to_the_bit_on_a_batch(dims):
 
 
 def test_probability_array_keeps_negative_zero_and_clips_rounding():
-    p = probability_array([[-0.0, 1.0], [-1e-12, 1 + 1e-12]], "entries", 1)
+    p = probability_array([[-0.0, 1.0], [-1e-12, 1 + 1e-12]], "entries", (2, 2), 1)
     assert np.signbit(p[0, 0]) and p[0, 0] == 0.0
     assert p[1].tolist() == [0.0, 1.0] and not np.signbit(p[1, 0])
     assert not p.flags.writeable

@@ -54,7 +54,7 @@ ZZ = [[q.z_basis()], [q.z_basis()]]
 
 INPUT_ERRORS = {
     "box table shape": (lambda: CorrelationBox((2, 2), (2, 2), np.full((2, 2, 2), 0.5)),
-                        ValidationError, "table shape"),
+                        ValidationError, r"box entries have shape \(2, 2, 2\), expected \(2, 2, 2, 2\)"),
     "prob setting count": (lambda: CorrelationBox((2, 2), (2, 2), pr_table()).prob((0,)),
                            ArityError, "expected 2 settings"),
     "marginal spectator count": (lambda: box3().marginal((0, 1), (0, 0)), ArityError, "one spectator setting"),
@@ -81,7 +81,7 @@ INPUT_ERRORS = {
     "ontic strings": (lambda: ontic.OnticModel(["l"], {}, {}, {"t": [["a"]]}),
                       ValidationError, r"trans\['t'\] must be real"),
     "ontic ragged": (lambda: ontic.OnticModel(["l", "m"], {"p": [[1.0], [0.5, 0.5]]}, {}, {}),
-                     ValidationError, r"mu\['p'\] must be real"),
+                     DimensionMismatchError, r"mu\['p'\] have mixed dimensions"),
     "ontic huge int": (lambda: ontic.OnticModel(["l"], {"p": [10**400]}, {}, {}),
                        ValidationError, r"mu\['p'\] must be real"),
     "pure zero vector": (lambda: q.DensityMatrix.pure([0, 0]), ValidationError, "nonzero finite"),
@@ -157,12 +157,50 @@ QUANTUM_CONSTRUCTORS = {
     "trace_distance": (lambda x: q.trace_distance(x, x), "matrix entries"),
 }
 for kind, (build, what) in TABLE_CONSTRUCTORS.items():
-    INPUT_ERRORS[f"{kind} ragged"] = (partial(build, RAGGED), ValidationError, f"{what} must be real numbers")
+    INPUT_ERRORS[f"{kind} ragged"] = (partial(build, RAGGED), DimensionMismatchError, f"{what} have mixed dimensions")
     INPUT_ERRORS[f"{kind} strings"] = (partial(build, STRINGS), ValidationError, f"{what} must be real numbers")
 for kind, (build, what) in QUANTUM_CONSTRUCTORS.items():
     INPUT_ERRORS[f"{kind} ragged"] = (partial(build, RAGGED), DimensionMismatchError, f"{what} have mixed dimensions")
     INPUT_ERRORS[f"{kind} strings"] = (partial(build, STRINGS), ValidationError, f"{what} must be numbers")
     INPUT_ERRORS[f"{kind} numeric strings"] = (partial(build, [["1"]]), ValidationError, f"{what} must be numbers")
+COUNTS = {  # a count is an integer: int() would truncate a float and read a bool as 1
+    "box setting float": (lambda: CorrelationBox((2.9, 2), (2, 2), pr_table()), "setting count"),
+    "box outcome bool": (lambda: CorrelationBox((2, 2), (True, 2), pr_table()), "outcome count"),
+    "density dims float": (lambda: q.DensityMatrix(np.eye(4) / 4, dims=(2.9, 2.2)), "dims entry"),
+    "channel output_dims float": (lambda: q.Channel([np.eye(2)], output_dims=(2.5,)), "output dim"),
+    "joint axis float": (lambda: th.JointDistribution([("a", 2.7)], [0.5, 0.5]), "axis 'a': size"),
+    "measurement arity float": (lambda: th.Measurement("M", 2.5), "arity"),
+    "measurement arity bool": (lambda: th.Measurement("M", True), "arity"),
+    "measurement arity string": (lambda: th.Measurement("M", "2"), "arity"),
+    "maximally_mixed float": (lambda: q.DensityMatrix.maximally_mixed(2.0), "dimension"),
+    "partial_trace dims float": (lambda: q.partial_trace(np.eye(4) / 4, (2.0, 2.0), (0,)), "dims entry"),
+}
+for name, (call, what) in COUNTS.items():
+    INPUT_ERRORS[f"count {name}"] = (call, ValidationError, f"{what} must be an integer, got")
+INPUT_ERRORS["maximally_mixed negative"] = (partial(q.DensityMatrix.maximally_mixed, -1), ValidationError, ">= 1")
+INPUT_ERRORS["random_channel too few Kraus"] = (partial(q.random_channel, 3, 2, 1, np.random.default_rng(0)),
+                                                PreconditionError, r"kraus_count \* dim_out >= 3, got 1 \* 2")
+EXPORTED_CASTS = {  # exported quantum functions cast through `number_array` and check the shape
+    "commutator_norm ragged": (partial(broadcast.commutator_norm, RAGGED, np.eye(2)), DimensionMismatchError,
+                               "mixed dimensions"),
+    "commutator_norm shapes": (partial(broadcast.commutator_norm, np.eye(2), np.eye(3)), DimensionMismatchError,
+                               "square matrices of one shape"),
+    "commutator_norm empty": (partial(broadcast.commutator_norm, np.zeros((0, 0)), np.zeros((0, 0))),
+                              DimensionMismatchError, "non-empty"),
+    "mat_sqrt strings": (partial(q.mat_sqrt, STRINGS), ValidationError, "must be numbers"),
+    "mat_sqrt ragged": (partial(q.mat_sqrt, RAGGED), DimensionMismatchError, "mixed dimensions"),
+    "mat_sqrt not square": (partial(q.mat_sqrt, np.ones((2, 3))), ValidationError, "square matrix"),
+    "mat_sqrt empty": (partial(q.mat_sqrt, np.zeros((0, 0))), ValidationError, "non-empty square matrix"),
+    "channel apply strings": (partial(q.Channel.identity(1).apply, STRINGS), ValidationError,
+                              "channel input entries must be numbers"),
+    "povm_from_observable ragged": (partial(q.povm_from_observable, RAGGED), DimensionMismatchError,
+                                    "observable entries have mixed dimensions"),
+    "povm_from_observable strings": (partial(q.povm_from_observable, STRINGS), ValidationError,
+                                     "observable entries must be numbers"),
+    "povm_from_observable not square": (partial(q.povm_from_observable, np.ones((3, 2))), ValidationError,
+                                        "square matrix"),
+}
+INPUT_ERRORS.update(EXPORTED_CASTS)
 INPUT_ERRORS["density object"] = (partial(q.DensityMatrix, [[object()]]), ValidationError, "must be numbers")
 INPUT_ERRORS["channel huge int"] = (partial(q.Channel, [[[10**400]]]), ValidationError, "must be numbers")
 
@@ -172,6 +210,13 @@ def test_input_error(name):
     call, error, message = INPUT_ERRORS[name]
     with pytest.raises(error, match=message):
         call()
+
+
+def test_numpy_integer_counts_pass_as_ints():
+    box = CorrelationBox((np.int64(2), 2), (2, np.uint8(2)), pr_table())
+    arity = th.Measurement("M", np.int32(3)).arity
+    assert box.settings == box.outcomes == (2, 2) and arity == 3
+    assert all(type(n) is int for n in box.settings + box.outcomes + (arity,))
 
 
 def test_marginal_spectators_default_to_setting_zero():

@@ -9,11 +9,16 @@ tripartite boxes, signalling ones included, the no-signalling deviation must
 not move under any of the six party orders, setting permutations or
 per-setting outcome permutations, and both monogamy worst values must not
 move under party orders, setting permutations or a party's outcomes flipped
-at every setting.  Runs are derandomized, so tier-1 sees the same examples
+at every setting.  `find_local_model`'s verdict must not move under a party
+swap, setting permutations or per-setting outcome relabellings, and its
+certificate, mapped back, must reconstruct the original box within `tol`.
+`multipartite_box` must not move under local unitaries applied to both the
+state and the POVMs.  Runs are derandomized, so tier-1 sees the same examples
 each time.
 """
 from __future__ import annotations
 
+import functools
 import itertools
 
 import numpy as np
@@ -21,6 +26,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gptw import quantum as q
 from gptw.correlations import (
     CorrelationBox,
     _chsh_table,
@@ -30,6 +36,7 @@ from gptw.correlations import (
     chsh_margin,
     exact_chsh_witness,
 )
+from gptw.ontic import LP_TOL, find_local_model, strategy_table
 
 RELABEL = settings(derandomize=True, database=None, max_examples=100, deadline=None)
 TOLS = (0.0, 5e-324, 1e-12, 1e-9)
@@ -239,5 +246,107 @@ def test_monogamy_worst_values_are_relabelling_invariant(relabelling):
         for table in MONOGAMY_RELABELLINGS[relabelling](box, rng):
             relabelled = _monogamy_scan(CorrelationBox(table.shape[:3], (2, 2, 2), table), 1e-6)
             assert all(abs(r.worst_value - w) <= slack for r, w in zip(relabelled, worst))
+
+    check()
+
+
+# -- the local-model LP: verdict and certificate ----------------------------------------------------------------
+
+# (settings, outcomes): Alice's n_x != n_a in the second and fourth, Bob's in the third and fifth; the
+# binary ones reach `find_local_model`'s CHSH gate when nonlocal, the others the LP either way
+LP_SHAPES = [((2, 2), (2, 2)), ((3, 2), (2, 2)), ((2, 3), (2, 2)), ((2, 3), (3, 2)), ((2, 2), (2, 3))]
+
+
+def draw_lp_box(rng: np.random.Generator, settings: tuple[int, int], outcomes: tuple[int, int], local: bool):
+    """A mixture of 1 to 4 deterministic strategies, or a noisy PR box at settings and outcomes 0, 1.
+
+    The PR part has visibility v >= 0.75, so |B| >= 3 and the box is at least (4 v - 2) / 16 >= 1/16 from
+    every local box; its other setting pairs hold random product distributions.
+    """
+    (n_x, n_y), (n_a, n_b) = settings, outcomes
+    x, y = np.ix_(np.arange(n_x), np.arange(n_y))
+    table = np.zeros(settings + outcomes)
+    if local:
+        for w in rng.dirichlet(np.ones(rng.integers(1, 5))):
+            table[x, y, rng.integers(0, n_a, n_x)[:, None], rng.integers(0, n_b, n_y)] += w
+        return CorrelationBox(settings, outcomes, table)
+    table[:] = rng.dirichlet(np.ones(n_a), settings)[..., None] * rng.dirichlet(np.ones(n_b), settings)[:, :, None]
+    v = rng.uniform(0.75, 1.0)
+    table[:2, :2] = 0.0  # outcomes past 1 never occur at the PR settings
+    for a in range(2):
+        for b in range(2):
+            table[:2, :2, a, b] = (1 - v) / 4 + v / 2 * ((a ^ b) == (x[:2, :1] & y[:1, :2]))
+    return CorrelationBox(settings, outcomes, table)
+
+
+def lp_party_swap(box: CorrelationBox, rng: np.random.Generator):
+    return box.table.transpose(1, 0, 3, 2), lambda a_map, b_map: (b_map, a_map)
+
+
+def lp_setting_permutations(box: CorrelationBox, rng: np.random.Generator):
+    perm_x, perm_y = (rng.permutation(m) for m in box.settings)  # new setting i is old setting perm[i]
+
+    def back(a_map, b_map):  # the old setting perm[i] answers what the new setting i answered
+        return tuple(np.array(a_map)[np.argsort(perm_x)]), tuple(np.array(b_map)[np.argsort(perm_y)])
+
+    return box.table[np.ix_(perm_x, perm_y)], back
+
+
+def lp_outcome_relabellings(box: CorrelationBox, rng: np.random.Generator):
+    (n_x, n_y), (n_a, n_b) = box.settings, box.outcomes
+    sigma = np.array([rng.permutation(n_a) for _ in range(n_x)])  # new outcome a at x is old outcome sigma[x, a]
+    tau = np.array([rng.permutation(n_b) for _ in range(n_y)])
+    x, y, a, b = np.ix_(np.arange(n_x), np.arange(n_y), np.arange(n_a), np.arange(n_b))
+
+    def back(a_map, b_map):
+        return tuple(sigma[range(n_x), a_map]), tuple(tau[range(n_y), b_map])
+
+    return box.table[x, y, sigma[x, a], tau[y, b]], back
+
+
+LP_RELABELLINGS = {
+    "party swap": lp_party_swap,
+    "setting permutations": lp_setting_permutations,
+    "outcome relabellings": lp_outcome_relabellings,
+}
+
+
+@pytest.mark.parametrize("relabelling", sorted(LP_RELABELLINGS))
+def test_local_model_verdict_and_certificate_are_relabelling_invariant(relabelling):
+    @settings(RELABEL, max_examples=40)
+    @given(st.integers(0, 2**32 - 1), st.sampled_from(LP_SHAPES), st.booleans())
+    def check(seed, shape, local):
+        rng = np.random.default_rng(seed)
+        box = draw_lp_box(rng, *shape, local)
+        assert (find_local_model(box) is not None) == local
+        table, back = LP_RELABELLINGS[relabelling](box, rng)
+        relabelled = CorrelationBox(table.shape[:2], table.shape[2:], table)
+        cert = find_local_model(relabelled)
+        assert (cert is not None) == local
+        if cert is not None:
+            rebuilt = sum(w * strategy_table(box, back(*s)) for s, w in cert.weights.items())
+            assert np.abs(rebuilt - box.table).max() <= LP_TOL
+
+    check()
+
+
+# -- Born tables under local unitaries ---------------------------------------------------------------------------
+
+
+def test_multipartite_box_is_invariant_under_local_unitaries():
+    @RELABEL
+    @given(st.integers(0, 2**32 - 1), st.sampled_from([(2, 2), (2, 3), (3, 2), (2, 2, 2), (2, 3, 2)]))
+    def check(seed, dims):
+        rng = np.random.default_rng(seed)
+        state = q.ginibre_state(int(np.prod(dims)), rng, dims=dims)
+        # 1 or 2 settings per party, sharing one outcome arity of 2 or 3
+        shapes = [(d, *(int(k) for k in rng.integers((1, 2), (3, 4)))) for d in dims]
+        povms = [[q.random_povm(d, n_out, rng) for _ in range(n_set)] for d, n_set, n_out in shapes]
+        us = [q.haar_unitary(d, rng) for d in dims]
+        u = functools.reduce(np.kron, us)
+        rotated_state = q.DensityMatrix(u @ state.matrix @ u.conj().T, dims=dims)
+        rotated = [[q.Povm(v @ p.element_stack @ v.conj().T) for p in s] for v, s in zip(us, povms)]
+        table = q.multipartite_box(state, povms).table
+        assert np.abs(q.multipartite_box(rotated_state, rotated).table - table).max() <= 1e-12
 
     check()

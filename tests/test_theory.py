@@ -85,7 +85,7 @@ def test_ensemble_preparation_validates():
         EnsemblePreparation([0.5, 0.5], ["a", "a"])
     with pytest.raises(ValidationError, match="finite"):
         EnsemblePreparation([np.nan, 1.0], ["a", "b"])
-    with pytest.raises(ValidationError, match="one weight per branch"):
+    with pytest.raises(ValidationError, match="ensemble weights are empty"):
         EnsemblePreparation([], [])
 
 
