@@ -30,7 +30,7 @@ from .correlations import (
     chsh,
     is_bell_nonlocal,
 )
-from .errors import DimensionMismatchError, PreconditionError
+from .errors import DimensionMismatchError, PreconditionError, ValidationError
 from .theory import EPS_NORM, number_array
 
 if TYPE_CHECKING:  # only broadcast_commuting needs quantum; it imports it when called
@@ -40,13 +40,17 @@ COMMUTE_TOL = 1e-9
 EIGEN_GAP = 1e-7  # `_common_eigenbasis`: eigenvalues closer than this, relative to the spectrum, share a block
 
 
+@np.errstate(invalid="ignore", over="ignore")  # non-finite input and an overflowing commutator are refused below
 def commutator_norm(a: np.ndarray, b: np.ndarray) -> float:
-    """Max-entry norm of [a, b] = ab - ba."""
+    """Max-entry norm of [a, b] = ab - ba; a ValidationError unless a, b and the commutator are finite."""
     a = number_array(a, "matrix entries", complex)
     b = number_array(b, "matrix entries", complex)
     if a.shape != b.shape or a.ndim != 2 or a.shape[0] != a.shape[1] or not a.size:
         raise DimensionMismatchError(f"commutator_norm needs non-empty square matrices of one shape: {a.shape} {b.shape}")
-    return float(np.abs(a @ b - b @ a).max())
+    comm = a @ b - b @ a
+    if not (np.isfinite(a).all() and np.isfinite(b).all() and np.isfinite(comm).all()):
+        raise ValidationError("commutator_norm needs finite matrices with a finite commutator")
+    return float(np.abs(comm).max())
 
 
 def pairwise_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL) -> bool:
@@ -54,10 +58,10 @@ def pairwise_commuting(states: Sequence[DensityMatrix], tol: float = COMMUTE_TOL
     dims = {s.dim for s in states}
     if len(dims) > 1:
         raise DimensionMismatchError("states have mixed dimensions")
-    mats = [s.matrix for s in states]
+    mats = [s.matrix for s in states]  # checked states: finite, entries within 1, so no cast or check per pair
     for i in range(len(mats)):
         for j in range(i + 1, len(mats)):
-            if not commutator_norm(mats[i], mats[j]) <= tol:  # a NaN tol fails
+            if not np.abs(mats[i] @ mats[j] - mats[j] @ mats[i]).max() <= tol:  # a NaN tol fails
                 return False
     return True
 

@@ -12,7 +12,7 @@ full joint distribution -- branch index included -- is preserved:
                         channel = the conditional channel recovered from the
                         joint state (see quantum.conditional_channel)
   temporal -> spatial:  joint preparation = (identity x channel) applied to
-                        the canonical purification of rho_bar^T (rho_bar the
+                        the canonical purifying vector of rho_bar^T (rho_bar the
                         ensemble average), first-party measurement = the
                         transpose of the ensemble's recovered POVM
 
@@ -21,9 +21,10 @@ stacked branches, effects and Kraus operators: the branch weights as one
 matrix-vector product, the branch states as one stacked product, the channel
 as two matrix products on the stack of weighted branches (`Channel.apply`).
 Python loops only to wrap each checked branch matrix as a state.  Each
-marginal (rho_A one way, rho_bar the other) is decomposed once, by one `eigh`
-of its transpose: that spectrum serves the marginal's PSD check, the square
-root and the inverse square root with its support.  A matrix passes the
+marginal (rho_A one way, rho_bar the other) is decomposed once, by
+`quantum._transposed_state`: one `eigh` of its transpose gives the checked
+state rho^T, sqrt(rho^T), and rho^{-1/2} with rho's support, which are what
+both directions need.  A matrix passes the
 validating checks iff its transpose does, up to the rounding of its
 eigenvalues, so each such pair is checked once: the marginal, and the
 first-party POVM, whose transpose goes to the ensemble as a bare effect stack.
@@ -44,10 +45,9 @@ from .quantum import (
     DensityMatrix,
     Povm,
     _born,
+    _check_povm_dims,
     _conditional_channel,
-    _inv_sqrt_from,
     _leifer_ensemble,
-    _sqrt_from,
     _transposed_state,
 )
 from .theory import EPS_BRANCH, EnsemblePreparation, JointDistribution
@@ -76,7 +76,7 @@ class TemporalScenario:
 
 def _joint(matrix: np.ndarray, dims: tuple[int, ...], povms: tuple[Povm, ...]) -> np.ndarray:
     """p(x_1..x_n) = Tr((M_1 x ... x M_n) rho) for one POVM per factor, per leading batch index."""
-    probs = _born(matrix, dims, [p.element_stack[None] for p in povms])
+    probs = _born(matrix, dims, [p.elements[None] for p in povms])
     return probs.reshape(matrix.shape[:-2] + tuple(len(p) for p in povms))
 
 
@@ -95,13 +95,9 @@ def spatial_scenario(state: DensityMatrix, povms: tuple[Povm, ...] | list[Povm])
     """Assemble a spatial scenario, computing its joint outcome distribution."""
     povms = tuple(povms)
     dims = state.dims
-    if len(dims) != len(povms):
-        raise DimensionMismatchError("one POVM per party required")
+    _check_povm_dims(dims, [(p,) for p in povms], "one POVM per party required")
     if len(dims) not in (2, 3):
         raise DimensionMismatchError("2 or 3 parties supported")
-    for k, (d, povm) in enumerate(zip(dims, povms)):
-        if povm.dim != d:
-            raise DimensionMismatchError(f"party {k}: POVM dim {povm.dim} != system dim {d}")
     axes = [(f"M{k + 1}", len(p)) for k, p in enumerate(povms)]
     return SpatialScenario(state, povms, JointDistribution(axes, _joint(state.matrix, dims, povms)))
 
@@ -112,11 +108,7 @@ def temporal_scenario(
     """Assemble a temporal scenario, computing p(i, x_2..x_n) through the channel."""
     povms = tuple(povms)
     out_dims = channel.output_dims
-    if len(out_dims) != len(povms):
-        raise DimensionMismatchError("one POVM per channel output required")
-    for k, (d, povm) in enumerate(zip(out_dims, povms)):
-        if povm.dim != d:
-            raise DimensionMismatchError(f"output {k}: POVM dim {povm.dim} != factor dim {d}")
+    _check_povm_dims(out_dims, [(p,) for p in povms], "one POVM per channel output required", "output", "factor")
     arities = tuple(len(p) for p in povms)
     live, weighted = _live_branches(ensemble, channel.dim_in)
     joint = np.zeros((len(ensemble),) + arities)
@@ -151,10 +143,9 @@ def spatial_to_temporal(spatial: SpatialScenario, tol: float = CONSTRUCTION_TOL)
     d_a = dims[0]
     d_rest = spatial.state.dim // d_a
     rho_a = np.trace(spatial.state.matrix.reshape(d_a, d_rest, d_a, d_rest), axis1=1, axis2=3)
-    rho_a_t, vals, eigvecs = _transposed_state(rho_a)
-    ensemble = _leifer_ensemble(rho_a_t, spatial.povms[0].element_stack.transpose(0, 2, 1), _sqrt_from(vals, eigvecs))
-    # rho_A = conj(rho_A^T): its eigenvectors are the conjugated ones
-    channel = _conditional_channel(spatial.state, *_inv_sqrt_from(vals, eigvecs.conj()))
+    rho_a_t, root, inv_root, support = _transposed_state(rho_a)
+    ensemble = _leifer_ensemble(rho_a_t, spatial.povms[0].elements.transpose(0, 2, 1), root)
+    channel = _conditional_channel(spatial.state, inv_root, support)
     temporal = temporal_scenario(ensemble, channel, spatial.povms[1:])
     _check_match(temporal.distribution, spatial.distribution, tol, "spatial_to_temporal")
     return temporal
@@ -165,15 +156,14 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
 
     The branch variable becomes a measurement on a fresh first system: the
     joint preparation is (identity x channel) applied to the canonical
-    purification of the transposed ensemble average, and the first-party
+    purifying vector of the transposed ensemble average, and the first-party
     measurement is the transpose of the POVM that induces the ensemble.
     """
     chan = temporal.channel
     live, mats = _live_branches(temporal.ensemble, chan.dim_in)
     d = chan.dim_in
-    _, vals, eigvecs = _transposed_state(mats.sum(axis=0))  # rho_bar^T, from the check of rho_bar
-
-    inv_root, support = _inv_sqrt_from(vals, eigvecs.conj())  # rho_bar = conj(rho_bar^T)
+    # psi = sqrt(rho_bar^T), read row-major, is the canonical purifying vector of rho_bar^T, on dims (d, d)
+    _, psi, inv_root, support = _transposed_state(mats.sum(axis=0))
     e = inv_root @ mats @ inv_root
     effects = np.zeros((len(live), d, d), dtype=complex)
     effects[live] = 0.5 * (e + e.conj().transpose(0, 2, 1))
@@ -182,9 +172,8 @@ def temporal_to_spatial(temporal: TemporalScenario, tol: float = CONSTRUCTION_TO
         effects[-1] += leftover  # complete the POVM off the support
     first_meas = Povm(effects.transpose(0, 2, 1))  # the transpose of the POVM inducing the ensemble
 
-    psi = _sqrt_from(vals, eigvecs)  # the canonical purification of rho_bar^T, on dims (d, d)
     # (I x K_k) psi is psi K_k^T read row-major as a (first, output) vector
-    vecs = (psi @ chan.kraus_stack.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
+    vecs = (psi @ chan.kraus.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
     joint_mat = vecs.T @ vecs.conj()
     joint_state = DensityMatrix(joint_mat, dims=(d,) + chan.output_dims)
 

@@ -12,14 +12,17 @@ duality layer's joint distributions) comes from one kernel, `_born`: per
 party, `np.tensordot`'s transposes, reshapes and one `np.dot`, written out.
 The results are tensordot's to the bit, without its per-call overhead.
 
+A POVM's `elements` and a channel's `kraus` are each one read-only (k, d, d)
+stack.  One finite-and-Hermitian test, `_check_hermitian`, serves POVMs,
+`mat_sqrt`, `trace_distance` and states: `_check_density` checks a stack of
+states, such as a POVM's ensemble branches, with `DensityMatrix`'s messages.
+
 The duality layer decomposes each marginal once: `_transposed_state` runs
-one `eigh` of rho^T, and that spectrum serves the PSD check of rho,
-`mat_sqrt`'s check and square root (`_sqrt_from`), and the inverse square
-root with its support (`_inv_sqrt_from`, on the conjugated eigenvectors,
-since rho = conj(rho^T)).  rho^T is not checked again: its entries, diagonal
-and spectrum are rho's, so its check would raise exactly when rho's does.
-Stacked states, such as a POVM's ensemble branches, are checked as one stack
-(`_check_density`) with `DensityMatrix`'s messages.
+one `eigh` of rho^T and returns the four things both duality directions
+need: the state rho^T (rho's PSD check included), sqrt(rho^T), and
+rho^{-1/2} with rho's support, on the conjugated eigenvectors, since
+rho = conj(rho^T).  rho^T is not checked again: its entries, diagonal and
+spectrum are rho's, so its check would raise exactly when rho's does.
 
 Conventions:
   * all transposes are taken in the computational basis
@@ -93,9 +96,15 @@ class DensityMatrix:
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        if integer(dim, "dimension") < 1:
-            raise ValidationError(f"dimension must be >= 1, got {dim}")
+        dim = integer(dim, "dimension", 1)
         return cls(np.eye(dim) / dim)
+
+
+def _check_hermitian(stack: np.ndarray, what: str) -> None:
+    """A ValidationError unless every matrix of the non-empty (..., d, d) `stack` is finite and Hermitian to ATOL."""
+    # negated so that NaN and inf fail it, quietly under the np.errstate each caller holds: the difference is non-finite
+    if not np.abs(stack - stack.conj().swapaxes(-1, -2)).max() <= ATOL:
+        raise ValidationError(f"{what} is not finite and Hermitian")
 
 
 @np.errstate(invalid="ignore", over="ignore")  # inf and huge entries fail the checks below, not as warnings
@@ -107,9 +116,7 @@ def _check_density(stack: np.ndarray, eigvals: np.ndarray | None = None) -> None
     one batched `eigvalsh`.  With several defective matrices the first failing
     check kind is reported, and within it the first matrix.
     """
-    # negated so that NaN and inf fail it: they make the difference non-finite
-    if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= ATOL:
-        raise ValidationError("density matrix is not finite and Hermitian")
+    _check_hermitian(stack, "density matrix")
     traces = np.trace(stack, axis1=1, axis2=2)
     for k, t in enumerate(traces.tolist()):  # a Python loop: a stack holds a few states, often one
         if abs(t.real - 1.0) > ATOL or abs(t.imag) > ATOL:
@@ -119,25 +126,23 @@ def _check_density(stack: np.ndarray, eigvals: np.ndarray | None = None) -> None
 
 
 class Povm:
-    """A list of positive effects summing to the identity."""
+    """Positive effects summing to the identity; `elements[k]` of the read-only (k, d, d) stack is the k-th."""
 
     @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
     def __init__(self, elements: Sequence[np.ndarray] | np.ndarray) -> None:
-        stack = number_array(elements, "POVM elements", complex)  # element_stack[k] is the k-th effect
+        stack = number_array(elements, "POVM elements", complex)
         if stack.shape[:1] == (0,):
             raise ValidationError("POVM needs at least one element")
         if stack.ndim != 3 or stack.shape[1] != stack.shape[2] or not stack.size:
             raise ValidationError(f"expected a non-empty square matrix, got shape {stack.shape[1:]}")
         d = stack.shape[1]
-        if not np.abs(stack - stack.conj().transpose(0, 2, 1)).max() <= ATOL:
-            raise ValidationError("POVM element is not finite and Hermitian")
+        _check_hermitian(stack, "POVM element")
         if np.linalg.eigvalsh(stack).min() < -ATOL:
             raise ValidationError("POVM element is not positive semidefinite")
         if np.abs(stack.sum(axis=0) - np.eye(d)).max() > ATOL:
             raise ValidationError("POVM elements do not sum to the identity")
         stack.flags.writeable = False
-        self.element_stack = stack
-        self.elements = tuple(stack)  # read-only views into the stack
+        self.elements = stack
         self.dim = d
 
     def __len__(self) -> int:
@@ -145,7 +150,7 @@ class Povm:
 
 
 class Channel:
-    """A trace-preserving channel in Kraus form (dim_out x dim_in operators).
+    """A trace-preserving channel in Kraus form: `kraus[k]` of the read-only (k, dim_out, dim_in) stack is the k-th.
 
     `output_dims` optionally factors the output space; a channel producing
     several systems at once (e.g. a broadcaster) declares them here.
@@ -153,7 +158,7 @@ class Channel:
 
     @np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
     def __init__(self, kraus: Sequence[np.ndarray] | np.ndarray, output_dims: Sequence[int] | None = None) -> None:
-        stack = number_array(kraus, "Kraus operators", complex)  # kraus_stack[k] is the k-th operator
+        stack = number_array(kraus, "Kraus operators", complex)
         if stack.shape[:1] == (0,):
             raise ValidationError("channel needs at least one Kraus operator")
         if stack.ndim != 3 or not stack.size:
@@ -163,8 +168,7 @@ class Channel:
         if not np.abs(flat.conj().T @ flat - np.eye(d_in)).max() <= ATOL:
             raise ValidationError("Kraus operators are not finite and trace preserving")
         stack.flags.writeable = False
-        self.kraus_stack = stack
-        self.kraus = tuple(stack)  # read-only views into the stack
+        self.kraus = stack
         self.dim_in = d_in
         self.dim_out = d_out
         self.output_dims = (d_out,) if output_dims is None else tuple(integer(x, "output dim") for x in output_dims)
@@ -173,7 +177,7 @@ class Channel:
 
     @classmethod
     def identity(cls, dim: int) -> "Channel":
-        return cls([np.eye(dim)])
+        return cls([np.eye(integer(dim, "dimension", 1))])
 
     @classmethod
     def unitary(cls, u: np.ndarray) -> "Channel":
@@ -192,7 +196,7 @@ class Channel:
             raise DimensionMismatchError(
                 f"channel expects a {self.dim_in}x{self.dim_in} input, got {rho.shape}"
             )
-        stack = self.kraus_stack
+        stack = self.kraus
         k, d_out, d_in = stack.shape
         lead = rho.shape[:-2]
         left = (stack.reshape(k * d_out, d_in) @ rho).reshape(lead + (k, d_out, d_in))
@@ -229,7 +233,7 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     """Trace out all subsystems not listed in `keep` (which must be strictly ascending)."""
     dims = tuple(integer(x, "dims entry") for x in dims)
     n = len(dims)
-    keep = tuple(keep)
+    keep = tuple(integer(i, "keep entry") for i in keep)
     if any(b <= a for a, b in zip(keep, keep[1:])):
         raise PreconditionError(f"keep indices must be strictly ascending, got {keep}")
     if keep and not (0 <= keep[0] and keep[-1] < n):
@@ -246,34 +250,32 @@ def partial_trace(mat: np.ndarray, dims: Sequence[int], keep: Sequence[int]) -> 
     return tensor.reshape(d_keep, d_keep)
 
 
+@np.errstate(invalid="ignore", over="ignore")  # as on `_check_density`
 def mat_sqrt(mat: np.ndarray) -> np.ndarray:
-    """Hermitian PSD square root; eigenvalues in [-1e-10, 0) are clamped to 0."""
-    return _sqrt_from(*np.linalg.eigh(_matrix(mat, "matrix entries")))
+    """Hermitian PSD square root of a finite Hermitian matrix; eigenvalues in [-1e-10, 0) are clamped to 0."""
+    mat = _matrix(mat, "matrix entries")
+    _check_hermitian(mat, "matrix")
+    return _sqrt_from(*np.linalg.eigh(mat))
 
 
 def _sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> np.ndarray:
-    """`mat_sqrt`, PSD check included, of the matrix with this `eigh` decomposition."""
-    if vals.min() < -ATOL:
-        raise ValidationError(f"matrix is not PSD (min eigenvalue {vals.min()})")
+    """`mat_sqrt`, PSD and finite-spectrum check included, of the matrix with this `eigh` decomposition."""
+    if not -ATOL <= vals[0] <= vals[-1] < np.inf:  # `eigh` sorts them ascending; huge entries can overflow them
+        raise ValidationError(f"matrix is not PSD with a finite spectrum: eigenvalues in [{vals[0]}, {vals[-1]}]")
     vals = np.clip(vals, 0.0, None)
     return (vecs * np.sqrt(vals)) @ vecs.conj().T
 
 
-def _psd_inv_sqrt(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pseudo-inverse square root on the support; returns (rho^{-1/2}, support projector)."""
-    return _inv_sqrt_from(*np.linalg.eigh(mat))
-
-
 def _inv_sqrt_from(vals: np.ndarray, vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """`_psd_inv_sqrt` of the matrix with this `eigh` decomposition."""
+    """(rho^{-1/2} on the support, support projector) of the PSD matrix with this `eigh` decomposition."""
     on = vals > ATOL
     inv = np.where(on, 1.0 / np.sqrt(np.where(on, vals, 1.0)), 0.0)
     support = (vecs * on.astype(float)) @ vecs.conj().T
     return (vecs * inv) @ vecs.conj().T, support
 
 
-def _transposed_state(mat: np.ndarray) -> tuple[DensityMatrix, np.ndarray, np.ndarray]:
-    """The state mat^T, from one `eigh` of mat^T: (state, eigenvalues, eigenvectors).
+def _transposed_state(mat: np.ndarray) -> tuple[DensityMatrix, np.ndarray, np.ndarray, np.ndarray]:
+    """From one `eigh` of mat^T: (the state mat^T, sqrt(mat^T), mat^{-1/2}, mat's support projector).
 
     Runs `DensityMatrix`'s checks on `mat`, with the eigenvalues of the one
     decomposition.  They also settle mat^T: its |M - M^dagger| entries and
@@ -284,22 +286,23 @@ def _transposed_state(mat: np.ndarray) -> tuple[DensityMatrix, np.ndarray, np.nd
     mat_t = mat.T
     vals, vecs = np.linalg.eigh(mat_t)
     _check_density(mat[None], vals)
-    return DensityMatrix._checked(mat_t), vals, vecs
+    return (DensityMatrix._checked(mat_t), _sqrt_from(vals, vecs), *_inv_sqrt_from(vals, vecs.conj()))
 
 
+@np.errstate(invalid="ignore", over="ignore")  # a non-finite difference is refused; a distance past 1e308 is inf
 def trace_distance(a: np.ndarray, b: np.ndarray) -> float | np.ndarray:
-    """(1/2) * trace norm of (a - b) for Hermitian a, b.
+    """(1/2) * trace norm of (a - b), whose difference must be finite and Hermitian.
 
     Stacks of matrices along matching leading axes give one distance per
     pair, from one batched `eigvalsh`; two matrices give a float.
     """
     a = number_array(a, "matrix entries", complex)
     b = number_array(b, "matrix entries", complex)
-    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2]:
-        raise DimensionMismatchError(
-            f"trace_distance needs square matrices of one shape, got {a.shape} and {b.shape}"
-        )
-    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(a - b)), axis=-1)
+    if a.shape != b.shape or a.ndim < 2 or a.shape[-1] != a.shape[-2] or not a.size:
+        raise DimensionMismatchError(f"non-empty square matrices of one shape needed, got {a.shape}, {b.shape}")
+    diff = a - b
+    _check_hermitian(diff, "matrix difference")
+    return 0.5 * np.sum(np.abs(np.linalg.eigvalsh(diff)), axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -361,7 +364,7 @@ def born_table(
         chans[name] = chan
 
     # every POVM's effects side by side as one setting, split back per POVM
-    stack = np.array([[e for povm in povms.values() for e in povm.elements]])
+    stack = np.concatenate([povm.elements for povm in povms.values()])[None]
     ends = np.cumsum([len(povm) for povm in povms.values()])[:-1]
     table = {}
     for p_id, rho in states.items():
@@ -372,6 +375,17 @@ def born_table(
     return OperationalTheory(list(states), list(chans), measurements, table)
 
 
+def _check_povm_dims(dims: Sequence[int], povm_lists: Sequence[Sequence[Povm]], count_error: str,
+                     label: str = "party", factor: str = "system") -> None:
+    """One list of POVMs per factor, each on that factor; else a DimensionMismatchError, `count_error` for the count."""
+    if len(dims) != len(povm_lists):
+        raise DimensionMismatchError(count_error)
+    for k, (d, povms) in enumerate(zip(dims, povm_lists)):
+        for povm in povms:
+            if povm.dim != d:
+                raise DimensionMismatchError(f"{label} {k}: POVM dim {povm.dim} != {factor} dim {d}")
+
+
 def multipartite_box(state: DensityMatrix, povms_per_party: Sequence[Sequence[Povm]]) -> CorrelationBox:
     """Correlation box p(a_1..a_n | x_1..x_n) = Tr((M_1 x ... x M_n) rho).
 
@@ -379,27 +393,21 @@ def multipartite_box(state: DensityMatrix, povms_per_party: Sequence[Sequence[Po
     one factor per party.  Supports n in {2, 3}.
     """
     dims = state.dims
-    n = len(dims)
-    if n != len(povms_per_party):
-        raise DimensionMismatchError(
-            f"state factors into {n} systems but {len(povms_per_party)} measurement lists given"
-        )
+    n, lists = len(dims), len(povms_per_party)
+    _check_povm_dims(dims, povms_per_party, f"state factors into {n} systems but {lists} measurement lists given")
     if n not in (2, 3):
         raise DimensionMismatchError("only 2- and 3-party boxes are supported")
     outcomes = []
-    for party, (d, settings) in enumerate(zip(dims, povms_per_party)):
+    for party, settings in enumerate(povms_per_party):
         if not settings:
             raise ValidationError(f"party {party} has no measurement settings")
         arities = {len(p) for p in settings}
         if len(arities) != 1:
             raise ValidationError(f"party {party}: settings must share one outcome arity")
-        for povm in settings:
-            if povm.dim != d:
-                raise DimensionMismatchError(f"party {party}: POVM dim {povm.dim} != system dim {d}")
         outcomes.append(arities.pop())
     settings_count = [len(s) for s in povms_per_party]
     # each party's effects stacked as (settings, outcomes, d, d)
-    table = _born(state.matrix, dims, [np.array([p.element_stack for p in s]) for s in povms_per_party])
+    table = _born(state.matrix, dims, [np.array([p.elements for p in s]) for s in povms_per_party])
     return CorrelationBox(settings_count, outcomes, table)
 
 
@@ -423,7 +431,7 @@ def choi_of_channel(chan: Channel) -> ChoiState:
     """
     d = chan.dim_in
     # (K_k x I) applied to the entangled vector is K_k / sqrt(d) read row-major as an (output, input) vector
-    vecs = chan.kraus_stack.reshape(len(chan.kraus), -1) / np.sqrt(d)
+    vecs = chan.kraus.reshape(len(chan.kraus), -1) / np.sqrt(d)
     mat = vecs.T @ vecs.conj()
     return ChoiState(
         DensityMatrix(mat, dims=(chan.dim_out, d)), input_dim=d, output_dim=chan.dim_out
@@ -444,7 +452,7 @@ def conditional_channel(state: DensityMatrix) -> Channel:
     For rho_AB with marginal rho_A, the operator
     (rho_A^{-1/2} x I) rho_AB (rho_A^{-1/2} x I) read as a Choi operator
     yields the unique channel eps with rho_AB = (I x eps)(canonical
-    purification of rho_A).  Measuring {M_i} on A then steers B to
+    purifying vector of rho_A).  Measuring {M_i} on A then steers B to
     eps(sqrt(rho_A^T) M_i^T sqrt(rho_A^T)) with the correct weights.  When
     rho_A is rank deficient the recovery lives on its support and the channel
     is completed arbitrarily (maximally mixed output) off it.
@@ -453,7 +461,7 @@ def conditional_channel(state: DensityMatrix) -> Channel:
         raise DimensionMismatchError("conditional_channel needs a state with >= 2 factors")
     d_a = state.dims[0]
     rho_a = partial_trace(state.matrix, (d_a, state.dim // d_a), keep=(0,))
-    return _conditional_channel(state, *_psd_inv_sqrt(rho_a))
+    return _conditional_channel(state, *_inv_sqrt_from(*np.linalg.eigh(rho_a)))
 
 
 def _conditional_channel(state: DensityMatrix, inv_sqrt: np.ndarray, support: np.ndarray) -> Channel:
@@ -485,7 +493,7 @@ def leifer_ensemble(rho: DensityMatrix, povm: Povm) -> EnsemblePreparation:
     """
     if rho.dim != povm.dim:
         raise DimensionMismatchError("state and POVM dimensions differ")
-    return _leifer_ensemble(rho, povm.element_stack, mat_sqrt(rho.matrix))
+    return _leifer_ensemble(rho, povm.elements, mat_sqrt(rho.matrix))
 
 
 def _leifer_ensemble(rho: DensityMatrix, effects: np.ndarray, root: np.ndarray) -> EnsemblePreparation:
@@ -503,16 +511,7 @@ def _leifer_ensemble(rho: DensityMatrix, effects: np.ndarray, root: np.ndarray) 
 
 def transpose_povm(povm: Povm) -> Povm:
     """Elementwise transpose in the computational basis (still a POVM)."""
-    return Povm(povm.element_stack.transpose(0, 2, 1))
-
-
-def purification(rho: DensityMatrix) -> np.ndarray:
-    """Canonical purification sum_j (sqrt(rho)|j>) x |j>, as a vector on dims (d, d).
-
-    Component (a, b) equals sqrt(rho)[a, b], so the vector is the matrix
-    square root flattened row-major; the second factor purifies the first.
-    """
-    return mat_sqrt(rho.matrix).reshape(-1)
+    return Povm(povm.elements.transpose(0, 2, 1))
 
 
 # ---------------------------------------------------------------------------
@@ -572,12 +571,14 @@ def w_state() -> DensityMatrix:
 
 def ginibre_state(dim: int, rng: np.random.Generator, dims: Sequence[int] | None = None) -> DensityMatrix:
     """Full-rank random state G G^dagger / Tr, G complex Gaussian."""
+    dim = integer(dim, "dimension", 1)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     mat = g @ g.conj().T
     return DensityMatrix(mat / np.trace(mat).real, dims=dims)
 
 
 def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
+    dim = integer(dim, "dimension", 1)
     g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
     q, r = np.linalg.qr(g)
     phases = np.diag(r).copy()
@@ -587,12 +588,13 @@ def haar_unitary(dim: int, rng: np.random.Generator) -> np.ndarray:
 
 def random_povm(dim: int, n_outcomes: int, rng: np.random.Generator) -> Povm:
     """Random full-rank POVM: normalize Wishart blocks against their sum."""
+    dim = integer(dim, "dimension", 1)
     blocks = []
-    for _ in range(n_outcomes):
+    for _ in range(integer(n_outcomes, "outcome count", 1)):
         g = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
         blocks.append(g @ g.conj().T)
     total = sum(blocks)
-    inv_sqrt, _ = _psd_inv_sqrt(total)
+    inv_sqrt, _ = _inv_sqrt_from(*np.linalg.eigh(total))
     return Povm([inv_sqrt @ b @ inv_sqrt for b in blocks])
 
 
@@ -606,10 +608,12 @@ def random_projective_qubit(rng: np.random.Generator) -> Povm:
 
 def random_channel(dim_in: int, dim_out: int, kraus_count: int, rng: np.random.Generator) -> Channel:
     """Random channel via a Haar-ish isometry split into Kraus blocks; refused if kraus_count * dim_out < dim_in."""
+    dim_in = integer(dim_in, "dim_in", 1)
+    dim_out = integer(dim_out, "dim_out", 1)
+    kraus_count = integer(kraus_count, "kraus_count", 1)
     if kraus_count * dim_out < dim_in:  # the reduced QR below would have only kraus_count * dim_out columns
         raise PreconditionError(f"an isometry needs kraus_count * dim_out >= {dim_in}, got {kraus_count} * {dim_out}")
-    g = rng.normal(size=(dim_out * kraus_count, dim_in)) + 1j * rng.normal(
-        size=(dim_out * kraus_count, dim_in)
-    )
+    shape = (dim_out * kraus_count, dim_in)
+    g = rng.normal(size=shape) + 1j * rng.normal(size=shape)
     q, _ = np.linalg.qr(g)  # columns orthonormal: q^dagger q = I_{dim_in}
     return Channel(q.reshape(kraus_count, dim_out, -1))  # row block k is the k-th Kraus operator

@@ -49,14 +49,18 @@ def number_array(values: Any, what: str, dtype: type = float) -> np.ndarray:
     raise ValidationError(f"{what} must be {'real numbers' if real else 'numbers'}")
 
 
-def integer(value: Any, what: str) -> int:
-    """`value` as an int, NumPy's included; a ValidationError for a bool, float or string, which `int()` would take."""
+def integer(value: Any, what: str, least: int | None = None) -> int:
+    """`value` as an int, NumPy's included; a ValidationError for a bool, float or string, which `int()` would take,
+    or for an int below `least`, if given."""
     try:
-        if not isinstance(value, bool):
-            return operator.index(value)
+        n = None if isinstance(value, bool) else operator.index(value)
     except TypeError:
-        pass
-    raise ValidationError(f"{what} must be an integer, got {value!r}")
+        n = None
+    if n is None:
+        raise ValidationError(f"{what} must be an integer, got {value!r}")
+    if least is not None and n < least:
+        raise ValidationError(f"{what} must be >= {least}, got {n}")
+    return n
 
 
 def probability_array(values: Any, what: str, shape: tuple[int, ...], conditions: int = 0) -> np.ndarray:
@@ -93,9 +97,7 @@ class Measurement:
     arity: int
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "arity", integer(self.arity, f"measurement {self.id!r}: arity"))
-        if self.arity < 1:
-            raise ValidationError(f"measurement {self.id!r}: arity must be >= 1")
+        object.__setattr__(self, "arity", integer(self.arity, f"measurement {self.id!r}: arity", 1))
 
 
 class OperationalTheory:

@@ -108,7 +108,7 @@ def tensordot_born(matrix: np.ndarray, dims, stacks) -> np.ndarray:
 
 def random_stacks(dims, settings, outcomes, rng) -> list[np.ndarray]:
     return [
-        np.array([q.random_povm(d, k, rng).element_stack for _ in range(m)])
+        np.array([q.random_povm(d, k, rng).elements for _ in range(m)])
         for d, m, k in zip(dims, settings, outcomes)
     ]
 

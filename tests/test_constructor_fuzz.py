@@ -1,5 +1,8 @@
 """Fuzzed constructors: on any numeric array a constructor returns or raises a GptwError, with no warning.
 
+The exported matrix functions `mat_sqrt`, `trace_distance` and `commutator_norm`
+are fuzzed as constructors too: each takes the drawn array as its matrix.
+
 Two kinds of input: arbitrary float or complex arrays of any shape (zero-size
 ones included, with NaN, infinities and huge entries), and near misses, valid
 arrays with one or two entries replaced.  Input that is never valid, ragged
@@ -19,6 +22,7 @@ from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
 from gptw import quantum as q
+from gptw.broadcast import commutator_norm
 from gptw.correlations import CorrelationBox
 from gptw.errors import GptwError
 from gptw.ontic import OnticModel
@@ -86,11 +90,14 @@ CONSTRUCTORS = {
     "ontic mu": ontic_model(0),
     "ontic xi": ontic_model(1),
     "ontic trans": ontic_model(2),
+    "mat_sqrt": q.mat_sqrt,
+    "trace_distance": lambda arr: q.trace_distance(arr, np.zeros(arr.shape)),
+    "commutator_norm": lambda arr: commutator_norm(arr, arr.T),
 }
 VALID = {
     "density": [np.eye(2) / 2, np.diag([1.0, 0.0, 0.0]), q.ginibre_state(4, np.random.default_rng(0)).matrix],
-    "povm": [q.z_basis().element_stack, q.random_povm(3, 3, np.random.default_rng(1)).element_stack],
-    "channel": [q.random_channel(2, 2, 2, np.random.default_rng(2)).kraus_stack],
+    "povm": [q.z_basis().elements, q.random_povm(3, 3, np.random.default_rng(1)).elements],
+    "channel": [q.random_channel(2, 2, 2, np.random.default_rng(2)).kraus],
     "box": [pr_table(), np.full((2, 2, 2, 2, 2, 2), 0.125)],
     "ensemble": [np.array([0.5, 0.5]), np.array([1.0])],
     "joint": [np.full((2, 3), 1 / 6)],
@@ -98,6 +105,9 @@ VALID = {
     "ontic mu": [np.array([0.5, 0.5])],
     "ontic xi": [np.array([[1.0, 0.0], [0.0, 1.0]]), np.full((3, 2), 1 / 3)],
     "ontic trans": [np.eye(2), np.full((3, 3), 1 / 3)],
+    "mat_sqrt": [np.eye(2) / 2, q.ginibre_state(3, np.random.default_rng(3)).matrix],
+    "trace_distance": [np.diag([1.0, -1.0]), np.array([np.eye(2) / 2, np.diag([1.0, 0.0])])],
+    "commutator_norm": [q.PAULI_X, q.ginibre_state(3, np.random.default_rng(4)).matrix],
 }
 
 
@@ -136,6 +146,9 @@ MALFORMED = {  # each kind's constructor with the drawn value in its array argum
     "ontic mu": lambda x: OnticModel(["l0", "l1"], {"x": x}, {}, {}),
     "ontic xi": lambda x: OnticModel(["l0", "l1"], {}, {"x": x}, {}),
     "ontic trans": lambda x: OnticModel(["l0", "l1"], {}, {}, {"x": x}),
+    "mat_sqrt": q.mat_sqrt,
+    "trace_distance": lambda x: q.trace_distance(x, x),
+    "commutator_norm": lambda x: commutator_norm(x, x),
 }
 
 

@@ -169,7 +169,7 @@ def test_round_trip_three_party():
         assert diff < 2e-8
         # the joint state against (I x K) |psi><psi| (I x K)^dagger with kron-lifted Kraus operators
         rho_bar = sum(w * s.matrix for w, s in zip(temporal.ensemble.weights, temporal.ensemble.branches))
-        psi = q.purification(transpose_state(q.DensityMatrix(rho_bar)))
+        psi = q.mat_sqrt(transpose_state(q.DensityMatrix(rho_bar)).matrix).reshape(-1)
         lifted = [np.kron(np.eye(2), k) @ psi for k in temporal.channel.kraus]
         assert np.max(np.abs(back.state.matrix - sum(np.outer(v, v.conj()) for v in lifted))) < 1e-14
 
@@ -233,7 +233,7 @@ def _conditional_kraus_loop(state):
     d_a = state.dims[0]
     d_b = state.dim // d_a
     rho_a = q.partial_trace(state.matrix, (d_a, d_b), keep=(0,))
-    inv_sqrt, support = q._psd_inv_sqrt(rho_a)
+    inv_sqrt, support = q._inv_sqrt_from(*np.linalg.eigh(rho_a))
     dress = np.kron(inv_sqrt, np.eye(d_b))
     j_mat = dress @ state.matrix @ dress
     comp = np.eye(d_a) - support
@@ -258,7 +258,7 @@ def _temporal_to_spatial_loop(temporal):
     live = [(w, s.matrix) for w, s in zip(ens.weights, ens.branches) if w > EPS_BRANCH]
     d = live[0][1].shape[0]
     rho_bar = sum(w * s for w, s in live)
-    inv_root, support = q._psd_inv_sqrt(rho_bar)
+    inv_root, support = q._inv_sqrt_from(*np.linalg.eigh(rho_bar))
     effects = []
     for w, branch in zip(ens.weights, ens.branches):
         if w <= EPS_BRANCH:
@@ -301,7 +301,7 @@ def _check_against_loops(state, povms):
     back = temporal_to_spatial(temporal)
     joint, first = _temporal_to_spatial_loop(temporal)
     assert _worst(back.state.matrix, joint) < ORACLE_TOL
-    assert _worst(back.povms[0].element_stack, first) < ORACLE_TOL
+    assert _worst(back.povms[0].elements, first) < ORACLE_TOL
     assert _worst(back.distribution.probabilities, _born_loop(joint, [first] + elements[1:])) < ORACLE_TOL
     return temporal
 
@@ -335,10 +335,10 @@ def test_stages_match_loops_with_dead_branch_and_rank_deficient_marginal(d):
 
 def _parent_leifer_ensemble(rho, povm):
     root = q.mat_sqrt(rho.matrix)
-    weights = np.einsum("ij,kji->k", rho.matrix, povm.element_stack).real
+    weights = np.einsum("ij,kji->k", rho.matrix, povm.elements).real
     states = [
         q.DensityMatrix.maximally_mixed(rho.dim) if w <= EPS_BRANCH else q.DensityMatrix(b / w)
-        for w, b in zip(weights, root @ povm.element_stack @ root)
+        for w, b in zip(weights, root @ povm.elements @ root)
     ]
     return EnsemblePreparation(weights, states)
 
@@ -346,7 +346,7 @@ def _parent_leifer_ensemble(rho, povm):
 def _parent_conditional_channel(state):
     d_a = state.dims[0]
     d_b = state.dim // d_a
-    inv_sqrt, support = q._psd_inv_sqrt(q.partial_trace(state.matrix, (d_a, d_b), keep=(0,)))
+    inv_sqrt, support = q._inv_sqrt_from(*np.linalg.eigh(q.partial_trace(state.matrix, (d_a, d_b), keep=(0,))))
     dress = np.kron(inv_sqrt, np.eye(d_b))
     j_mat = dress @ state.matrix @ dress
     comp = np.eye(d_a) - support
@@ -370,7 +370,7 @@ def _parent_temporal_to_spatial(temporal):
     live, mats = _live_branches(temporal.ensemble, chan.dim_in)
     d = chan.dim_in
     rho_bar = q.DensityMatrix(mats.sum(axis=0))
-    inv_root, support = q._psd_inv_sqrt(rho_bar.matrix)
+    inv_root, support = q._inv_sqrt_from(*np.linalg.eigh(rho_bar.matrix))
     e = inv_root @ mats @ inv_root
     effects = np.zeros((len(live), d, d), dtype=complex)
     effects[live] = 0.5 * (e + e.conj().transpose(0, 2, 1))
@@ -378,8 +378,8 @@ def _parent_temporal_to_spatial(temporal):
     if np.max(np.abs(leftover)) > 1e-12:
         effects[-1] += leftover
     first_meas = q.transpose_povm(q.Povm(effects))
-    psi = q.purification(transpose_state(rho_bar)).reshape(d, d)
-    vecs = (psi @ chan.kraus_stack.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
+    psi = q.mat_sqrt(transpose_state(rho_bar).matrix)
+    vecs = (psi @ chan.kraus.transpose(0, 2, 1)).reshape(len(chan.kraus), -1)
     joint_state = q.DensityMatrix(vecs.T @ vecs.conj(), dims=(d,) + chan.output_dims)
     spatial = spatial_scenario(joint_state, (first_meas,) + temporal.povms)
     _check_match(spatial.distribution, temporal.distribution, CONSTRUCTION_TOL, "parent")
@@ -402,7 +402,7 @@ def _check_against_parent(state, povms):
     back, ref = temporal_to_spatial(temporal), _parent_temporal_to_spatial(temporal)
     assert _worst(back.state.matrix, ref.state.matrix) < ORACLE_TOL
     for got, ref_povm in zip(back.povms, ref.povms):
-        assert _worst(got.element_stack, ref_povm.element_stack) < ORACLE_TOL
+        assert _worst(got.elements, ref_povm.elements) < ORACLE_TOL
     assert _worst(back.distribution.probabilities, ref.distribution.probabilities) < ORACLE_TOL
 
     # the public constructions the round trip shares its spectra with
@@ -586,7 +586,7 @@ def test_local_unitaries_leave_the_round_trip_distributions_unchanged(inputs):
     for v in units[1:]:
         u = np.kron(u, v)
     rotated = q.DensityMatrix(u @ state.matrix @ u.conj().T, dims=state.dims)
-    rotated_povms = [q.Povm(v @ p.element_stack @ v.conj().T) for v, p in zip(units, povms)]
+    rotated_povms = [q.Povm(v @ p.elements @ v.conj().T) for v, p in zip(units, povms)]
     for got, want in zip(round_trip(rotated, rotated_povms), round_trip(state, povms)):
         assert np.abs(got - want).max() <= 1e-12
 
@@ -596,6 +596,6 @@ def test_local_unitaries_leave_the_round_trip_distributions_unchanged(inputs):
 def test_permuting_the_first_partys_effects_permutes_the_branch_axis(inputs):
     rng, state, povms = round_trip_inputs(*inputs)
     perm = rng.permutation(len(povms[0]))
-    permuted = [q.Povm(povms[0].element_stack[perm])] + povms[1:]
+    permuted = [q.Povm(povms[0].elements[perm])] + povms[1:]
     for got, want in zip(round_trip(state, permuted), round_trip(state, povms)):
         assert np.abs(got - want[perm]).max() <= 1e-12

@@ -174,10 +174,30 @@ COUNTS = {  # a count is an integer: int() would truncate a float and read a boo
     "measurement arity string": (lambda: th.Measurement("M", "2"), "arity"),
     "maximally_mixed float": (lambda: q.DensityMatrix.maximally_mixed(2.0), "dimension"),
     "partial_trace dims float": (lambda: q.partial_trace(np.eye(4) / 4, (2.0, 2.0), (0,)), "dims entry"),
+    "partial_trace keep float": (lambda: q.partial_trace(np.eye(4) / 4, (2, 2), (0.0,)), "keep entry"),
+    "identity channel float": (lambda: q.Channel.identity(2.5), "dimension"),
+    "ginibre_state float": (lambda: q.ginibre_state(2.5, np.random.default_rng(0)), "dimension"),
+    "haar_unitary float": (lambda: q.haar_unitary(2.5, np.random.default_rng(0)), "dimension"),
+    "random_povm dimension float": (lambda: q.random_povm(2.5, 2, np.random.default_rng(0)), "dimension"),
+    "random_povm outcomes float": (lambda: q.random_povm(2, 2.0, np.random.default_rng(0)), "outcome count"),
+    "random_channel dim_in float": (lambda: q.random_channel(2.0, 2, 2, np.random.default_rng(0)), "dim_in"),
+    "random_channel dim_out float": (lambda: q.random_channel(2, 2.0, 2, np.random.default_rng(0)), "dim_out"),
+    "random_channel kraus float": (lambda: q.random_channel(2, 2, 1.5, np.random.default_rng(0)), "kraus_count"),
 }
 for name, (call, what) in COUNTS.items():
     INPUT_ERRORS[f"count {name}"] = (call, ValidationError, f"{what} must be an integer, got")
 INPUT_ERRORS["maximally_mixed negative"] = (partial(q.DensityMatrix.maximally_mixed, -1), ValidationError, ">= 1")
+RANGES = {  # a count below 1 is refused before NumPy sees it
+    "identity channel negative": (lambda: q.Channel.identity(-1), "dimension"),
+    "ginibre_state zero": (lambda: q.ginibre_state(0, np.random.default_rng(0)), "dimension"),
+    "haar_unitary zero": (lambda: q.haar_unitary(0, np.random.default_rng(0)), "dimension"),
+    "random_povm no outcomes": (lambda: q.random_povm(2, 0, np.random.default_rng(0)), "outcome count"),
+    "random_channel zero dim_in": (lambda: q.random_channel(0, 2, 1, np.random.default_rng(0)), "dim_in"),
+    "random_channel zero dim_out": (lambda: q.random_channel(2, 0, 3, np.random.default_rng(0)), "dim_out"),
+    "random_channel no Kraus": (lambda: q.random_channel(1, 1, 0, np.random.default_rng(0)), "kraus_count"),
+}
+for name, (call, what) in RANGES.items():
+    INPUT_ERRORS[f"range {name}"] = (call, ValidationError, f"{what} must be >= 1, got")
 INPUT_ERRORS["random_channel too few Kraus"] = (partial(q.random_channel, 3, 2, 1, np.random.default_rng(0)),
                                                 PreconditionError, r"kraus_count \* dim_out >= 3, got 1 \* 2")
 EXPORTED_CASTS = {  # exported quantum functions cast through `number_array` and check the shape
@@ -191,6 +211,24 @@ EXPORTED_CASTS = {  # exported quantum functions cast through `number_array` and
     "mat_sqrt ragged": (partial(q.mat_sqrt, RAGGED), DimensionMismatchError, "mixed dimensions"),
     "mat_sqrt not square": (partial(q.mat_sqrt, np.ones((2, 3))), ValidationError, "square matrix"),
     "mat_sqrt empty": (partial(q.mat_sqrt, np.zeros((0, 0))), ValidationError, "non-empty square matrix"),
+    "mat_sqrt one triangle": (partial(q.mat_sqrt, [[1, 1j], [0, 1]]), ValidationError,
+                              "matrix is not finite and Hermitian"),
+    "mat_sqrt NaN": (partial(q.mat_sqrt, [[np.nan, 0], [0, 1]]), ValidationError, "matrix is not finite and Hermitian"),
+    "mat_sqrt overflowing spectrum": (partial(q.mat_sqrt, np.full((2, 2), np.finfo(float).max)), ValidationError,
+                                      "finite spectrum"),
+    "trace_distance NaN": (partial(q.trace_distance, [[np.nan]], [[1.0]]), ValidationError,
+                           "matrix difference is not finite and Hermitian"),
+    "trace_distance not Hermitian": (partial(q.trace_distance, [[1, 1], [0, 1]], np.eye(2)), ValidationError,
+                                     "matrix difference is not finite and Hermitian"),
+    "trace_distance overflowing difference": (partial(q.trace_distance, [[1e308]], [[-1e308]]), ValidationError,
+                                              "matrix difference is not finite"),
+    "trace_distance empty": (partial(q.trace_distance, np.zeros((0, 0)), np.zeros((0, 0))), DimensionMismatchError,
+                             "non-empty square matrices"),
+    "commutator_norm NaN": (partial(broadcast.commutator_norm, [[np.nan]], [[1.0]]), ValidationError, "finite"),
+    "commutator_norm infinite": (partial(broadcast.commutator_norm, np.diag([np.inf, 0.0]), np.zeros((2, 2))),
+                                 ValidationError, "finite"),
+    "commutator_norm overflow": (partial(broadcast.commutator_norm, [[1e200]], [[1e200]]), ValidationError,
+                                 "finite commutator"),
     "channel apply strings": (partial(q.Channel.identity(1).apply, STRINGS), ValidationError,
                               "channel input entries must be numbers"),
     "povm_from_observable ragged": (partial(q.povm_from_observable, RAGGED), DimensionMismatchError,

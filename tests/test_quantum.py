@@ -99,24 +99,23 @@ def test_born_table_dimension_mismatch():
         q.born_table({"a": q.DensityMatrix.maximally_mixed(3)}, {"Z": q.z_basis()})
 
 
-def test_channel_keeps_one_read_only_kraus_stack():
+def test_channel_keeps_kraus_as_one_read_only_stack():
     rng = np.random.default_rng(19)
     chan = q.random_channel(3, 2, 4, rng)
-    assert chan.kraus_stack.shape == (4, 2, 3) and not chan.kraus_stack.flags.writeable
-    for k, op in enumerate(chan.kraus):
-        assert np.shares_memory(op, chan.kraus_stack) and np.array_equal(op, chan.kraus_stack[k])
-        with pytest.raises(ValueError):
-            op[0, 0] = 0.0
+    assert type(chan.kraus) is np.ndarray and chan.kraus.shape == (4, 2, 3)
+    assert not chan.kraus.flags.writeable
+    with pytest.raises(ValueError):
+        chan.kraus[0, 0, 0] = 0.0
     rhos = np.array([q.ginibre_state(3, rng).matrix for _ in range(5)])
     for rho, stacked in zip(rhos, chan.apply(rhos)):  # a stack of inputs maps input by input
-        loop = sum(k @ rho @ k.conj().T for k in chan.kraus)
+        loop = sum(chan.kraus[k] @ rho @ chan.kraus[k].conj().T for k in range(4))  # the stack's rows, one by one
         assert np.max(np.abs(chan.apply(rho) - loop)) < 1e-14
         assert np.max(np.abs(stacked - loop)) < 1e-14
 
 
 def kraus_sum(chan: q.Channel, rho: np.ndarray) -> np.ndarray:
     """sum_k K_k rho K_k^dagger as one (..., k, d_out, d_out) product summed over k: `Channel.apply`'s oracle."""
-    stack = chan.kraus_stack
+    stack = chan.kraus
     return (stack @ rho[..., None, :, :] @ stack.conj().transpose(0, 2, 1)).sum(axis=-3)
 
 
@@ -142,13 +141,19 @@ def test_channel_rejects_mixed_kraus_shapes():
         q.Channel([np.eye(2), np.eye(3)])
 
 
-def test_povm_keeps_one_read_only_element_stack():
-    povm = q.random_povm(3, 4, np.random.default_rng(23))
-    assert povm.element_stack.shape == (4, 3, 3) and not povm.element_stack.flags.writeable
-    for k, e in enumerate(povm.elements):
-        assert np.shares_memory(e, povm.element_stack) and np.array_equal(e, povm.element_stack[k])
-        with pytest.raises(ValueError):
-            e[0, 0] = 0.0
+def test_povm_keeps_elements_as_one_read_only_stack():
+    rng = np.random.default_rng(23)
+    povm = q.random_povm(3, 4, rng)
+    assert type(povm.elements) is np.ndarray and povm.elements.shape == (4, 3, 3) and len(povm) == 4
+    assert not povm.elements.flags.writeable
+    with pytest.raises(ValueError):
+        povm.elements[0, 0, 0] = 0.0
+    rho = q.ginibre_state(3, rng)
+    chan = q.random_channel(3, 3, 2, rng)
+    rows = dict(q.born_table({"p": rho}, {"m": povm}, {"T": chan}).rows())
+    out = chan.apply(rho.matrix)
+    loop = [np.trace(povm.elements[k] @ out).real for k in range(4)]  # the stack's rows after `apply`, one by one
+    assert np.max(np.abs(rows[("p", "T", "m")] - loop)) < 1e-14
 
 
 def test_povm_rejects_mixed_element_shapes():

@@ -345,7 +345,7 @@ def test_multipartite_box_is_invariant_under_local_unitaries():
         us = [q.haar_unitary(d, rng) for d in dims]
         u = functools.reduce(np.kron, us)
         rotated_state = q.DensityMatrix(u @ state.matrix @ u.conj().T, dims=dims)
-        rotated = [[q.Povm(v @ p.element_stack @ v.conj().T) for p in s] for v, s in zip(us, povms)]
+        rotated = [[q.Povm(v @ p.elements @ v.conj().T) for p in s] for v, s in zip(us, povms)]
         table = q.multipartite_box(state, povms).table
         assert np.abs(q.multipartite_box(rotated_state, rotated).table - table).max() <= 1e-12
 
